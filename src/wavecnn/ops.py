@@ -5,13 +5,22 @@ returns (output, cache); the matching backward consumes the cache and the
 output gradient and returns exact adjoints. Gradients at fan-out points (the
 residual shortcut) accumulate additively.
 
-Convolution dispatches on dtype:
+Convolution forward dispatches on dtype:
 
   float64  accumulates products one (tap, in_channel) pair at a time, in the
            same order as a naive triple loop, so results are bitwise equal to
            the brute-force reference. Used by gradient checks.
   float32  im2col + GEMM with float64 accumulation, rounded once at the end.
            Used for training speed.
+
+Convolution backward accumulates in float64 for both dtypes and dispatches on
+the input channel count. A per-tap product has inner dimension Cin, so with
+deep inputs each of the rf taps is already a full GEMM and the backward loops
+over taps. With thin inputs (the waveform stem has Cin 1) a per-tap product is
+a memory-bound pass over the whole output gradient, repeated 2*rf times, so
+the backward instead gathers each clip's receptive fields into im2col rows
+[out_T, rf*Cin] and does one GEMM for grad_kernel and one for the im2col
+gradient, which an rf-step strided col2im adds back onto grad_x.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ from .tensor import check_finite
 
 # Cap on the float64 im2col buffer; larger batches are processed in slices.
 _GEMM_BUDGET_BYTES = 128 << 20
+
+# Backward gathers whole-window im2col rows below this many input channels;
+# from Cin 8 up the per-tap GEMMs measured as fast or faster.
+_IM2COL_BACKWARD_MAX_CIN = 8
 
 
 @dataclass
@@ -124,26 +137,42 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias)."""
     xp, x_shape, p, out_T, left = cache
     B, T, Cin = x_shape
-    rf, stride = p.rf, p.stride
-    if grad_out.shape != (B, out_T, p.out_channels):
+    rf, stride, Cout = p.rf, p.stride, p.out_channels
+    if grad_out.shape != (B, out_T, Cout):
         raise ValueError(
-            f"conv1d backward: grad shape {grad_out.shape} != {(B, out_T, p.out_channels)}"
+            f"conv1d backward: grad shape {grad_out.shape} != {(B, out_T, Cout)}"
         )
-    g64 = grad_out.astype(np.float64, copy=False)
     k64 = p.kernel.astype(np.float64, copy=False)
-
-    grad_kernel = np.empty_like(k64)
     grad_xp = np.zeros(xp.shape, dtype=np.float64)
-    for r in range(rf):
-        xs = xp[:, r : r + stride * out_T : stride, :].astype(np.float64, copy=False)
-        grad_kernel[r] = np.tensordot(xs, g64, axes=([0, 1], [0, 1]))
-        grad_xp[:, r : r + stride * out_T : stride, :] += g64 @ k64[r].T
+    if Cin < _IM2COL_BACKWARD_MAX_CIN:
+        # One clip at a time, through buffers reused for every clip: the
+        # im2col memory is one clip's worth, allocated once per call.
+        k2 = k64.transpose(1, 0, 2).reshape(Cin * rf, Cout)
+        gk2 = np.zeros((Cin * rf, Cout), dtype=np.float64)
+        cols = np.empty((out_T, Cin, rf), dtype=np.float64)
+        gcols = np.empty((out_T, Cin, rf), dtype=np.float64)
+        g = np.empty((out_T, Cout), dtype=np.float64)
+        for b in range(B):
+            cols[...] = sliding_window_view(xp[b], rf, axis=0)[::stride]
+            g[...] = grad_out[b]
+            gk2 += cols.reshape(out_T, Cin * rf).T @ g
+            np.matmul(g, k2.T, out=gcols.reshape(out_T, Cin * rf))
+            for r in range(rf):
+                grad_xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
+        grad_kernel = gk2.reshape(Cin, rf, Cout).transpose(1, 0, 2)
+    else:
+        g64 = grad_out.astype(np.float64, copy=False)
+        grad_kernel = np.empty_like(k64)
+        for r in range(rf):
+            xs = xp[:, r : r + stride * out_T : stride, :].astype(np.float64, copy=False)
+            grad_kernel[r] = np.tensordot(xs, g64, axes=([0, 1], [0, 1]))
+            grad_xp[:, r : r + stride * out_T : stride, :] += g64 @ k64[r].T
     grad_x = grad_xp[:, left : left + T, :].astype(grad_out.dtype)
     grad_kernel = grad_kernel.astype(p.kernel.dtype)
 
     grad_bias = None
     if p.bias is not None:
-        grad_bias = g64.sum(axis=(0, 1)).astype(p.bias.dtype)
+        grad_bias = grad_out.sum(axis=(0, 1), dtype=np.float64).astype(p.bias.dtype)
     return grad_x, grad_kernel, grad_bias
 
 
@@ -159,8 +188,14 @@ def maxpool1d_forward(x: np.ndarray, window: int = 4):
     else:
         xp = x
     xr = xp.reshape(B, out_T, window, C)
-    idx = np.argmax(xr, axis=2)  # first maximal index on ties
-    y = np.take_along_axis(xr, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    y = xr.max(axis=2)
+    # The first maximal slot's index is the count of slots before it that
+    # miss the max, which keeps the first-index rule on ties.
+    before = xr[:, :, 0, :] != y
+    idx = before.astype(np.intp)
+    for w in range(1, window - 1):
+        before &= xr[:, :, w, :] != y
+        idx += before
     cache = (idx, T, window)
     return check_finite("maxpool1d", y), cache
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -203,39 +204,70 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             f.write(raw)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    data = Path(path).read_bytes()
-    if len(data) < len(CHECKPOINT_MAGIC) + 4 or not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointFormatError(f"{path}: not a checkpoint file (bad magic)")
-    n = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))[0]
-    head = len(CHECKPOINT_MAGIC) + 4
-    if len(data) < head + n:
-        raise CheckpointTruncatedError(f"{path}: manifest truncated ({len(data)} bytes)")
-    try:
-        manifest = json.loads(data[head : head + n].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {manifest.get('version')} != {CHECKPOINT_VERSION}"
-        )
-    payload = data[head + n :]
+_ADAM_KEYS = ("t", "alpha", "beta1", "beta2", "eps")
 
-    sections = {"param": {}, "state": {}, "adam_m": {}, "adam_v": {}}
-    for t in manifest["tensors"]:
-        shape = tuple(t["shape"])
-        nbytes = int(np.prod(shape)) * 4 if shape else 4
-        end = t["offset"] + nbytes
-        if end > len(payload):
-            raise CheckpointTruncatedError(
-                f"{path}: tensor {t['name']} needs bytes up to {end}, payload has {len(payload)}"
+
+def _tensor_entry(t, sections: dict, path) -> tuple:
+    """(kind, name, shape, offset) of one manifest tensor entry; a missing
+    field, unknown kind or non-integral extent is a CheckpointFormatError."""
+    try:
+        kind, name, shape, offset = t["kind"], t["name"], tuple(t["shape"]), t["offset"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed tensor entry {t!r:.120}") from exc
+    if not (isinstance(kind, str) and kind in sections):
+        raise CheckpointFormatError(f"{path}: tensor {name!r} has unknown kind {kind!r}")
+    extents = (offset, *shape)
+    if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in extents):
+        raise CheckpointFormatError(f"{path}: tensor entry {t!r:.120} has a bad name, shape or offset")
+    return kind, name, shape, offset
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint file. Each tensor is read into its own array, so
+    memory use is the size of the tensors, not of the file on top."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = len(CHECKPOINT_MAGIC) + 4
+        prefix = f.read(head)
+        if len(prefix) < head or not prefix.startswith(CHECKPOINT_MAGIC):
+            raise CheckpointFormatError(f"{path}: not a checkpoint file (bad magic)")
+        n = struct.unpack_from("<I", prefix, len(CHECKPOINT_MAGIC))[0]
+        if size < head + n:
+            raise CheckpointTruncatedError(f"{path}: manifest truncated ({size} bytes)")
+        try:
+            manifest = json.loads(f.read(n).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointFormatError(f"{path}: manifest is not a JSON object")
+        if manifest.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {manifest.get('version')} != {CHECKPOINT_VERSION}"
             )
-        arr = np.frombuffer(payload[t["offset"] : end], dtype="<f4").reshape(shape).copy()
-        sections[t["kind"]][t["name"]] = arr
+        missing = [k for k in ("arch", "epoch", "tensors") if k not in manifest]
+        meta = manifest.get("adam")
+        if meta is not None:
+            missing += [f"adam.{k}" for k in _ADAM_KEYS if not isinstance(meta, dict) or k not in meta]
+        if missing or not isinstance(manifest["tensors"], list):
+            raise CheckpointFormatError(f"{path}: manifest lacks {missing or 'a tensor list'}")
+
+        payload_bytes = size - head - n
+        sections = {"param": {}, "state": {}, "adam_m": {}, "adam_v": {}}
+        for t in manifest["tensors"]:
+            kind, name, shape, offset = _tensor_entry(t, sections, path)
+            end = offset + math.prod(shape) * 4
+            if end > payload_bytes:
+                raise CheckpointTruncatedError(
+                    f"{path}: tensor {name} needs bytes up to {end}, payload has {payload_bytes}"
+                )
+            arr = np.empty(shape, dtype="<f4")
+            f.seek(head + n + offset)
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointTruncatedError(f"{path}: tensor {name} ends early")
+            sections[kind][name] = arr
 
     adam = None
-    if manifest.get("adam") is not None:
-        meta = manifest["adam"]
+    if meta is not None:
         adam = AdamState(
             sections["param"], meta["alpha"], meta["beta1"], meta["beta2"], meta["eps"]
         )

@@ -30,6 +30,26 @@ def conv1d_naive(x, kernel, bias=None, stride=1):
     return y
 
 
+def conv1d_backward_naive(x, kernel, grad_out, stride=1):
+    """Adjoints of the same-padded conv by definition, in float64, one
+    (tap, output step) pair at a time:
+    grad_kernel[r,c,o] = sum_{b,t} xp[b, t*stride + r, c] * g[b,t,o], and
+    grad_x is its transpose, scattered onto the padded input and cropped."""
+    B, T, Cin = x.shape
+    rf = kernel.shape[0]
+    out_T, left, right = same_pad_1d(T, rf, stride)
+    xp = np.pad(x.astype(np.float64), ((0, 0), (left, right), (0, 0)))
+    k = kernel.astype(np.float64)
+    g = grad_out.astype(np.float64)
+    grad_kernel = np.zeros(k.shape)
+    grad_xp = np.zeros(xp.shape)
+    for r in range(rf):
+        for t in range(out_T):
+            grad_kernel[r] += np.einsum("bc,bo->co", xp[:, t * stride + r, :], g[:, t, :])
+            grad_xp[:, t * stride + r, :] += np.einsum("bo,co->bc", g[:, t, :], k[r])
+    return grad_xp[:, left : left + T, :], grad_kernel
+
+
 def maxpool1d_naive(x, window=4):
     """Loop maxpool with ceil semantics; first index wins ties."""
     B, T, C = x.shape

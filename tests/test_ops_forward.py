@@ -3,8 +3,9 @@ import pytest
 
 from wavecnn import ops
 from wavecnn.ops import BatchNormState, ConvParams
+from wavecnn.tensor import NonFiniteError
 
-from naive_ref import conv1d_naive, maxpool1d_naive, relative_error
+from naive_ref import conv1d_backward_naive, conv1d_naive, maxpool1d_naive, relative_error
 
 
 def _bn_state(C, dtype=np.float64, gamma=None, beta=None):
@@ -93,6 +94,39 @@ class TestConv1d:
         _, gk, _ = ops.conv1d_backward(gout, cache)
         np.testing.assert_allclose(gk[0], np.einsum("btc,bto->co", x, gout), rtol=1e-12)
 
+    # (B, T, Cin, Cout, rf, stride): the waveform stem, a thin input just
+    # below the whole-window threshold, and a deep input at the per-tap path.
+    BACKWARD_CASES = [
+        (3, 403, 1, 8, 80, 4),
+        (2, 37, ops._IM2COL_BACKWARD_MAX_CIN - 1, 4, 8, 3),
+        (3, 50, 2 * ops._IM2COL_BACKWARD_MAX_CIN, 5, 3, 1),
+    ]
+
+    @pytest.mark.parametrize("B,T,Cin,Cout,rf,stride", BACKWARD_CASES)
+    def test_backward_matches_naive_on_both_paths(self, B, T, Cin, Cout, rf, stride):
+        rng = np.random.default_rng(Cin)
+        x = rng.standard_normal((B, T, Cin))
+        k = rng.standard_normal((rf, Cin, Cout))
+        b = rng.standard_normal(Cout)
+        out_T = -(-T // stride)
+        gout = rng.standard_normal((B, out_T, Cout))
+        ref_gx, ref_gk = conv1d_backward_naive(x, k, gout, stride)
+
+        _, cache = ops.conv1d_forward(x, ConvParams(k, b, stride))
+        gx, gk, gb = ops.conv1d_backward(gout, cache)
+        # Summation order differs, so entries that cancel get an absolute
+        # floor of 1e-12 of the largest entry.
+        for got, ref in ((gx, ref_gx), (gk, ref_gk), (gb, gout.sum(axis=(0, 1)))):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+        x32, k32, g32 = (a.astype(np.float32) for a in (x, k, gout))
+        _, cache = ops.conv1d_forward(x32, ConvParams(k32, b.astype(np.float32), stride))
+        gx, gk, gb = ops.conv1d_backward(g32, cache)
+        assert gx.dtype == gk.dtype == gb.dtype == np.float32
+        ref_gx, ref_gk = conv1d_backward_naive(x32, k32, g32, stride)
+        assert relative_error(gx, ref_gx) < 1e-6
+        assert relative_error(gk, ref_gk) < 1e-6
+
     def test_backward_shape_mismatch(self):
         y, cache = ops.conv1d_forward(np.zeros((1, 8, 1)), ConvParams(np.zeros((3, 1, 2))))
         with pytest.raises(ValueError, match="grad shape"):
@@ -121,6 +155,21 @@ class TestMaxPool:
             yn, idxn = maxpool1d_naive(x)
             np.testing.assert_array_equal(y, yn)
             np.testing.assert_array_equal(idx, idxn)
+        # Integer values in {0, 1, 2}: most windows tie, and T % 4 != 0
+        # leaves a partial last window.
+        for dtype in (np.float64, np.float32):
+            for T in (1, 5, 30, 103):
+                x = rng.integers(0, 3, (3, T, 4)).astype(dtype)
+                y, (idx, _, _) = ops.maxpool1d_forward(x)
+                yn, idxn = maxpool1d_naive(x)
+                np.testing.assert_array_equal(y, yn)
+                np.testing.assert_array_equal(idx, idxn)
+
+    def test_nan_input_raises(self):
+        x = np.zeros((1, 10, 2))
+        x[0, 5, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="maxpool1d"):
+            ops.maxpool1d_forward(x)
 
     def test_tie_goes_to_first_index(self):
         x = np.array([2.0, 7.0, 7.0, 1.0]).reshape(1, 4, 1)

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from wavecnn.synthetic import SyntheticDataset
 from wavecnn.tensor import RandomSource
 from wavecnn.training import (
     AdamState,
+    CHECKPOINT_MAGIC,
     Checkpoint,
+    CheckpointFormatError,
     CheckpointMismatchError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -267,6 +271,62 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="float32"):
             save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+
+
+def _drop(key):
+    return lambda m: m["tensors"][0].pop(key)
+
+
+# Each edit corrupts a decoded manifest in place.
+MANIFEST_EDITS = {
+    "unknown-kind": lambda m: m["tensors"][0].update(kind="gradient"),
+    "unhashable-kind": lambda m: m["tensors"][0].update(kind=["param"]),
+    "no-kind": _drop("kind"),
+    "no-name": _drop("name"),
+    "no-offset": _drop("offset"),
+    "no-shape": _drop("shape"),
+    "negative-offset": lambda m: m["tensors"][0].update(offset=-4),
+    "float-extent": lambda m: m["tensors"][0].update(shape=[1.5]),
+    "entry-not-object": lambda m: m["tensors"].__setitem__(0, "w"),
+    "no-tensors": lambda m: m.pop("tensors"),
+    "tensors-not-list": lambda m: m.update(tensors={"w": 0}),
+    "no-arch": lambda m: m.pop("arch"),
+    "adam-missing-key": lambda m: m["adam"].pop("beta2"),
+}
+
+
+class TestCheckpointManifest:
+    """A corrupt manifest ends in CheckpointFormatError, never a bare
+    KeyError/TypeError from indexing it."""
+
+    @staticmethod
+    def _write(path, manifest, payload):
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+
+    @pytest.mark.parametrize("edit", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS.keys())
+    def test_corrupt_manifest_is_format_error(self, tmp_path, edit):
+        params = {"w": np.arange(3, dtype=np.float32)}
+        ckpt = Checkpoint(version=1, arch="m3", epoch=1, params=params, state={},
+                          config={}, adam=AdamState(params))
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(ckpt, path)
+        data = path.read_bytes()
+        head = len(CHECKPOINT_MAGIC) + 4
+        n = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))[0]
+        manifest = json.loads(data[head : head + n])
+        assert load_checkpoint(path).params["w"].tolist() == [0.0, 1.0, 2.0]
+
+        edit(manifest)
+        self._write(path, manifest, data[head + n :])
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "list.ckpt"
+        self._write(path, [1, 2], b"")
+        with pytest.raises(CheckpointFormatError, match="JSON object"):
+            load_checkpoint(path)
 
 
 class TestBatching:
