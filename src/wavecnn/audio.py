@@ -23,10 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import atomic_write
+
 logger = logging.getLogger(__name__)
 
 TARGET_RATE = 8000
 CLIP_SAMPLES = 32000
+# Highest source rate accepted. The resampler's filter bank grows with the
+# source rate, so an unbounded rate in a hostile header costs unbounded
+# time and memory.
+MAX_SOURCE_RATE = 384000
 STD_FLOOR = 1e-8
 
 
@@ -39,7 +45,8 @@ class MalformedWavError(WavError):
 
 
 class UnsupportedWavError(WavError):
-    """Container is valid but the codec is not PCM 8/16/24-bit or float32."""
+    """Container is valid but the codec is not PCM 8/16/24-bit or float32,
+    or the sample rate is above MAX_SOURCE_RATE."""
 
 
 class TruncatedWavError(WavError):
@@ -93,6 +100,10 @@ def decode_wav(data: bytes):
     if channels < 1 or rate < 1:
         raise MalformedWavError(
             f"fmt chunk at offset {fmt_offset}: channels={channels} rate={rate}"
+        )
+    if rate > MAX_SOURCE_RATE:
+        raise UnsupportedWavError(
+            f"fmt chunk at offset {fmt_offset}: rate {rate} Hz above {MAX_SOURCE_RATE} Hz"
         )
     if audio_format == 1 and bits in (8, 16, 24):
         pass
@@ -246,7 +257,8 @@ class DatasetIndex:
 
     Decoded clips are memoized in memory; `cache_dir`, when set, also stores
     the preprocessed 32000-sample float32 blob keyed by the content hash of
-    the source file so later runs skip decoding and resampling.
+    the source file so later runs skip decoding and resampling. Blobs are
+    written atomically; one of the wrong size is recomputed and rewritten.
     """
 
     def __init__(self, entries, class_names, cache_dir=None):
@@ -301,12 +313,16 @@ class DatasetIndex:
         if self.cache_dir:
             blob = self._cache_path(raw)
             if blob.exists():
-                clip = np.frombuffer(blob.read_bytes(), dtype="<f4")
-                if clip.size != CLIP_SAMPLES:
-                    raise ValueError(f"{blob}: cache blob has {clip.size} samples")
-            else:
+                data = blob.read_bytes()
+                if len(data) == 4 * CLIP_SAMPLES:
+                    clip = np.frombuffer(data, dtype="<f4")
+                else:
+                    logger.warning("%s: cache blob has %d bytes, not %d; recomputing",
+                                   blob, len(data), 4 * CLIP_SAMPLES)
+            if clip is None:
                 clip = preprocess(raw)
-                blob.write_bytes(clip.astype("<f4").tobytes())
+                with atomic_write(blob) as f:
+                    f.write(clip.astype("<f4", copy=False).data)
         else:
             clip = preprocess(raw)
         self._memo[entry.clip_id] = clip

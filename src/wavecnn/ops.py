@@ -5,22 +5,25 @@ returns (output, cache); the matching backward consumes the cache and the
 output gradient and returns exact adjoints. Gradients at fan-out points (the
 residual shortcut) accumulate additively.
 
-Convolution forward dispatches on dtype:
+Precision follows the input dtype. A float64 op computes in float64, and the
+float64 convolution forward accumulates products one (tap, in_channel) pair
+at a time, in the same order as a naive triple loop, so results are bitwise
+equal to the brute-force reference; gradient checks use this path. A float32
+op computes in float32: the convolution forward is an im2col GEMM written
+straight into the output, and the backward GEMMs accumulate in float32 too.
+Per-channel reductions are the exception: batch-norm statistics and
+gradient sums and the conv bias gradient are float64 on both paths, and
+batch norm applies its statistics as one float64-derived scale/shift per
+channel.
 
-  float64  accumulates products one (tap, in_channel) pair at a time, in the
-           same order as a naive triple loop, so results are bitwise equal to
-           the brute-force reference. Used by gradient checks.
-  float32  im2col + GEMM with float64 accumulation, rounded once at the end.
-           Used for training speed.
-
-Convolution backward accumulates in float64 for both dtypes and dispatches on
-the input channel count. A per-tap product has inner dimension Cin, so with
-deep inputs each of the rf taps is already a full GEMM and the backward loops
-over taps. With thin inputs (the waveform stem has Cin 1) a per-tap product is
-a memory-bound pass over the whole output gradient, repeated 2*rf times, so
-the backward instead gathers each clip's receptive fields into im2col rows
-[out_T, rf*Cin] and does one GEMM for grad_kernel and one for the im2col
-gradient, which an rf-step strided col2im adds back onto grad_x.
+Convolution backward dispatches on the input channel count. A per-tap
+product has inner dimension Cin, so with deep inputs each of the rf taps is
+already a full GEMM and the backward loops over taps. With thin inputs (the
+waveform stem has Cin 1) a per-tap product is a memory-bound pass over the
+whole output gradient, repeated 2*rf times, so the backward instead gathers
+each clip's receptive fields into im2col rows [out_T, rf*Cin] and does one
+GEMM for grad_kernel and one for the im2col gradient, which an rf-step
+strided col2im adds back onto grad_x.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import check_finite
 
-# Cap on the float64 im2col buffer; larger batches are processed in slices.
+# Cap on the float32 forward's im2col buffer; larger batches are processed
+# in slices.
 _GEMM_BUDGET_BYTES = 128 << 20
 
 # Backward gathers whole-window im2col rows below this many input channels;
@@ -117,17 +121,15 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
         if p.bias is not None:
             y += p.bias
     else:
-        k2 = p.kernel.astype(np.float64).transpose(1, 0, 2).reshape(Cin * rf, -1)
-        y64 = np.empty((B, out_T, p.out_channels), dtype=np.float64)
-        rows_per_clip = out_T * Cin * rf * 8
-        step = max(1, _GEMM_BUDGET_BYTES // max(rows_per_clip, 1))
+        k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, -1)
+        y = np.empty((B, out_T, p.out_channels), dtype=x.dtype)
+        step = max(1, _GEMM_BUDGET_BYTES // (out_T * Cin * rf * x.itemsize))
         for b0 in range(0, B, step):
             win = sliding_window_view(xp[b0 : b0 + step], rf, axis=1)[:, ::stride]
-            flat = win.reshape(-1, Cin * rf).astype(np.float64)
-            y64[b0 : b0 + step] = (flat @ k2).reshape(-1, out_T, p.out_channels)
+            flat = win.reshape(-1, Cin * rf)
+            np.matmul(flat, k2, out=y[b0 : b0 + step].reshape(-1, p.out_channels))
         if p.bias is not None:
-            y64 += p.bias.astype(np.float64)
-        y = y64.astype(x.dtype)
+            y += p.bias
 
     cache = (xp, x.shape, p, out_T, left)
     return check_finite("conv1d", y), cache
@@ -142,33 +144,32 @@ def conv1d_backward(grad_out: np.ndarray, cache):
         raise ValueError(
             f"conv1d backward: grad shape {grad_out.shape} != {(B, out_T, Cout)}"
         )
-    k64 = p.kernel.astype(np.float64, copy=False)
-    grad_xp = np.zeros(xp.shape, dtype=np.float64)
+    dt = grad_out.dtype
+    k = p.kernel.astype(dt, copy=False)
+    grad_xp = np.zeros(xp.shape, dtype=dt)
     if Cin < _IM2COL_BACKWARD_MAX_CIN:
         # One clip at a time, through buffers reused for every clip: the
         # im2col memory is one clip's worth, allocated once per call.
-        k2 = k64.transpose(1, 0, 2).reshape(Cin * rf, Cout)
-        gk2 = np.zeros((Cin * rf, Cout), dtype=np.float64)
-        cols = np.empty((out_T, Cin, rf), dtype=np.float64)
-        gcols = np.empty((out_T, Cin, rf), dtype=np.float64)
-        g = np.empty((out_T, Cout), dtype=np.float64)
+        k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
+        gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
+        cols = np.empty((out_T, Cin, rf), dtype=dt)
+        gcols = np.empty((out_T, Cin, rf), dtype=dt)
         for b in range(B):
+            g = grad_out[b]
             cols[...] = sliding_window_view(xp[b], rf, axis=0)[::stride]
-            g[...] = grad_out[b]
             gk2 += cols.reshape(out_T, Cin * rf).T @ g
             np.matmul(g, k2.T, out=gcols.reshape(out_T, Cin * rf))
             for r in range(rf):
                 grad_xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
         grad_kernel = gk2.reshape(Cin, rf, Cout).transpose(1, 0, 2)
     else:
-        g64 = grad_out.astype(np.float64, copy=False)
-        grad_kernel = np.empty_like(k64)
+        grad_kernel = np.empty(k.shape, dtype=dt)
         for r in range(rf):
-            xs = xp[:, r : r + stride * out_T : stride, :].astype(np.float64, copy=False)
-            grad_kernel[r] = np.tensordot(xs, g64, axes=([0, 1], [0, 1]))
-            grad_xp[:, r : r + stride * out_T : stride, :] += g64 @ k64[r].T
-    grad_x = grad_xp[:, left : left + T, :].astype(grad_out.dtype)
-    grad_kernel = grad_kernel.astype(p.kernel.dtype)
+            xs = xp[:, r : r + stride * out_T : stride, :]
+            grad_kernel[r] = np.tensordot(xs, grad_out, axes=([0, 1], [0, 1]))
+            grad_xp[:, r : r + stride * out_T : stride, :] += grad_out @ k[r].T
+    grad_x = grad_xp[:, left : left + T, :]
+    grad_kernel = grad_kernel.astype(p.kernel.dtype, copy=False)
 
     grad_bias = None
     if p.bias is not None:
@@ -221,48 +222,57 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
     """Normalize per channel; train mode pools stats over (batch, time).
 
-    Train mode updates running stats in place:
+    The statistics and the per-channel scale/shift are float64; the output
+    y = x * scale + shift is formed in x's dtype in two passes. Train mode
+    updates running stats in place:
     running <- (1 - momentum) * running + momentum * batch.
     """
-    if x.shape[-1] != s.gamma.shape[0]:
-        raise ValueError(
-            f"batchnorm: {x.shape[-1]} channels vs state {s.gamma.shape[0]}"
-        )
-    reduce_axes = tuple(range(x.ndim - 1))
+    C = x.shape[-1]
+    if C != s.gamma.shape[0]:
+        raise ValueError(f"batchnorm: {C} channels vs state {s.gamma.shape[0]}")
+    x2 = x.reshape(-1, C)
+    n = x2.shape[0]
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batchnorm train mode requires batch size >= 2")
-        mu = x.mean(axis=reduce_axes)
-        var = x.var(axis=reduce_axes)
+        mu = x2.mean(axis=0, dtype=np.float64)
+        var = np.maximum(np.einsum("ij,ij->j", x2, x2, dtype=np.float64) / n - mu * mu, 0.0)
         s.running_mean[...] = (1 - s.momentum) * s.running_mean + s.momentum * mu
         s.running_var[...] = (1 - s.momentum) * s.running_var + s.momentum * var
     elif mode == "infer":
-        mu = s.running_mean.astype(x.dtype, copy=False)
-        var = s.running_var.astype(x.dtype, copy=False)
+        mu = s.running_mean.astype(np.float64)
+        var = s.running_var.astype(np.float64)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    inv = 1.0 / np.sqrt(var + np.asarray(s.eps, dtype=x.dtype))
-    xhat = (x - mu) * inv
-    y = s.gamma * xhat + s.beta
-    n = int(np.prod([x.shape[a] for a in reduce_axes]))
-    cache = (xhat, inv, s.gamma, n, mode == "train", reduce_axes)
+    inv = 1.0 / np.sqrt(var + s.eps)
+    scale = s.gamma * inv
+    y = x * scale.astype(x.dtype)
+    y += (s.beta - mu * scale).astype(x.dtype)
+    cache = (x2, mu, inv, s.gamma, n, mode == "train")
     return check_finite("batchnorm", y), cache
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
-    """Adjoints (grad_x, grad_gamma, grad_beta) of batchnorm_forward."""
-    xhat, inv, gamma, n, trained, axes = cache
-    grad_gamma = (grad_out * xhat).sum(axis=axes)
-    grad_beta = grad_out.sum(axis=axes)
+    """Adjoints (grad_x, grad_gamma, grad_beta) of batchnorm_forward.
+
+    grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
+    the sums of g and g * x.
+    """
+    x2, mu, inv, gamma, n, trained = cache
+    dt = grad_out.dtype
+    g2 = grad_out.reshape(x2.shape)
+    sum_g = g2.sum(axis=0, dtype=np.float64)
+    sum_gx = np.einsum("ij,ij->j", g2, x2, dtype=np.float64)
+    grad_gamma = inv * (sum_gx - mu * sum_g)
+    a = gamma * inv
+    grad_x = grad_out * a.astype(dt)
     if trained:
         # Batch statistics depend on x, so their adjoints fold back in.
-        gx_hat = grad_out * gamma
-        grad_x = (
-            inv / n * (n * gx_hat - gx_hat.sum(axis=axes) - xhat * (gx_hat * xhat).sum(axis=axes))
-        )
-    else:
-        grad_x = grad_out * gamma * inv
-    return grad_x.astype(grad_out.dtype, copy=False), grad_gamma, grad_beta
+        b = -a * inv * grad_gamma / n
+        c = -a * sum_g / n - b * mu
+        grad_x += x2.reshape(grad_out.shape) * b.astype(dt)
+        grad_x += c.astype(dt)
+    return grad_x, grad_gamma.astype(dt), sum_g.astype(dt)
 
 
 def global_avg_pool(x: np.ndarray):

@@ -1,4 +1,5 @@
-"""Dense array helpers, shape checks, and the seeded random source.
+"""Dense array helpers, shape checks, atomic file writes, and the seeded
+random source.
 
 Every module in the package shares two layout conventions:
 
@@ -9,10 +10,17 @@ Keeping the time axis in the middle leaves it contiguously strided for the
 convolution inner loops and avoids transposition bugs between layers.
 
 Numeric precision is dual: float32 for training, float64 for numerical
-gradient checks (finite differences are unreliable in 32-bit).
+gradient checks (finite differences are unreliable in 32-bit). A float32
+op computes in float32, GEMM accumulation included; only per-channel
+reductions (batch-norm statistics and gradient sums, the conv bias
+gradient) are taken in float64. A float64 op computes in float64
+throughout.
 """
 
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -46,6 +54,23 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteError(f"{name}: non-finite values (min={lo}, max={hi})")
     return arr
+
+
+@contextmanager
+def atomic_write(path):
+    """Binary file handle on `<path>.tmp`, moved over `path` once the block
+    completes. If the block raises, the temporary file is removed and
+    `path` keeps its previous contents, so a reader never sees half a file.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 ELEMENTWISE_KINDS = ("add", "sub", "mul", "scale", "max_with_zero")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ops
 from .models import ModelGraph, ForwardResult, build
-from .tensor import RandomSource, NonFiniteError
+from .tensor import NonFiniteError, RandomSource, atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -158,33 +158,24 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors = []
-    payloads = []
-    offset = 0
-
-    def push(name, kind, arr):
-        nonlocal offset
-        if arr.dtype != np.float32:
-            raise ValueError(f"checkpoint tensors must be float32, got {arr.dtype} for {name}")
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        tensors.append(
-            {"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset}
-        )
-        payloads.append(raw)
-        offset += len(raw)
-
-    for name, arr in ckpt.params.items():
-        push(name, "param", arr)
-    for name, arr in ckpt.state.items():
-        push(name, "state", arr)
+    """Write a checkpoint atomically: each tensor streams from its array into
+    `<path>.tmp`, which replaces `path` only once it is complete."""
+    arrays = [(name, "param", arr) for name, arr in ckpt.params.items()]
+    arrays += [(name, "state", arr) for name, arr in ckpt.state.items()]
     adam_meta = None
     if ckpt.adam is not None:
         a = ckpt.adam
         adam_meta = {"t": a.t, "alpha": a.alpha, "beta1": a.beta1, "beta2": a.beta2, "eps": a.eps}
-        for name, arr in a.m.items():
-            push(name, "adam_m", arr)
-        for name, arr in a.v.items():
-            push(name, "adam_v", arr)
+        arrays += [(name, "adam_m", arr) for name, arr in a.m.items()]
+        arrays += [(name, "adam_v", arr) for name, arr in a.v.items()]
+
+    tensors = []
+    offset = 0
+    for name, kind, arr in arrays:
+        if arr.dtype != np.float32:
+            raise ValueError(f"checkpoint tensors must be float32, got {arr.dtype} for {name}")
+        tensors.append({"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset})
+        offset += arr.nbytes
 
     manifest = {
         "version": ckpt.version,
@@ -196,12 +187,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": tensors,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for raw in payloads:
-            f.write(raw)
+        for _, _, arr in arrays:
+            f.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 _ADAM_KEYS = ("t", "alpha", "beta1", "beta2", "eps")

@@ -1,4 +1,6 @@
+import logging
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +115,21 @@ class TestDecodeWav:
         blob[20:22] = struct.pack("<H", 7)  # mu-law
         with pytest.raises(UnsupportedWavError, match="format 7"):
             decode_wav(bytes(blob))
+
+    @pytest.mark.parametrize("rate", [1_000_003, 50_000_017])
+    def test_rate_above_bound_rejected_fast(self, rate):
+        """A 400-byte file declaring a huge rate is refused before the
+        resampler sizes a filter bank for it."""
+        blob = wav_bytes(np.zeros(178), rate)
+        assert len(blob) == 400
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedWavError, match=f"rate {rate} Hz"):
+            preprocess(blob)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_rate_at_bound_accepted(self):
+        _, rate, _ = decode_wav(wav_bytes(np.zeros(48), 384000))
+        assert rate == 384000
 
     def test_truncated_data_chunk(self):
         blob = wav_bytes(np.zeros(100), 8000)
@@ -300,6 +317,22 @@ class TestDatasetIndex:
         assert blobs, "cache should hold preprocessed blobs"
         b = DatasetIndex.from_metadata_csv(meta, tmp_path, cache_dir=cache)
         np.testing.assert_array_equal(b.load(b.entries[0]), first)
+
+    def test_short_cache_blob_recomputed(self, tmp_path, caplog):
+        """A truncated blob is recomputed with a warning and rewritten in
+        full, with no temporary file left in the cache."""
+        meta = write_corpus(tmp_path)
+        cache = tmp_path / "cache"
+        a = DatasetIndex.from_metadata_csv(meta, tmp_path, cache_dir=cache)
+        first = a.load(a.entries[0]).copy()
+        (blob,) = cache.iterdir()
+        blob.write_bytes(blob.read_bytes()[:1001])
+        b = DatasetIndex.from_metadata_csv(meta, tmp_path, cache_dir=cache)
+        with caplog.at_level(logging.WARNING, logger="wavecnn.audio"):
+            np.testing.assert_array_equal(b.load(b.entries[0]), first)
+        assert "1001 bytes" in caplog.text
+        assert list(cache.iterdir()) == [blob]
+        assert blob.stat().st_size == 4 * CLIP_SAMPLES
 
     def test_flat_layout_fallback(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,42 @@ class TestConv1d:
         assert relative_error(gx, ref_gx) < 1e-6
         assert relative_error(gk, ref_gk) < 1e-6
 
+    # (T, rf, stride, Cin, Cout) at B=2: the published stem and the m3
+    # 256->256 rf-3 layer, with T cut down from the published length.
+    PUBLISHED_SHAPES = [(4000, 80, 4, 1, 256), (250, 3, 1, 256, 256)]
+
+    @pytest.mark.parametrize("T,rf,stride,Cin,Cout", PUBLISHED_SHAPES)
+    def test_float32_within_1e6_of_float64_at_published_shapes(self, T, rf, stride, Cin, Cout):
+        """Float32 accumulates in float32; its normwise error against the
+        float64 path on the same rounded inputs stays < 1e-6."""
+        rng = np.random.default_rng(rf * Cin)
+        x32 = rng.standard_normal((2, T, Cin)).astype(np.float32)
+        k32 = (rng.standard_normal((rf, Cin, Cout)) / np.sqrt(rf * Cin)).astype(np.float32)
+        y, cache = ops.conv1d_forward(x32, ConvParams(k32, stride=stride))
+        g32 = rng.standard_normal(y.shape).astype(np.float32)
+        gx, gk, _ = ops.conv1d_backward(g32, cache)
+        assert y.dtype == gx.dtype == gk.dtype == np.float32
+
+        x64, k64, g64 = (a.astype(np.float64) for a in (x32, k32, g32))
+        ref_y, cache = ops.conv1d_forward(x64, ConvParams(k64, stride=stride))
+        ref_gx, ref_gk, _ = ops.conv1d_backward(g64, cache)
+        for got, ref in ((y, ref_y), (gx, ref_gx), (gk, ref_gk)):
+            assert relative_error(got, ref) < 1e-6
+
+    def test_float32_stem_forward_peak_memory(self):
+        """The float32 forward allocates little beyond its output: no
+        float64 copies of the im2col or of the output."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 32000, 1)).astype(np.float32)
+        k = rng.standard_normal((80, 1, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y, _ = ops.conv1d_forward(x, ConvParams(k, stride=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * y.nbytes
+
     def test_backward_shape_mismatch(self):
         y, cache = ops.conv1d_forward(np.zeros((1, 8, 1)), ConvParams(np.zeros((3, 1, 2))))
         with pytest.raises(ValueError, match="grad shape"):
@@ -197,6 +235,17 @@ class TestBatchNorm:
         x = np.full((3, 10, 2), 7.0)
         y, _ = ops.batchnorm_forward(x, _bn_state(2, beta=beta), "train")
         np.testing.assert_allclose(y, np.broadcast_to(beta, y.shape), atol=1e-9)
+
+    def test_float32_offset_input_matches_float64(self):
+        """Statistics in float64 keep a float32 input far from zero (mean
+        100, std 0.01) within 1e-3 of the float64 normalization."""
+        rng = np.random.default_rng(11)
+        x = (100.0 + 0.01 * rng.standard_normal((8, 1000, 16))).astype(np.float32)
+        y, _ = ops.batchnorm_forward(x, _bn_state(16, np.float32), "train")
+        assert y.dtype == np.float32
+        x64 = x.astype(np.float64)
+        ref = (x64 - x64.mean(axis=(0, 1))) / np.sqrt(x64.var(axis=(0, 1)) + 1e-5)
+        assert relative_error(y, ref) < 1e-3
 
     def test_running_stats_update_rule(self):
         rng = np.random.default_rng(10)

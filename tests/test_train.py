@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from wavecnn import build
+from wavecnn import build, tensor
 from wavecnn.audio import make_batches
 from wavecnn.synthetic import SyntheticDataset
 from wavecnn.tensor import RandomSource
@@ -263,6 +263,47 @@ class TestCheckpoint:
         graph = model_from_checkpoint(load_checkpoint(path))
         for name, arr in result.graph.params.items():
             np.testing.assert_array_equal(graph.params[name], arr)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A save that fails partway through the tensors leaves the previous
+        checkpoint loadable bitwise and no temporary file behind."""
+        first = train(mini_config(epochs=1), mini_dataset())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(first.checkpoint, path)
+        before = path.read_bytes()
+        second = train(mini_config(epochs=2), mini_dataset())
+
+        class FailingFile:
+            """Passes writes through until half the previous file's size."""
+
+            def __init__(self, f):
+                self.f, self.left = f, len(before) // 2
+
+            def write(self, data):
+                n = memoryview(data).nbytes
+                if n > self.left:
+                    raise OSError("disk full")
+                self.left -= n
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.f.__exit__(*exc)
+
+        monkeypatch.setattr(tensor, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(second.checkpoint, path)
+        monkeypatch.undo()
+
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+        loaded = load_checkpoint(path)
+        assert loaded.epoch == 1
+        for name, arr in first.checkpoint.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
 
     def test_float64_graph_refused(self, tmp_path):
         ckpt = Checkpoint(
