@@ -33,6 +33,11 @@ CLIP_SAMPLES = 32000
 # source rate, so an unbounded rate in a hostile header costs unbounded
 # time and memory.
 MAX_SOURCE_RATE = 384000
+# Largest resampler filter bank, in coefficients (up phases x 2K+1 taps),
+# 1 MiB of float64. Below MAX_SOURCE_RATE a rate that shares few factors
+# with the target still needs up to 8000 phases; the common rates need at
+# most about 86k coefficients (11,025 Hz).
+MAX_FILTER_BANK = 1 << 17
 STD_FLOOR = 1e-8
 
 
@@ -46,7 +51,8 @@ class MalformedWavError(WavError):
 
 class UnsupportedWavError(WavError):
     """Container is valid but the codec is not PCM 8/16/24-bit or float32,
-    or the sample rate is above MAX_SOURCE_RATE."""
+    the sample rate is above MAX_SOURCE_RATE, or resampling it would need
+    a filter bank above MAX_FILTER_BANK coefficients."""
 
 
 class TruncatedWavError(WavError):
@@ -155,6 +161,11 @@ def _polyphase_filters(src_rate: int, dst_rate: int):
     cutoff = 0.5 * dst_rate / src_rate  # cycles per input sample
     half = _SINC_ZEROS / (2.0 * cutoff)  # kernel half-width in input samples
     K = int(np.ceil(half)) + 1
+    if up * (2 * K + 1) > MAX_FILTER_BANK:
+        raise UnsupportedWavError(
+            f"rate {src_rate} Hz to {dst_rate} Hz needs a {up} x {2 * K + 1} filter bank, "
+            f"above {MAX_FILTER_BANK} coefficients"
+        )
     offsets = np.arange(-K, K + 1, dtype=np.float64)
     filters = np.zeros((up, 2 * K + 1), dtype=np.float64)
     for phase in range(up):

@@ -14,6 +14,9 @@ The '-res' column swaps conv stacks for residual blocks. Variants:
 
 All weights are Glorot-uniform initialized; conv fans are
 (rf * in_ch, rf * out_ch). Layers followed by BN carry no bias.
+
+In train mode every unit records its ops' backward closures on one op tape.
+Gradients at fan-out points (the residual shortcut) accumulate additively.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ class ArchitectureSpec:
     name: str
     layers: tuple
     num_classes: int
-    weight_layers: int
 
 
 def _conv(rf, stride, ch, repeat=1, bn=True):
@@ -159,15 +161,7 @@ def architecture(name: str, num_classes: int = 10, channel_scale: float = 1.0) -
         layers.append(LayerSpec("fc_block", out_channels=FC_WIDTH, repeat=2))
     layers.append(LayerSpec("dense_softmax", out_channels=num_classes))
 
-    weight_layers = 0
-    for l in layers:
-        if l.kind == "conv":
-            weight_layers += l.repeat
-        elif l.kind == "resblock_group":
-            weight_layers += 2 * l.repeat
-        elif l.kind in ("fc_block", "dense_softmax"):
-            weight_layers += l.repeat
-    return ArchitectureSpec(name, tuple(layers), num_classes, weight_layers)
+    return ArchitectureSpec(name, tuple(layers), num_classes)
 
 
 class ForwardResult(NamedTuple):
@@ -181,49 +175,69 @@ def _glorot(rng: RandomSource, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, shape, dtype=dtype)
 
 
+def _build_bn(graph, k, width):
+    graph.params[f"{k}.bn.gamma"] = np.ones(width, dtype=graph.dtype)
+    graph.params[f"{k}.bn.beta"] = np.zeros(width, dtype=graph.dtype)
+    graph.state[f"{k}.bn.running_mean"] = np.zeros(width, dtype=graph.dtype)
+    graph.state[f"{k}.bn.running_var"] = np.ones(width, dtype=graph.dtype)
+
+
+def _bn(y, k, graph, mode, tape):
+    """Batch norm over the `{k}.bn.*` params and state, its backward
+    recorded on the tape."""
+    s = ops.BatchNormState(
+        gamma=graph.params[f"{k}.bn.gamma"],
+        beta=graph.params[f"{k}.bn.beta"],
+        running_mean=graph.state[f"{k}.bn.running_mean"],
+        running_var=graph.state[f"{k}.bn.running_var"],
+        momentum=BN_MOMENTUM,
+        eps=BN_EPS,
+    )
+    y, cache = ops.batchnorm_forward(y, s, mode)
+    if tape is not None:
+        def bn_back(g, grads, cache=cache, k=k):
+            gx, gg, gb = ops.batchnorm_backward(g, cache)
+            ops.accumulate_grad(grads, f"{k}.bn.gamma", gg)
+            ops.accumulate_grad(grads, f"{k}.bn.beta", gb)
+            return gx
+        tape.record(bn_back)
+    return y
+
+
+def _relu(y, tape):
+    y, mask = ops.relu_forward(y)
+    if tape is not None:
+        tape.record(lambda g, grads, mask=mask: ops.relu_backward(g, mask))
+    return y
+
+
 class _ConvUnit:
     def __init__(self, idx, rf, stride, out_ch, with_bn):
-        self.idx, self.rf, self.stride = idx, rf, stride
+        self.rf, self.stride = rf, stride
         self.out_ch, self.with_bn = out_ch, with_bn
         self.label = f"conv{idx}"
 
     def build(self, in_ch, rng, graph):
-        k = f"conv{self.idx}"
+        k = self.label
         graph.params[f"{k}.kernel"] = _glorot(
             rng, (self.rf, in_ch, self.out_ch),
             self.rf * in_ch, self.rf * self.out_ch, graph.dtype,
         )
         if self.with_bn:
-            graph.params[f"{k}.bn.gamma"] = np.ones(self.out_ch, dtype=graph.dtype)
-            graph.params[f"{k}.bn.beta"] = np.zeros(self.out_ch, dtype=graph.dtype)
-            graph.state[f"{k}.bn.running_mean"] = np.zeros(self.out_ch, dtype=graph.dtype)
-            graph.state[f"{k}.bn.running_var"] = np.ones(self.out_ch, dtype=graph.dtype)
+            _build_bn(graph, k, self.out_ch)
         else:
             graph.params[f"{k}.bias"] = np.zeros(self.out_ch, dtype=graph.dtype)
         return self.out_ch
 
-    def _conv_params(self, graph):
-        k = f"conv{self.idx}"
-        return ops.ConvParams(
+    def conv_bn(self, x, graph, mode, tape):
+        """The convolution and its batch norm (or bias), without the ReLU."""
+        k = self.label
+        p = ops.ConvParams(
             kernel=graph.params[f"{k}.kernel"],
             bias=None if self.with_bn else graph.params[f"{k}.bias"],
             stride=self.stride,
         )
-
-    def _bn_state(self, graph):
-        k = f"conv{self.idx}"
-        return ops.BatchNormState(
-            gamma=graph.params[f"{k}.bn.gamma"],
-            beta=graph.params[f"{k}.bn.beta"],
-            running_mean=graph.state[f"{k}.bn.running_mean"],
-            running_var=graph.state[f"{k}.bn.running_var"],
-            momentum=BN_MOMENTUM,
-            eps=BN_EPS,
-        )
-
-    def forward(self, x, graph, mode, tape, rng):
-        k = f"conv{self.idx}"
-        y, cache = ops.conv1d_forward(x, self._conv_params(graph))
+        y, cache = ops.conv1d_forward(x, p)
         if tape is not None:
             def conv_back(g, grads, cache=cache, k=k, with_bn=self.with_bn):
                 gx, gk, gb = ops.conv1d_backward(g, cache)
@@ -233,24 +247,17 @@ class _ConvUnit:
                 return gx
             tape.record(conv_back)
         if self.with_bn:
-            y, bcache = ops.batchnorm_forward(y, self._bn_state(graph), mode)
-            if tape is not None:
-                def bn_back(g, grads, bcache=bcache, k=k):
-                    gx, gg, gb = ops.batchnorm_backward(g, bcache)
-                    ops.accumulate_grad(grads, f"{k}.bn.gamma", gg)
-                    ops.accumulate_grad(grads, f"{k}.bn.beta", gb)
-                    return gx
-                tape.record(bn_back)
-        y, mask = ops.relu_forward(y)
-        if tape is not None:
-            tape.record(lambda g, grads, mask=mask: ops.relu_backward(g, mask))
+            y = _bn(y, k, graph, mode, tape)
         return y
 
+    def forward(self, x, graph, mode, tape, rng):
+        return _relu(self.conv_bn(x, graph, mode, tape), tape)
+
     def trace(self, T, C):
-        return -(-T // self.stride), self.out_ch
+        return ops.same_pad_1d(T, self.rf, self.stride)[0], self.out_ch
 
     def param_names(self):
-        k = f"conv{self.idx}"
+        k = self.label
         names = [f"{k}.kernel"]
         names += [f"{k}.bn.gamma", f"{k}.bn.beta"] if self.with_bn else [f"{k}.bias"]
         return names
@@ -259,18 +266,26 @@ class _ConvUnit:
 
 
 class _ResBlockUnit:
-    """Two stride-1 convs with a zero-pad shortcut; conv indices i, i+1."""
+    """relu(conv_bn2(relu(conv_bn1(x))) + pad(x)): two stride-1 conv units
+    (conv indices i, i+1) and a shortcut that zero-pads x up to the block's
+    channels.
+
+    The shortcut is a fan-out of x, so its gradient adds to the branch's.
+    On the linear op tape that is two closures around the branch: the one
+    recorded after the add stashes the shortcut's share of the gradient,
+    and the one recorded before the branch, which runs last in backward,
+    adds it back.
+    """
 
     def __init__(self, idx, out_ch, with_bn):
-        self.idx, self.out_ch, self.with_bn = idx, out_ch, with_bn
+        self.out_ch = out_ch
         self.label = f"resblock[conv{idx}-conv{idx + 1}]"
-        self._convs = None
+        self._convs = (
+            _ConvUnit(idx, 3, 1, out_ch, with_bn),
+            _ConvUnit(idx + 1, 3, 1, out_ch, with_bn),
+        )
 
     def build(self, in_ch, rng, graph):
-        self._convs = (
-            _ConvUnit(self.idx, 3, 1, self.out_ch, self.with_bn),
-            _ConvUnit(self.idx + 1, 3, 1, self.out_ch, self.with_bn),
-        )
         if self.out_ch < in_ch:
             raise ValueError(f"residual block cannot shrink channels {in_ch} -> {self.out_ch}")
         for c in self._convs:
@@ -279,30 +294,19 @@ class _ResBlockUnit:
 
     def forward(self, x, graph, mode, tape, rng):
         c1, c2 = self._convs
-        bn1 = c1._bn_state(graph) if self.with_bn else None
-        bn2 = c2._bn_state(graph) if self.with_bn else None
-        y, cache = ops.residual_block_forward(
-            x, c1._conv_params(graph), bn1, c2._conv_params(graph), bn2, mode
-        )
+        in_ch = x.shape[-1]
+        stash = []
         if tape is not None:
-            k1, k2 = f"conv{self.idx}", f"conv{self.idx + 1}"
-            def block_back(g, grads, cache=cache, k1=k1, k2=k2, with_bn=self.with_bn):
-                (gx, gk1, gb1, gg1, gbeta1, gk2, gb2, gg2, gbeta2) = (
-                    ops.residual_block_backward(g, cache)
-                )
-                ops.accumulate_grad(grads, f"{k1}.kernel", gk1)
-                ops.accumulate_grad(grads, f"{k2}.kernel", gk2)
-                if with_bn:
-                    ops.accumulate_grad(grads, f"{k1}.bn.gamma", gg1)
-                    ops.accumulate_grad(grads, f"{k1}.bn.beta", gbeta1)
-                    ops.accumulate_grad(grads, f"{k2}.bn.gamma", gg2)
-                    ops.accumulate_grad(grads, f"{k2}.bn.beta", gbeta2)
-                else:
-                    ops.accumulate_grad(grads, f"{k1}.bias", gb1)
-                    ops.accumulate_grad(grads, f"{k2}.bias", gb2)
-                return gx
-            tape.record(block_back)
-        return y
+            tape.record(lambda g, grads: g + stash.pop())
+        h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape)
+        grow = self.out_ch - in_ch
+        h = h + (np.pad(x, ((0, 0), (0, 0), (0, grow))) if grow else x)
+        if tape is not None:
+            def fan_out(g, grads):
+                stash.append(g[:, :, :in_ch])
+                return g
+            tape.record(fan_out)
+        return _relu(h, tape)
 
     def trace(self, T, C):
         return T, self.out_ch
@@ -363,20 +367,17 @@ class _FCUnit:
     """Fully connected layer with BN, ReLU, and inverted dropout."""
 
     def __init__(self, idx, width, rate=FC_DROPOUT):
-        self.idx, self.width, self.rate = idx, width, rate
+        self.width, self.rate = width, rate
         self.label = f"fc{idx}"
 
     def build(self, in_ch, rng, graph):
-        k = f"fc{self.idx}"
+        k = self.label
         graph.params[f"{k}.w"] = _glorot(rng, (in_ch, self.width), in_ch, self.width, graph.dtype)
-        graph.params[f"{k}.bn.gamma"] = np.ones(self.width, dtype=graph.dtype)
-        graph.params[f"{k}.bn.beta"] = np.zeros(self.width, dtype=graph.dtype)
-        graph.state[f"{k}.bn.running_mean"] = np.zeros(self.width, dtype=graph.dtype)
-        graph.state[f"{k}.bn.running_var"] = np.ones(self.width, dtype=graph.dtype)
+        _build_bn(graph, k, self.width)
         return self.width
 
     def forward(self, x, graph, mode, tape, rng):
-        k = f"fc{self.idx}"
+        k = self.label
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
         if tape is not None:
             def fc_back(g, grads, cache=cache, k=k):
@@ -384,25 +385,7 @@ class _FCUnit:
                 ops.accumulate_grad(grads, f"{k}.w", gw)
                 return gx
             tape.record(fc_back)
-        s = ops.BatchNormState(
-            gamma=graph.params[f"{k}.bn.gamma"],
-            beta=graph.params[f"{k}.bn.beta"],
-            running_mean=graph.state[f"{k}.bn.running_mean"],
-            running_var=graph.state[f"{k}.bn.running_var"],
-            momentum=BN_MOMENTUM,
-            eps=BN_EPS,
-        )
-        y, bcache = ops.batchnorm_forward(y, s, mode)
-        if tape is not None:
-            def fc_bn_back(g, grads, bcache=bcache, k=k):
-                gx, gg, gb = ops.batchnorm_backward(g, bcache)
-                ops.accumulate_grad(grads, f"{k}.bn.gamma", gg)
-                ops.accumulate_grad(grads, f"{k}.bn.beta", gb)
-                return gx
-            tape.record(fc_bn_back)
-        y, mask = ops.relu_forward(y)
-        if tape is not None:
-            tape.record(lambda g, grads, mask=mask: ops.relu_backward(g, mask))
+        y = _relu(_bn(y, k, graph, mode, tape), tape)
         y, dcache = ops.dropout(y, self.rate, mode, rng)
         if tape is not None:
             tape.record(lambda g, grads, dcache=dcache: ops.dropout_backward(g, dcache))
@@ -412,7 +395,7 @@ class _FCUnit:
         return 1, self.width
 
     def param_names(self):
-        k = f"fc{self.idx}"
+        k = self.label
         return [f"{k}.w", f"{k}.bn.gamma", f"{k}.bn.beta"]
 
     weight_layers = 1

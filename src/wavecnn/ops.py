@@ -2,8 +2,7 @@
 
 All ops are pure functions over [batch, time, channels] arrays. Each forward
 returns (output, cache); the matching backward consumes the cache and the
-output gradient and returns exact adjoints. Gradients at fan-out points (the
-residual shortcut) accumulate additively.
+output gradient and returns exact adjoints.
 
 Precision follows the input dtype. A float64 op computes in float64, and the
 float64 convolution forward accumulates products one (tap, in_channel) pair
@@ -328,18 +327,6 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return loss, check_finite("softmax_xent", probs), grad_logits.astype(logits.dtype, copy=False)
 
 
-def dense_softmax_xent(x: np.ndarray, w: np.ndarray, b: np.ndarray, labels: np.ndarray):
-    """Classification head: logits = x@w + b, softmax, mean cross-entropy."""
-    logits, aff_cache = affine_forward(x, w, b)
-    loss, probs, grad_logits = softmax_xent(logits, labels)
-    return loss, probs, (aff_cache, grad_logits)
-
-
-def dense_softmax_xent_backward(cache):
-    aff_cache, grad_logits = cache
-    return affine_backward(grad_logits, aff_cache)
-
-
 def dropout(x: np.ndarray, rate: float, mode: str, rng=None):
     """Inverted dropout: train zeroes with probability rate and rescales
     survivors by 1/(1-rate); inference is the identity."""
@@ -360,83 +347,6 @@ def dropout_backward(grad_out: np.ndarray, cache) -> np.ndarray:
         return grad_out
     keep, scale = cache
     return grad_out * keep * scale
-
-
-def _pad_channels(x: np.ndarray, out_ch: int) -> np.ndarray:
-    in_ch = x.shape[-1]
-    if out_ch == in_ch:
-        return x
-    if out_ch < in_ch:
-        raise ValueError(f"shortcut cannot shrink channels {in_ch} -> {out_ch}")
-    return np.pad(x, ((0, 0), (0, 0), (0, out_ch - in_ch)))
-
-
-def residual_block_forward(
-    x: np.ndarray,
-    conv1: ConvParams,
-    bn1: BatchNormState | None,
-    conv2: ConvParams,
-    bn2: BatchNormState | None,
-    mode: str,
-):
-    """Two stride-1 convolutions plus a parameter-free shortcut.
-
-    y = relu(bn2(conv2(relu(bn1(conv1(x))))) + shortcut(x)); the shortcut is
-    the identity when channels match and a zero-padded identity when the
-    block widens (no projection weights, keeping the weight-layer count).
-    BN states may be None for the no-BN ablations.
-    """
-    if conv1.stride != 1 or conv2.stride != 1:
-        raise ValueError("residual block convolutions must have stride 1")
-    h, c1 = conv1d_forward(x, conv1)
-    if bn1 is not None:
-        h, cb1 = batchnorm_forward(h, bn1, mode)
-    else:
-        cb1 = None
-    h, m1 = relu_forward(h)
-    h, c2 = conv1d_forward(h, conv2)
-    if bn2 is not None:
-        h, cb2 = batchnorm_forward(h, bn2, mode)
-    else:
-        cb2 = None
-    shortcut = _pad_channels(x, conv2.out_channels)
-    pre = h + shortcut
-    y, m2 = relu_forward(pre)
-    cache = (c1, cb1, m1, c2, cb2, m2, x.shape[-1])
-    return y, cache
-
-
-def residual_block_backward(grad_out: np.ndarray, cache):
-    """Adjoints of residual_block_forward.
-
-    Returns (grad_x, g_kernel1, g_bias1, g_gamma1, g_beta1,
-             g_kernel2, g_bias2, g_gamma2, g_beta2); BN entries are None
-    when the block has no BN.
-    """
-    c1, cb1, m1, c2, cb2, m2, in_ch = cache
-    g = relu_backward(grad_out, m2)
-    g_branch = g
-    g_short = g[:, :, :in_ch]  # fan-out: shortcut grad is additive below
-    g_gamma2 = g_beta2 = g_gamma1 = g_beta1 = None
-    if cb2 is not None:
-        g_branch, g_gamma2, g_beta2 = batchnorm_backward(g_branch, cb2)
-    g_branch, g_kernel2, g_bias2 = conv1d_backward(g_branch, c2)
-    g_branch = relu_backward(g_branch, m1)
-    if cb1 is not None:
-        g_branch, g_gamma1, g_beta1 = batchnorm_backward(g_branch, cb1)
-    g_branch, g_kernel1, g_bias1 = conv1d_backward(g_branch, c1)
-    grad_x = g_branch + g_short
-    return (
-        grad_x,
-        g_kernel1,
-        g_bias1,
-        g_gamma1,
-        g_beta1,
-        g_kernel2,
-        g_bias2,
-        g_gamma2,
-        g_beta2,
-    )
 
 
 class OpTape:

@@ -73,60 +73,6 @@ def atomic_write(path):
         raise
 
 
-ELEMENTWISE_KINDS = ("add", "sub", "mul", "scale", "max_with_zero")
-REDUCE_KINDS = ("sum", "mean", "max_with_argmax")
-
-
-def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def elementwise(kind: str, a: np.ndarray, b=None) -> np.ndarray:
-    """Elementwise op on equal-shaped tensors (or tensor with scalar).
-
-    Kinds: add, sub, mul (tensor or scalar b), scale (scalar b),
-    max_with_zero (unary).
-    """
-    a = np.asarray(a)
-    if kind == "max_with_zero":
-        out = np.maximum(a, 0)
-    elif kind == "scale":
-        if b is None or np.ndim(b) != 0:
-            raise ValueError("scale requires a scalar operand")
-        out = a * b
-    elif kind in ("add", "sub", "mul"):
-        if b is None:
-            raise ValueError(f"{kind} requires a second operand")
-        b = np.asarray(b)
-        if b.ndim != 0:
-            _require_same_shape(a, b)
-        out = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[kind](a, b)
-    else:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return check_finite(f"elementwise[{kind}]", out)
-
-
-def reduce(kind: str, t: np.ndarray, axis: int):
-    """Reduce one axis of t. The axis is removed from the result shape.
-
-    sum/mean return the reduced tensor; max_with_argmax returns
-    (values, first-maximal indices).
-    """
-    t = np.asarray(t)
-    if not 0 <= axis < t.ndim:
-        raise ValueError(f"axis {axis} out of range for rank {t.ndim}")
-    if kind == "sum":
-        return check_finite("reduce[sum]", np.sum(t, axis=axis))
-    if kind == "mean":
-        return check_finite("reduce[mean]", np.mean(t, axis=axis))
-    if kind == "max_with_argmax":
-        idx = np.argmax(t, axis=axis)  # np.argmax keeps the first maximum
-        vals = np.max(t, axis=axis)
-        return check_finite("reduce[max]", vals), idx
-    raise ValueError(f"unknown reduce kind {kind!r}")
-
-
 class RandomSource:
     """Deterministic random stream.
 

@@ -131,6 +131,27 @@ class TestDecodeWav:
         _, rate, _ = decode_wav(wav_bytes(np.zeros(48), 384000))
         assert rate == 384000
 
+    @pytest.mark.parametrize("rate", [48_001, 383_999])
+    def test_rate_needing_a_huge_filter_bank_rejected_fast(self, rate):
+        """A rate that shares few factors with 8 kHz needs thousands of
+        polyphase filters; it is refused before the bank is built."""
+        blob = wav_bytes(np.zeros(178), rate)
+        assert len(blob) == 400
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedWavError, match=f"rate {rate} Hz.*filter bank"):
+            preprocess(blob)
+        assert time.perf_counter() - t0 < 1.0
+
+    # Every rate of the benchmark corpus (perfbench/inputs.py), 352.8 kHz
+    # and the rate bound.
+    @pytest.mark.parametrize("rate", [
+        8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000,
+        88200, 96000, 176400, 192000, 352800, 384000,
+    ])
+    def test_common_rates_resampled(self, rate):
+        y = preprocess(wav_bytes(np.zeros(rate // 100), rate))
+        assert y.shape == (CLIP_SAMPLES,)
+
     def test_truncated_data_chunk(self):
         blob = wav_bytes(np.zeros(100), 8000)
         with pytest.raises(TruncatedWavError, match="declares"):

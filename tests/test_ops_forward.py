@@ -1,11 +1,13 @@
 import tracemalloc
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from wavecnn import ops
+from wavecnn import models, ops
 from wavecnn.ops import BatchNormState, ConvParams
-from wavecnn.tensor import NonFiniteError
+from wavecnn.tensor import NonFiniteError, RandomSource
 
 from naive_ref import conv1d_backward_naive, conv1d_naive, maxpool1d_naive, relative_error
 
@@ -301,9 +303,8 @@ class TestGlobalAvgPool:
 class TestSoftmaxXent:
     def test_uniform_logits(self):
         """Uniform logits with K=10: probabilities 0.1, loss ln 10."""
-        loss, probs, _ = ops.dense_softmax_xent(
-            np.zeros((3, 4)), np.zeros((4, 10)), np.zeros(10), np.array([0, 5, 9])
-        )
+        logits, _ = ops.affine_forward(np.zeros((3, 4)), np.zeros((4, 10)), np.zeros(10))
+        loss, probs, _ = ops.softmax_xent(logits, np.array([0, 5, 9]))
         np.testing.assert_allclose(probs, 0.1, rtol=1e-12)
         assert abs(loss - np.log(10.0)) < 1e-9
 
@@ -353,43 +354,42 @@ class TestDropout:
 
 
 class TestResidualBlock:
-    def _zero_block(self, Cin, Cout, dtype=np.float64):
-        k1 = np.zeros((3, Cin, Cout), dtype)
-        k2 = np.zeros((3, Cout, Cout), dtype)
-        return (
-            ops.ConvParams(k1, stride=1),
-            _bn_state(Cout, dtype),
-            ops.ConvParams(k2, stride=1),
-            _bn_state(Cout, dtype),
-        )
+    """The model's residual block unit, run outside a full network."""
+
+    def _block(self, Cin, Cout, zero=True, dtype=np.float64):
+        block = models._ResBlockUnit(1, Cout, with_bn=True)
+        graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(dtype))
+        block.build(Cin, RandomSource(0), graph)
+        if zero:
+            graph.params["conv1.kernel"][...] = 0.0
+            graph.params["conv2.kernel"][...] = 0.0
+        return block, graph
 
     def test_zero_branch_same_channels_is_relu(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 12, 5))
-        c1, b1, c2, b2 = self._zero_block(5, 5)
-        y, _ = ops.residual_block_forward(x, c1, b1, c2, b2, "train")
+        block, graph = self._block(5, 5)
+        y = block.forward(x, graph, "train", None, None)
         np.testing.assert_array_equal(y, np.maximum(x, 0.0))
 
     def test_zero_branch_channel_growth_pads(self):
         """48 -> 96 with a dead branch: y = relu([x || zeros]) exactly."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 6, 48))
-        c1, b1, c2, b2 = self._zero_block(48, 96)
-        y, _ = ops.residual_block_forward(x, c1, b1, c2, b2, "train")
+        block, graph = self._block(48, 96)
+        y = block.forward(x, graph, "train", None, None)
         expect = np.maximum(np.pad(x, ((0, 0), (0, 0), (0, 48))), 0.0)
         np.testing.assert_array_equal(y, expect)
 
     def test_time_length_unchanged(self):
         x = np.zeros((2, 17, 4))
-        c1, b1, c2, b2 = self._zero_block(4, 8)
-        y, _ = ops.residual_block_forward(x, c1, b1, c2, b2, "infer")
+        block, graph = self._block(4, 8)
+        y = block.forward(x, graph, "infer", None, None)
         assert y.shape == (2, 17, 8)
 
     def test_channel_shrink_rejected(self):
-        x = np.zeros((2, 6, 8))
-        c1, b1, c2, b2 = self._zero_block(8, 4)
         with pytest.raises(ValueError, match="shrink"):
-            ops.residual_block_forward(x, c1, b1, c2, b2, "infer")
+            self._block(8, 4)
 
     def test_zeroed_group_is_relu_chain_of_padded_input(self):
         """An N-block group with dead branches computes relu of the
@@ -398,8 +398,8 @@ class TestResidualBlock:
         x = rng.standard_normal((2, 10, 3))
         h = x
         for cin, cout in [(3, 3), (3, 6), (6, 6)]:
-            c1, b1, c2, b2 = self._zero_block(cin, cout)
-            h, _ = ops.residual_block_forward(h, c1, b1, c2, b2, "train")
+            block, graph = self._block(cin, cout)
+            h = block.forward(h, graph, "train", None, None)
         expect = np.maximum(np.pad(x, ((0, 0), (0, 0), (0, 3))), 0.0)
         np.testing.assert_array_equal(h, expect)
 
@@ -407,10 +407,16 @@ class TestResidualBlock:
         """Input gradient = branch adjoint + shortcut adjoint."""
         rng = np.random.default_rng(16)
         x = rng.standard_normal((2, 8, 3))
-        c1 = ops.ConvParams(rng.standard_normal((3, 3, 3)), stride=1)
-        c2 = ops.ConvParams(rng.standard_normal((3, 3, 3)), stride=1)
-        b1, b2 = _bn_state(3), _bn_state(3)
-        y, cache = ops.residual_block_forward(x, c1, b1, c2, b2, "train")
+        block, graph = self._block(3, 3, zero=False)
+        tape = ops.OpTape()
+        y = block.forward(x, graph, "train", tape, None)
         gout = rng.standard_normal(y.shape)
-        gx = ops.residual_block_backward(gout, cache)[0]
+        gx = tape.backward(gout, {})
         assert gx.shape == x.shape and np.all(np.isfinite(gx))
+        # A dead branch passes no gradient to x, leaving the shortcut's share.
+        block, graph = self._block(3, 6)
+        tape = ops.OpTape()
+        y = block.forward(x, graph, "train", tape, None)
+        gout = rng.standard_normal(y.shape)
+        gx = tape.backward(gout, {})
+        np.testing.assert_array_equal(gx, (gout * (y > 0))[:, :, :3])

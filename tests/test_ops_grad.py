@@ -5,6 +5,8 @@ sweep at the 1e-4 tolerance lives in the acceptance suite, this module keeps
 a faster sweep plus the pinned example cases at their tighter tolerances.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from gradcheck import TRIALS
 
 @pytest.mark.parametrize("op", sorted(TRIALS))
 def test_gradients_random_trials(op):
-    rng = np.random.default_rng([99, hash(op) % (2**32)])
+    rng = np.random.default_rng([99, zlib.crc32(op.encode())])
     worst = max(TRIALS[op](rng) for _ in range(5))
     assert worst < 1e-4, f"{op}: worst relative error {worst:.3e}"
 

@@ -1,78 +1,7 @@
 import numpy as np
 import pytest
 
-from wavecnn.tensor import (
-    NonFiniteError,
-    RandomSource,
-    check_finite,
-    check_shape,
-    elementwise,
-    reduce,
-)
-
-
-class TestElementwise:
-    def test_add(self):
-        np.testing.assert_array_equal(
-            elementwise("add", np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0]
-        )
-
-    def test_max_with_zero(self):
-        np.testing.assert_array_equal(
-            elementwise("max_with_zero", np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-        )
-
-    def test_scale_by_zero_annihilates(self):
-        np.testing.assert_array_equal(elementwise("scale", np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
-
-    def test_sub_mul(self):
-        a, b = np.array([5.0, 7.0]), np.array([2.0, 3.0])
-        np.testing.assert_array_equal(elementwise("sub", a, b), [3.0, 4.0])
-        np.testing.assert_array_equal(elementwise("mul", a, b), [10.0, 21.0])
-
-    def test_scalar_broadcast(self):
-        np.testing.assert_array_equal(elementwise("add", np.array([1.0, 2.0]), 1.0), [2.0, 3.0])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
-            elementwise("add", np.zeros(2), np.zeros(3))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            elementwise("pow", np.zeros(2), np.zeros(2))
-
-    def test_scale_rejects_tensor_operand(self):
-        with pytest.raises(ValueError, match="scalar"):
-            elementwise("scale", np.zeros(2), np.zeros(2))
-
-
-class TestReduce:
-    def test_mean(self):
-        assert reduce("mean", np.array([2.0, 4.0, 6.0]), 0) == 4.0
-
-    def test_max_with_argmax_first_wins(self):
-        vals, idx = reduce("max_with_argmax", np.array([1.0, 5.0, 5.0, 2.0]), 0)
-        assert vals == 5.0 and idx == 1
-
-    def test_sum_over_time_of_ones(self):
-        out = reduce("sum", np.ones((1, 2000, 64), dtype=np.float32), 1)
-        assert out.shape == (1, 64)
-        np.testing.assert_array_equal(out, 2000.0)
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(ValueError, match="axis 3"):
-            reduce("sum", np.zeros((2, 2)), 3)
-
-    def test_sum_equals_mean_times_extent(self):
-        """Reduction consistency within 1e-6 relative in 32-bit."""
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
-            axis = int(rng.integers(0, len(shape)))
-            t = rng.standard_normal(shape).astype(np.float32)
-            s = reduce("sum", t, axis)
-            m = reduce("mean", t, axis)
-            np.testing.assert_allclose(s, m * shape[axis], rtol=1e-6, atol=1e-6)
+from wavecnn.tensor import NonFiniteError, RandomSource, check_finite, check_shape
 
 
 class TestShapeAndFiniteness:
@@ -89,11 +18,9 @@ class TestShapeAndFiniteness:
             check_finite("x", np.array([1.0, np.nan]))
         with pytest.raises(NonFiniteError):
             check_finite("x", np.array([np.inf]))
-
-    def test_elementwise_rejects_overflow_to_inf(self):
         big = np.array([3e38], dtype=np.float32)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            elementwise("add", big, big)
+            check_finite("x", big + big)  # float32 overflow to inf
 
 
 class TestRandomSource:
@@ -129,8 +56,7 @@ class TestRandomSource:
         def pipeline(seed):
             rng = RandomSource(seed)
             t = rng.normal(0, 1, (4, 6), dtype=np.float32)
-            t = elementwise("mul", t, rng.uniform(0.5, 2.0, (4, 6)))
-            t = elementwise("max_with_zero", t)
-            return reduce("sum", t, 1)
+            t = np.maximum(t * rng.uniform(0.5, 2.0, (4, 6)), 0)
+            return t.sum(axis=1)
 
         np.testing.assert_array_equal(pipeline(42), pipeline(42))
