@@ -18,9 +18,11 @@ class TestShapeAndFiniteness:
             check_finite("x", np.array([1.0, np.nan]))
         with pytest.raises(NonFiniteError):
             check_finite("x", np.array([np.inf]))
+
+    def test_elementwise_rejects_overflow_to_inf(self):
         big = np.array([3e38], dtype=np.float32)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            check_finite("x", big + big)  # float32 overflow to inf
+            check_finite("add", big + big)  # float32 overflow to inf
 
 
 class TestRandomSource:
