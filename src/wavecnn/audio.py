@@ -34,10 +34,10 @@ CLIP_SAMPLES = 32000
 # time and memory.
 MAX_SOURCE_RATE = 384000
 # Largest resampler filter bank, in coefficients (up phases x 2K+1 taps),
-# 1 MiB of float64. Below MAX_SOURCE_RATE a rate that shares few factors
-# with the target still needs up to 8000 phases; the common rates need at
-# most about 86k coefficients (11,025 Hz).
-MAX_FILTER_BANK = 1 << 17
+# 2 MiB of float64. A rate sharing few factors with the target needs up to
+# 8000 phases; 11,024 Hz needs 500 x 269 and passes, while 22,254 Hz
+# (4000 x 539) and 44,056 Hz (1000 x 1061) are refused.
+MAX_FILTER_BANK = 1 << 18
 STD_FLOOR = 1e-8
 
 
