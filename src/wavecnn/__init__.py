@@ -13,7 +13,7 @@ if _threads and _threads != "0" and "numpy" not in _sys.modules:
 __version__ = "0.1.0"
 
 from .tensor import RandomSource  # noqa: E402
-from .models import ArchitectureSpec, ModelGraph, build, count_parameters, shape_trace  # noqa: E402
+from .models import ModelGraph, build, count_parameters, shape_trace  # noqa: E402
 from .training import (  # noqa: E402
     Checkpoint,
     TrainConfig,
@@ -26,7 +26,6 @@ from .audio import DatasetIndex, decode_wav, fix_length, standardize, to_mono_8k
 from .analysis import SpectrumMatrix, kernel_spectra  # noqa: E402
 
 __all__ = [
-    "ArchitectureSpec",
     "Checkpoint",
     "DatasetIndex",
     "ModelGraph",

@@ -346,6 +346,14 @@ class Batch:
     labels: np.ndarray  # [B] int64
 
 
+def stack_clips(dataset, entries) -> tuple:
+    """The entries' waveforms as one [N, CLIP_SAMPLES, 1] float32 array,
+    and their [N] int64 labels, in entry order."""
+    x = np.stack([dataset.load(e) for e in entries]).astype(np.float32)[..., None]
+    labels = np.array([e.label for e in entries], dtype=np.int64)
+    return x, labels
+
+
 def make_batches(dataset, entries, batch_size: int, rng):
     """Yield batches over a seeded permutation of the entries.
 
@@ -358,6 +366,4 @@ def make_batches(dataset, entries, batch_size: int, rng):
         if len(chunk) < 2:
             logger.warning("dropping final batch of %d row(s) (BN needs >= 2)", len(chunk))
             continue
-        x = np.stack([dataset.load(e) for e in chunk]).astype(np.float32)[..., None]
-        labels = np.array([e.label for e in chunk], dtype=np.int64)
-        yield Batch(x=x, labels=labels)
+        yield Batch(*stack_clips(dataset, chunk))

@@ -5,13 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analysis import kernel_spectra, write_spectrum_csv, write_spectrum_pgm
-from .audio import DatasetIndex, split_entries
+from .audio import DatasetIndex, stack_clips
 from .models import (
-    architecture,
     build,
     count_parameters,
     parameter_breakdown,
@@ -121,8 +118,7 @@ def _cmd_eval(args) -> int:
     entries = [e for e in dataset.entries if e.fold == args.fold]
     if not entries:
         raise ValueError(f"no clips in fold {args.fold}")
-    x = np.stack([dataset.load(e) for e in entries]).astype(np.float32)[..., None]
-    labels = np.array([e.label for e in entries], dtype=np.int64)
+    x, labels = stack_clips(dataset, entries)
     accuracy, confusion = evaluate(graph, x, labels)
     print(f"fold={args.fold} clips={len(entries)} accuracy={accuracy:.4f}")
     print("confusion matrix (rows = true class, cols = predicted):")
@@ -134,18 +130,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    spec = architecture(args.arch, num_classes=args.num_classes)
     graph = build(args.arch, num_classes=args.num_classes, rng=RandomSource(0))
-    trace = shape_trace(spec, INSPECT_TRACE_T)
+    trace = shape_trace(graph, INSPECT_TRACE_T)
     counts = dict(parameter_breakdown(graph))
-    layer_specs = {u.label: u for u in graph.units}
+    units = {u.label: u for u in graph.units}
 
     print(f"architecture {args.arch} ({args.num_classes} classes, input {INSPECT_TRACE_T}x1)")
     header = f"{'layer':<24} {'rf':>4} {'stride':>6} {'params':>10} {'output (T x C)':>16}"
     print(header)
     print("-" * len(header))
     for label, (T, C) in trace:
-        unit = layer_specs.get(label)
+        unit = units.get(label)
         rf = getattr(unit, "rf", "") if unit else ""
         stride = getattr(unit, "stride", "") if unit else ""
         params = counts.get(label, 0)

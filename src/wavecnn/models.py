@@ -1,9 +1,10 @@
-"""Declarative construction of the network family and its ablation variants.
+"""The network family and its ablation variants, built as lists of units.
 
 Each network takes a [batch, time, 1] waveform, opens with one wide-field
-strided convolution, alternates small-field conv stacks with maxpool-4
+strided convolution, alternates small-field conv stages with maxpool-4
 downsampling, and closes with global average pooling into a softmax head.
-The '-res' column swaps conv stacks for residual blocks. Variants:
+The '-res' column's stages are residual blocks instead of plain convs.
+Variants, applied as unit constructor arguments:
 
   -srf / -lrf   first-layer receptive field 8 / 320 (base uses 80)
   -big          every conv widened by 50% (m3-big) or 100% (m5-big)
@@ -11,6 +12,9 @@ The '-res' column swaps conv stacks for residual blocks. Variants:
                 between global average pooling and the softmax head
   -no-bn        batch normalization removed, conv biases enabled
   m11-stride1   first convolution with stride 1 instead of 4
+
+The units are the whole description of a network: each one builds its own
+parameters, runs its forward pass and traces its output shape.
 
 All weights are Glorot-uniform initialized; conv fans are
 (rf * in_ch, rf * out_ch). Layers followed by BN carry no bias.
@@ -22,7 +26,6 @@ Gradients at fan-out points (the residual shortcut) accumulate additively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,133 +38,76 @@ FC_DROPOUT = 0.3
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str  # conv | maxpool4 | resblock_group | global_avg_pool | dense_softmax | fc_block
-    rf: int = 0
-    stride: int = 1
-    out_channels: int = 0
-    repeat: int = 1
-    with_bn: bool = True
-
-
-@dataclass(frozen=True)
-class ArchitectureSpec:
-    name: str
-    layers: tuple
-    num_classes: int
-
-
-def _conv(rf, stride, ch, repeat=1, bn=True):
-    return LayerSpec("conv", rf=rf, stride=stride, out_channels=ch, repeat=repeat, with_bn=bn)
-
-
-def _res(ch, repeat, bn=True):
-    return LayerSpec("resblock_group", rf=3, out_channels=ch, repeat=repeat, with_bn=bn)
-
-
-_POOL = LayerSpec("maxpool4")
-
-# Body of each base column: (first-conv channels, then the conv/pool spine).
-# The closing global-average-pool and softmax head are appended at build time.
-_BASE_BODY = {
-    "m3": lambda c: [_conv(80, 4, c(256)), _POOL, _conv(3, 1, c(256)), _POOL],
-    "m5": lambda c: [
-        _conv(80, 4, c(128)), _POOL,
-        _conv(3, 1, c(128)), _POOL,
-        _conv(3, 1, c(256)), _POOL,
-        _conv(3, 1, c(512)), _POOL,
-    ],
-    "m11": lambda c: [
-        _conv(80, 4, c(64)), _POOL,
-        _conv(3, 1, c(64), 2), _POOL,
-        _conv(3, 1, c(128), 2), _POOL,
-        _conv(3, 1, c(256), 3), _POOL,
-        _conv(3, 1, c(512), 2),
-    ],
-    "m18": lambda c: [
-        _conv(80, 4, c(64)), _POOL,
-        _conv(3, 1, c(64), 4), _POOL,
-        _conv(3, 1, c(128), 4), _POOL,
-        _conv(3, 1, c(256), 4), _POOL,
-        _conv(3, 1, c(512), 4),
-    ],
-    "m34-res": lambda c: [
-        _conv(80, 4, c(48)), _POOL,
-        _res(c(48), 3), _POOL,
-        _res(c(96), 4), _POOL,
-        _res(c(192), 6), _POOL,
-        _res(c(384), 3),
-    ],
+# Per column: the first conv's width, the stages as (width, count), and
+# whether a maxpool follows the last stage. A maxpool-4 precedes every
+# stage. A stage is `count` rf-3 convs, or `count` residual blocks in the
+# '-res' column.
+_COLUMNS = {
+    "m3": (256, [(256, 1)], True),
+    "m5": (128, [(128, 1), (256, 1), (512, 1)], True),
+    "m11": (64, [(64, 2), (128, 2), (256, 3), (512, 2)], False),
+    "m18": (64, [(64, 4), (128, 4), (256, 4), (512, 4)], False),
+    "m34-res": (48, [(48, 3), (96, 4), (192, 6), (384, 3)], False),
 }
+_PLAIN = ("m3", "m5", "m11", "m18")
 
-_BIG_FACTOR = {"m3": 1.5, "m5": 2.0}
-_FC_BASES = ("m3", "m5", "m11", "m18")
-_RF_VARIANT = {"srf": 8, "lrf": 320}
+# Every architecture name: its column and the variant's unit arguments.
+_ARCHITECTURES = {
+    **{c: (c, {}) for c in _COLUMNS},
+    "m3-big": ("m3", {"widen": 1.5}),
+    "m5-big": ("m5", {"widen": 2.0}),
+    **{f"{c}-{v}": (c, {"first_rf": rf})
+       for c in ("m11", "m18") for v, rf in (("srf", 8), ("lrf", 320))},
+    **{f"{c}-fc": (c, {"fc": True}) for c in _PLAIN},
+    **{f"{c}-no-bn": (c, {"with_bn": False}) for c in _PLAIN},
+    "m34-no-bn": ("m34-res", {"with_bn": False}),
+    "m11-stride1": ("m11", {"first_stride": 1}),
+}
 
 
 def valid_architectures() -> list:
-    names = list(_BASE_BODY)
-    names += [f"{b}-big" for b in _BIG_FACTOR]
-    names += [f"{b}-{s}" for b in ("m11", "m18") for s in _RF_VARIANT]
-    names += [f"{b}-fc" for b in _FC_BASES]
-    names += ["m3-no-bn", "m5-no-bn", "m11-no-bn", "m18-no-bn", "m34-no-bn"]
-    names += ["m11-stride1"]
-    return sorted(names)
+    return sorted(_ARCHITECTURES)
 
 
-def architecture(name: str, num_classes: int = 10, channel_scale: float = 1.0) -> ArchitectureSpec:
-    """Resolve an architecture name into its layer list.
+def architecture(name: str, num_classes: int = 10, channel_scale: float = 1.0) -> list:
+    """Resolve an architecture name into its unit list.
 
     channel_scale shrinks every conv/res width uniformly (used for the
     reduced-width smoke and trainability harnesses); 1.0 is the published
     width.
     """
-    base, variant = name, None
-    if name == "m34-no-bn":
-        base, variant = "m34-res", "no-bn"
-    elif name == "m11-stride1":
-        base, variant = "m11", "stride1"
-    elif name.endswith("-no-bn"):
-        base, variant = name[: -len("-no-bn")], "no-bn"
-    elif "-" in name and name != "m34-res":
-        base, variant = name.rsplit("-", 1)
+    if name not in _ARCHITECTURES:
+        raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
+    column, variant = _ARCHITECTURES[name]
+    return _units(column, num_classes, channel_scale, **variant)
 
-    factor = channel_scale
-    if variant == "big":
-        if base not in _BIG_FACTOR:
-            raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
-        factor *= _BIG_FACTOR[base]
 
-    if base not in _BASE_BODY or (variant == "fc" and base not in _FC_BASES):
-        raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
-    if variant in _RF_VARIANT and base not in ("m11", "m18"):
-        raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
-    if variant not in (None, "big", "fc", "no-bn", "stride1", "srf", "lrf"):
-        raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
+def _units(column, num_classes, channel_scale,
+           widen=1.0, first_rf=80, first_stride=4, with_bn=True, fc=False) -> list:
+    first, stages, pool_last = _COLUMNS[column]
+    residual = column.endswith("-res")
+    factor = channel_scale * widen
 
     def ch(n: int) -> int:
         return max(1, int(round(n * factor)))
 
-    layers = list(_BASE_BODY[base](ch))
-    if variant in _RF_VARIANT:
-        first = layers[0]
-        layers[0] = _conv(_RF_VARIANT[variant], first.stride, first.out_channels)
-    if variant == "stride1":
-        first = layers[0]
-        layers[0] = _conv(first.rf, 1, first.out_channels)
-    if variant == "no-bn":
-        layers = [
-            LayerSpec(l.kind, l.rf, l.stride, l.out_channels, l.repeat, with_bn=False)
-            for l in layers
-        ]
-    layers.append(LayerSpec("global_avg_pool"))
-    if variant == "fc":
-        layers.append(LayerSpec("fc_block", out_channels=FC_WIDTH, repeat=2))
-    layers.append(LayerSpec("dense_softmax", out_channels=num_classes))
-
-    return ArchitectureSpec(name, tuple(layers), num_classes)
+    units = [_ConvUnit(1, first_rf, first_stride, ch(first), with_bn)]
+    conv_idx = 2
+    for pool_idx, (width, count) in enumerate(stages, start=1):
+        units.append(_MaxPoolUnit(pool_idx))
+        for _ in range(count):
+            if residual:
+                units.append(_ResBlockUnit(conv_idx, ch(width), with_bn))
+            else:
+                units.append(_ConvUnit(conv_idx, 3, 1, ch(width), with_bn))
+            conv_idx += units[-1].weight_layers
+    if pool_last:
+        units.append(_MaxPoolUnit(len(stages) + 1))
+    units.append(_GlobalAvgPoolUnit())
+    if fc:
+        units += [_FCUnit(1, FC_WIDTH), _FCUnit(2, FC_WIDTH)]
+    units.append(_DenseUnit(num_classes))
+    return units
 
 
 class ForwardResult(NamedTuple):
@@ -434,57 +380,25 @@ class _DenseUnit:
     weight_layers = 1
 
 
-def _compile_units(spec: ArchitectureSpec):
-    units, conv_idx, pool_idx, fc_idx = [], 1, 1, 1
-    for l in spec.layers:
-        if l.kind == "conv":
-            for _ in range(l.repeat):
-                units.append(_ConvUnit(conv_idx, l.rf, l.stride, l.out_channels, l.with_bn))
-                conv_idx += 1
-        elif l.kind == "resblock_group":
-            for _ in range(l.repeat):
-                units.append(_ResBlockUnit(conv_idx, l.out_channels, l.with_bn))
-                conv_idx += 2
-        elif l.kind == "maxpool4":
-            units.append(_MaxPoolUnit(pool_idx))
-            pool_idx += 1
-        elif l.kind == "global_avg_pool":
-            units.append(_GlobalAvgPoolUnit())
-        elif l.kind == "fc_block":
-            for _ in range(l.repeat):
-                units.append(_FCUnit(fc_idx, l.out_channels))
-                fc_idx += 1
-        elif l.kind == "dense_softmax":
-            units.append(_DenseUnit(l.out_channels))
-        else:
-            raise ValueError(f"unknown layer kind {l.kind!r}")
-    return units
-
-
 class ModelGraph:
     """Executable layer sequence with a named, deterministically ordered
     parameter map and per-layer BN running statistics."""
 
-    def __init__(self, spec: ArchitectureSpec, rng: RandomSource | None = None, dtype=TRAIN_DTYPE):
-        self.spec = spec
+    def __init__(self, name: str, units: list, rng: RandomSource | None = None, dtype=TRAIN_DTYPE):
+        self.name = name
+        self.units = units
         self.dtype = np.dtype(dtype)
         self.params: dict = {}
         self.state: dict = {}
         self.mode = "infer"
-        self.units = _compile_units(spec)
         rng = rng if rng is not None else RandomSource(0)
         in_ch = 1
         for u in self.units:
             in_ch = u.build(in_ch, rng, self)
-        self.first_rf = self.units[0].rf
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
 
     @property
     def num_classes(self) -> int:
-        return self.spec.num_classes
+        return self.units[-1].num_classes
 
     def forward(self, x: np.ndarray, mode: str | None = None, rng: RandomSource | None = None) -> ForwardResult:
         """Run the network; returns probabilities, logits, and (in train
@@ -492,10 +406,9 @@ class ModelGraph:
         mode = mode or self.mode
         if x.ndim != 3 or x.shape[2] != 1:
             raise ValueError(f"expected input [B,T,1], got {x.shape}")
-        if x.shape[1] < self.first_rf:
-            raise ValueError(
-                f"input time length {x.shape[1]} < first receptive field {self.first_rf}"
-            )
+        first_rf = self.units[0].rf
+        if x.shape[1] < first_rf:
+            raise ValueError(f"input time length {x.shape[1]} < first receptive field {first_rf}")
         tape = ops.OpTape() if mode == "train" else None
         h = x.astype(self.dtype, copy=False)
         for u in self.units:
@@ -509,7 +422,7 @@ class ModelGraph:
 def build(name: str, num_classes: int = 10, rng: RandomSource | None = None,
           dtype=TRAIN_DTYPE, channel_scale: float = 1.0) -> ModelGraph:
     """Construct a freshly initialized network by name."""
-    return ModelGraph(architecture(name, num_classes, channel_scale), rng=rng, dtype=dtype)
+    return ModelGraph(name, architecture(name, num_classes, channel_scale), rng=rng, dtype=dtype)
 
 
 def count_parameters(graph: ModelGraph) -> int:
@@ -530,20 +443,14 @@ def rounded_millions(count: int) -> str:
     return f"{round(count / 1e5) / 10:.1f}M"
 
 
-def shape_trace(spec_or_name, input_T: int, num_classes: int = 10) -> list:
+def shape_trace(name_or_graph, input_T: int, num_classes: int = 10) -> list:
     """Symbolic forward over shapes only: [(layer label, (T, C)), ...]."""
-    spec = (
-        architecture(spec_or_name, num_classes)
-        if isinstance(spec_or_name, str)
-        else spec_or_name
-    )
-    if isinstance(spec, ModelGraph):
-        units = spec.units
-        first_rf = spec.first_rf
+    if isinstance(name_or_graph, ModelGraph):
+        units = name_or_graph.units
     else:
-        units = _compile_units(spec)
-        first_rf = units[0].rf
+        units = architecture(name_or_graph, num_classes)
     check_shape((input_T,))
+    first_rf = units[0].rf
     if input_T < first_rf:
         raise ValueError(f"input length {input_T} < first receptive field {first_rf}")
     rows = [("input", (input_T, 1))]

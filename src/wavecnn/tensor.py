@@ -27,11 +27,6 @@ import numpy as np
 TRAIN_DTYPE = np.float32
 CHECK_DTYPE = np.float64
 
-# Output finiteness assertions on every public op. Leave enabled; the cost is
-# one min/max pass per op output.
-finite_checks = True
-
-
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces NaN or Inf."""
 
@@ -49,7 +44,7 @@ def check_shape(dims) -> tuple:
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     """Assert arr is all-finite; NaN/Inf is a hard error."""
-    if finite_checks and arr.size:
+    if arr.size:
         lo, hi = np.min(arr), np.max(arr)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteError(f"{name}: non-finite values (min={lo}, max={hi})")

@@ -2,7 +2,7 @@
 
 The training recipe: seeded shuffle each epoch, no augmentation, Adam with
 bias correction, and an L2 penalty (coefficient 0.0001) applied to every
-trainable parameter, BN scale/shift included (a flag excludes them).
+trainable parameter, BN scale/shift included.
 
 Checkpoint container format (version 1):
 
@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ops
-from .models import ModelGraph, ForwardResult, build
+from .audio import make_batches, split_entries, stack_clips
+from .models import ModelGraph, build
 from .tensor import NonFiniteError, RandomSource, atomic_write
 
 logger = logging.getLogger(__name__)
@@ -76,7 +77,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps_adam: float = 1e-8
     l2_coeff: float = 1e-4
-    l2_include_bn: bool = True
     seed: int = 0
     test_fold: int = 10
     val_fold: int | None = None
@@ -123,24 +123,19 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         p -= (state.alpha * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(p.dtype, copy=False)
 
 
-def add_l2_gradients(params: dict, grads: dict, coeff: float, include_bn: bool = True) -> None:
-    """grad += 2 * coeff * param for every trainable (optionally skipping
-    BN gamma/beta)."""
+def add_l2_gradients(params: dict, grads: dict, coeff: float) -> None:
+    """grad += 2 * coeff * param for every trainable."""
     if coeff == 0.0:
         return
     for name, p in params.items():
-        if not include_bn and (".bn.gamma" in name or ".bn.beta" in name):
-            continue
         ops.accumulate_grad(grads, name, (2.0 * coeff) * p)
 
 
-def l2_penalty(params: dict, coeff: float, include_bn: bool = True) -> float:
+def l2_penalty(params: dict, coeff: float) -> float:
     if coeff == 0.0:
         return 0.0
     total = 0.0
-    for name, p in params.items():
-        if not include_bn and (".bn.gamma" in name or ".bn.beta" in name):
-            continue
+    for p in params.values():
         total += float(np.sum(p.astype(np.float64) ** 2))
     return coeff * total
 
@@ -328,14 +323,6 @@ class TrainResult:
     log_path: str | None
 
 
-def _load_split(dataset, entries) -> tuple:
-    if not entries:
-        return None, None
-    x = np.stack([dataset.load(e) for e in entries]).astype(np.float32)[..., None]
-    y = np.array([e.label for e in entries], dtype=np.int64)
-    return x, y
-
-
 def _grad_norm_ratio(grads: dict, first_name: str, last_name: str) -> float:
     gf = grads.get(first_name)
     gl = grads.get(last_name)
@@ -381,8 +368,6 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
     plus L2 penalty, reverse-mode backward, Adam step; then test-fold
     evaluation in infer mode against the BN running statistics.
     """
-    from .audio import make_batches, split_entries
-
     train_entries, test_entries = split_entries(dataset.entries, config.test_fold)
     val_entries = []
     if config.val_fold is not None:
@@ -415,8 +400,8 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
             train_rng.set_state(resume_from.rng_state)
         start_epoch = resume_from.epoch
 
-    test_x, test_y = _load_split(dataset, test_entries)
-    val_x, val_y = _load_split(dataset, val_entries)
+    test_x, test_y = stack_clips(dataset, test_entries) if test_entries else (None, None)
+    val_x, val_y = stack_clips(dataset, val_entries) if val_entries else (None, None)
 
     first_param = next(iter(graph.params))
     last_param = "dense.w"
@@ -433,14 +418,12 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
             try:
                 result = graph.forward(batch.x, mode="train", rng=train_rng)
                 data_loss, probs, grad_logits = ops.softmax_xent(result.logits, batch.labels)
-                loss = data_loss + l2_penalty(
-                    graph.params, config.l2_coeff, config.l2_include_bn
-                )
+                loss = data_loss + l2_penalty(graph.params, config.l2_coeff)
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"loss={loss}")
                 grads: dict = {}
                 result.tape.backward(grad_logits, grads)
-                add_l2_gradients(graph.params, grads, config.l2_coeff, config.l2_include_bn)
+                add_l2_gradients(graph.params, grads, config.l2_coeff)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite values at epoch {epoch}, batch {batch_id}: {exc}"

@@ -221,6 +221,58 @@ class TestVariants:
             build(name, rng=RandomSource(0), channel_scale=1 / 16)
 
 
+# sha256 over unit labels, then parameter names, shapes, dtypes and init
+# bytes, then state names, each in insertion order, at width 1/16 and
+# RandomSource(0). The order matters beyond the values: checkpoint
+# manifests, Adam's iteration and the gradient-ratio diagnostic's first
+# parameter all follow it.
+ARCHITECTURE_GOLDEN = {
+    "m11": "ce6325acd20166bc5e89eb27350d406e98de2ddf3b717f932c26a9c0846675c7",
+    "m11-fc": "5b4bb52bad54f58834f7c0e8d74eddfc7e85e19436e8a638144f925174258e81",
+    "m11-lrf": "827ac6bc16362f6d2db467da66742f05358ffe294fa60336b2dd86ebdb0e7606",
+    "m11-no-bn": "565887e0a483e37917f5f760adf5f719bfa16931f2587306b7ce524ee545e315",
+    "m11-srf": "bb336f0bdf3b25758b872dc24bc707ae9eb9f2673abc86cc04bc0cdc3497dd0b",
+    "m11-stride1": "ce6325acd20166bc5e89eb27350d406e98de2ddf3b717f932c26a9c0846675c7",
+    "m18": "90621598c3739ab1b624fd90ec7fcd05c691f40206ab3cee8a4d868a67a3d40c",
+    "m18-fc": "f5b79e42346421f181c677e3d190c4444fe2780c466eaefcb4be899654103697",
+    "m18-lrf": "30071ad830ad7b574020c74e9afd40f4ff877a3ac176a69ed9e4443d3241354b",
+    "m18-no-bn": "355a2ae52c77114d956b5ef67cf3443f73d6afd2ba0f48b13873765b6890bad7",
+    "m18-srf": "1a1cbf7b01b79b29f9a386d6d26aa461991cd189914a789c0e1e9e1d36dea159",
+    "m3": "4783428d1aca998bbc8af624a575f12a3c21fe4f05f70c0a744885cefca2a66e",
+    "m3-big": "705dc2280db5ee13adbc345f465b1ba6a039eec120e7377ddd704b5d85b52a2e",
+    "m3-fc": "7ff4aa58f9e0b7a17ca534ec4a5bbd8141ab2e98ee51f66b8226ff9b721774bd",
+    "m3-no-bn": "49640e19074f1254b47b54ab1e6b949c36e1f67a57a088d6bb17c9a752c392ff",
+    "m34-no-bn": "52fca640d6e620559c89482eea511e04fe5c0af92d3de472d1d6352e95b1ad7b",
+    "m34-res": "8f9e7668ae3ccf03e5e5ea63fa3d814262e777b3cf6b89f2052e8255827c8cd6",
+    "m5": "59a3ff3a22d2fa403f54ffaccb4a7cadafeb9db2861893b961ae590bebf1c018",
+    "m5-big": "c1ac6240db52a3c0b0c87e98f3dc1c956cf74ca828a11bb01d672de42f421c15",
+    "m5-fc": "f0e9b0a235c7b3b33588c1ba96aeef98b07acb371e5d0ca34d667962b07b0422",
+    "m5-no-bn": "70e4176acbe3e0b429326546a1b494b1225ab015384025634e124de461d8c474",
+}
+
+
+def _architecture_digest(graph):
+    h = hashlib.sha256()
+    for u in graph.units:
+        h.update(f"unit {u.label}\n".encode())
+    for k, v in graph.params.items():
+        h.update(f"param {k} {v.shape} {v.dtype.str}\n".encode())
+        h.update(v.tobytes())
+    for k in graph.state:
+        h.update(f"state {k}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", valid_architectures())
+def test_architecture_golden(name):
+    graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+    assert _architecture_digest(graph) == ARCHITECTURE_GOLDEN[name]
+
+
+def test_architecture_golden_covers_every_name():
+    assert sorted(ARCHITECTURE_GOLDEN) == valid_architectures()
+
+
 def _param_digest(graph):
     h = hashlib.sha256()
     for name in sorted(graph.params):

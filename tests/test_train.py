@@ -104,12 +104,6 @@ class TestAdam:
         adam_step(params, grads, state)
         assert np.all(np.abs(params["w"]) < np.abs(w))
 
-    def test_l2_exclude_bn_flag(self):
-        params = {"conv1.kernel": np.ones(2), "conv1.bn.gamma": np.ones(2)}
-        grads = {}
-        add_l2_gradients(params, grads, coeff=0.1, include_bn=False)
-        assert "conv1.bn.gamma" not in grads and "conv1.kernel" in grads
-
     def test_l2_penalty_value(self):
         params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
         assert abs(l2_penalty(params, 0.5) - 0.5 * 14.0) < 1e-12
