@@ -27,11 +27,10 @@ class SpectrumMatrix:
     kernel_order: np.ndarray
     peak_bins: np.ndarray
     rf: int
-    sample_rate: int = TARGET_RATE
 
     @property
     def bin_frequencies_hz(self) -> np.ndarray:
-        return np.arange(self.magnitudes.shape[1]) * self.sample_rate / self.rf
+        return np.arange(self.magnitudes.shape[1]) * TARGET_RATE / self.rf
 
 
 def kernel_spectra_from_kernel(kernel: np.ndarray) -> SpectrumMatrix:

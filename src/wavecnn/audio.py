@@ -207,18 +207,16 @@ def resample_sinc(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
     return y
 
 
-def to_mono_8k(samples: np.ndarray, rate: int, target_rate: int = TARGET_RATE) -> np.ndarray:
-    """Average channels to mono and downsample to the target rate.
+def to_mono_8k(samples: np.ndarray, rate: int) -> np.ndarray:
+    """Average channels to mono and downsample to TARGET_RATE.
 
     Upsampling is refused: the recipe only ever reduces the rate.
     """
-    if rate < target_rate:
-        raise ValueError(f"refusing to upsample from {rate} Hz to {target_rate} Hz")
+    if rate < TARGET_RATE:
+        raise ValueError(f"refusing to upsample from {rate} Hz to {TARGET_RATE} Hz")
     samples = np.asarray(samples, dtype=np.float64)
     mono = samples.mean(axis=1) if samples.ndim == 2 else samples
-    if rate == target_rate:
-        return mono
-    return resample_sinc(mono, rate, target_rate)
+    return resample_sinc(mono, rate, TARGET_RATE)
 
 
 def standardize(samples: np.ndarray) -> np.ndarray:
@@ -232,19 +230,18 @@ def standardize(samples: np.ndarray) -> np.ndarray:
     return (samples - mu) / sigma
 
 
-def fix_length(samples: np.ndarray, target: int = CLIP_SAMPLES) -> np.ndarray:
-    """Truncate to the first `target` samples or zero-pad at the end."""
+def fix_length(samples: np.ndarray) -> np.ndarray:
+    """Truncate to the first CLIP_SAMPLES samples or zero-pad at the end."""
     n = len(samples)
-    if n >= target:
-        return samples[:target]
-    return np.concatenate([samples, np.zeros(target - n, dtype=samples.dtype)])
+    if n >= CLIP_SAMPLES:
+        return samples[:CLIP_SAMPLES]
+    return np.concatenate([samples, np.zeros(CLIP_SAMPLES - n, dtype=samples.dtype)])
 
 
-def preprocess(data: bytes, target_rate: int = TARGET_RATE, target_len: int = CLIP_SAMPLES) -> np.ndarray:
+def preprocess(data: bytes) -> np.ndarray:
     """Full decode -> mono -> resample -> standardize -> fix_length chain."""
     samples, rate, _ = decode_wav(data)
-    mono = to_mono_8k(samples, rate, target_rate)
-    return fix_length(standardize(mono), target_len).astype(np.float32)
+    return fix_length(standardize(to_mono_8k(samples, rate))).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -257,7 +254,8 @@ class ClipEntry:
 
 
 def split_entries(entries, test_fold: int = 10):
-    """Disjoint, exhaustive split: test = the configured fold, train = rest."""
+    """Disjoint, exhaustive split: test = the given fold, train = rest, both
+    in entry order. The package's one fold filter."""
     train = [e for e in entries if e.fold != test_fold]
     test = [e for e in entries if e.fold == test_fold]
     return train, test
@@ -349,7 +347,7 @@ class Batch:
 def stack_clips(dataset, entries) -> tuple:
     """The entries' waveforms as one [N, CLIP_SAMPLES, 1] float32 array,
     and their [N] int64 labels, in entry order."""
-    x = np.stack([dataset.load(e) for e in entries]).astype(np.float32)[..., None]
+    x = np.stack([dataset.load(e) for e in entries]).astype(np.float32, copy=False)[..., None]
     labels = np.array([e.label for e in entries], dtype=np.int64)
     return x, labels
 

@@ -7,7 +7,7 @@ import sys
 
 from . import __version__
 from .analysis import kernel_spectra, write_spectrum_csv, write_spectrum_pgm
-from .audio import DatasetIndex, stack_clips
+from .audio import TARGET_RATE, DatasetIndex, split_entries, stack_clips
 from .models import (
     build,
     count_parameters,
@@ -115,7 +115,7 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     graph = model_from_checkpoint(ckpt)
     dataset = DatasetIndex.from_metadata_csv(args.meta, args.data, cache_dir=args.cache_dir)
-    entries = [e for e in dataset.entries if e.fold == args.fold]
+    _, entries = split_entries(dataset.entries, args.fold)
     if not entries:
         raise ValueError(f"no clips in fold {args.fold}")
     x, labels = stack_clips(dataset, entries)
@@ -160,7 +160,7 @@ def _cmd_kernels(args) -> int:
     write_spectrum_csv(sm, args.out_csv)
     print(
         f"wrote {sm.magnitudes.shape[0]} kernel spectra x {sm.magnitudes.shape[1]} bins "
-        f"({sm.sample_rate / sm.rf:.6g} Hz per bin) to {args.out_csv}"
+        f"({TARGET_RATE / sm.rf:.6g} Hz per bin) to {args.out_csv}"
     )
     if args.out_pgm:
         write_spectrum_pgm(sm, args.out_pgm)

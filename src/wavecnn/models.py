@@ -19,7 +19,8 @@ parameters, runs its forward pass and traces its output shape.
 All weights are Glorot-uniform initialized; conv fans are
 (rf * in_ch, rf * out_ch). Layers followed by BN carry no bias.
 
-In train mode every unit records its ops' backward closures on one op tape.
+In train mode every unit records its ops' backward closures on one op tape,
+all through `_record`: the one place a backward step goes onto the tape.
 Gradients at fan-out points (the residual shortcut) accumulate additively.
 """
 
@@ -35,8 +36,7 @@ from .tensor import RandomSource, TRAIN_DTYPE, check_shape
 
 FC_WIDTH = 1000
 FC_DROPOUT = 0.3
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
+POOL = 4  # maxpool window and stride
 
 # Per column: the first conv's width, the stages as (width, count), and
 # whether a maxpool follows the last stage. A maxpool-4 precedes every
@@ -105,7 +105,7 @@ def _units(column, num_classes, channel_scale,
         units.append(_MaxPoolUnit(len(stages) + 1))
     units.append(_GlobalAvgPoolUnit())
     if fc:
-        units += [_FCUnit(1, FC_WIDTH), _FCUnit(2, FC_WIDTH)]
+        units += [_FCUnit(1), _FCUnit(2)]
     units.append(_DenseUnit(num_classes))
     return units
 
@@ -128,32 +128,38 @@ def _build_bn(graph, k, width):
     graph.state[f"{k}.bn.running_var"] = np.ones(width, dtype=graph.dtype)
 
 
+def _record(tape, backward, cache, *names):
+    """Record `backward(g, cache)` on the tape, if there is one. With names,
+    backward returns (grad_x, *param_grads), and each parameter gradient
+    adds into grads under its name."""
+    if tape is None:
+        return
+    def back(g, grads):
+        if not names:
+            return backward(g, cache)
+        grad_x, *param_grads = backward(g, cache)
+        for name, grad in zip(names, param_grads):
+            ops.accumulate_grad(grads, name, grad)
+        return grad_x
+    tape.record(back)
+
+
 def _bn(y, k, graph, mode, tape):
-    """Batch norm over the `{k}.bn.*` params and state, its backward
-    recorded on the tape."""
+    """Batch norm over the `{k}.bn.*` params and state."""
     s = ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
-        momentum=BN_MOMENTUM,
-        eps=BN_EPS,
     )
     y, cache = ops.batchnorm_forward(y, s, mode)
-    if tape is not None:
-        def bn_back(g, grads, cache=cache, k=k):
-            gx, gg, gb = ops.batchnorm_backward(g, cache)
-            ops.accumulate_grad(grads, f"{k}.bn.gamma", gg)
-            ops.accumulate_grad(grads, f"{k}.bn.beta", gb)
-            return gx
-        tape.record(bn_back)
+    _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
 
 def _relu(y, tape):
     y, mask = ops.relu_forward(y)
-    if tape is not None:
-        tape.record(lambda g, grads, mask=mask: ops.relu_backward(g, mask))
+    _record(tape, ops.relu_backward, mask)
     return y
 
 
@@ -184,14 +190,8 @@ class _ConvUnit:
             stride=self.stride,
         )
         y, cache = ops.conv1d_forward(x, p)
-        if tape is not None:
-            def conv_back(g, grads, cache=cache, k=k, with_bn=self.with_bn):
-                gx, gk, gb = ops.conv1d_backward(g, cache)
-                ops.accumulate_grad(grads, f"{k}.kernel", gk)
-                if not with_bn:
-                    ops.accumulate_grad(grads, f"{k}.bias", gb)
-                return gx
-            tape.record(conv_back)
+        # Without a bias the bias gradient is None, which adds nothing.
+        _record(tape, ops.conv1d_backward, cache, f"{k}.kernel", f"{k}.bias")
         if self.with_bn:
             y = _bn(y, k, graph, mode, tape)
         return y
@@ -242,16 +242,14 @@ class _ResBlockUnit:
         c1, c2 = self._convs
         in_ch = x.shape[-1]
         stash = []
-        if tape is not None:
-            tape.record(lambda g, grads: g + stash.pop())
+        _record(tape, lambda g, stash: g + stash.pop(), stash)
         h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape)
         grow = self.out_ch - in_ch
         h = h + (np.pad(x, ((0, 0), (0, 0), (0, grow))) if grow else x)
-        if tape is not None:
-            def fan_out(g, grads):
-                stash.append(g[:, :, :in_ch])
-                return g
-            tape.record(fan_out)
+        def fan_out(g, stash):
+            stash.append(g[:, :, :in_ch])
+            return g
+        _record(tape, fan_out, stash)
         return _relu(h, tape)
 
     def trace(self, T, C):
@@ -271,13 +269,12 @@ class _MaxPoolUnit:
         return in_ch
 
     def forward(self, x, graph, mode, tape, rng):
-        y, cache = ops.maxpool1d_forward(x, window=4)
-        if tape is not None:
-            tape.record(lambda g, grads, cache=cache: ops.maxpool1d_backward(g, cache))
+        y, cache = ops.maxpool1d_forward(x, window=POOL)
+        _record(tape, ops.maxpool1d_backward, cache)
         return y
 
     def trace(self, T, C):
-        return -(-T // 4), C
+        return -(-T // POOL), C
 
     def param_names(self):
         return []
@@ -293,12 +290,8 @@ class _GlobalAvgPoolUnit:
 
     def forward(self, x, graph, mode, tape, rng):
         y, T = ops.global_avg_pool(x)
-        out = y[:, 0, :]  # flatten [B,1,C] -> [B,C] for the head
-        if tape is not None:
-            def gap_back(g, grads, T=T):
-                return ops.global_avg_pool_backward(g[:, None, :], T)
-            tape.record(gap_back)
-        return out
+        _record(tape, lambda g, T: ops.global_avg_pool_backward(g[:, None, :], T), T)
+        return y[:, 0, :]  # flatten [B,1,C] -> [B,C] for the head
 
     def trace(self, T, C):
         return 1, C
@@ -312,33 +305,26 @@ class _GlobalAvgPoolUnit:
 class _FCUnit:
     """Fully connected layer with BN, ReLU, and inverted dropout."""
 
-    def __init__(self, idx, width, rate=FC_DROPOUT):
-        self.width, self.rate = width, rate
+    def __init__(self, idx):
         self.label = f"fc{idx}"
 
     def build(self, in_ch, rng, graph):
         k = self.label
-        graph.params[f"{k}.w"] = _glorot(rng, (in_ch, self.width), in_ch, self.width, graph.dtype)
-        _build_bn(graph, k, self.width)
-        return self.width
+        graph.params[f"{k}.w"] = _glorot(rng, (in_ch, FC_WIDTH), in_ch, FC_WIDTH, graph.dtype)
+        _build_bn(graph, k, FC_WIDTH)
+        return FC_WIDTH
 
     def forward(self, x, graph, mode, tape, rng):
         k = self.label
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
-        if tape is not None:
-            def fc_back(g, grads, cache=cache, k=k):
-                gx, gw, _ = ops.affine_backward(g, cache)
-                ops.accumulate_grad(grads, f"{k}.w", gw)
-                return gx
-            tape.record(fc_back)
+        _record(tape, ops.affine_backward, cache, f"{k}.w")
         y = _relu(_bn(y, k, graph, mode, tape), tape)
-        y, dcache = ops.dropout(y, self.rate, mode, rng)
-        if tape is not None:
-            tape.record(lambda g, grads, dcache=dcache: ops.dropout_backward(g, dcache))
+        y, cache = ops.dropout(y, FC_DROPOUT, mode, rng)
+        _record(tape, ops.dropout_backward, cache)
         return y
 
     def trace(self, T, C):
-        return 1, self.width
+        return 1, FC_WIDTH
 
     def param_names(self):
         k = self.label
@@ -362,13 +348,7 @@ class _DenseUnit:
 
     def forward(self, x, graph, mode, tape, rng):
         y, cache = ops.affine_forward(x, graph.params["dense.w"], graph.params["dense.b"])
-        if tape is not None:
-            def dense_back(g, grads, cache=cache):
-                gx, gw, gb = ops.affine_backward(g, cache)
-                ops.accumulate_grad(grads, "dense.w", gw)
-                ops.accumulate_grad(grads, "dense.b", gb)
-                return gx
-            tape.record(dense_back)
+        _record(tape, ops.affine_backward, cache, "dense.w", "dense.b")
         return y
 
     def trace(self, T, C):
@@ -390,7 +370,6 @@ class ModelGraph:
         self.dtype = np.dtype(dtype)
         self.params: dict = {}
         self.state: dict = {}
-        self.mode = "infer"
         rng = rng if rng is not None else RandomSource(0)
         in_ch = 1
         for u in self.units:
@@ -400,10 +379,9 @@ class ModelGraph:
     def num_classes(self) -> int:
         return self.units[-1].num_classes
 
-    def forward(self, x: np.ndarray, mode: str | None = None, rng: RandomSource | None = None) -> ForwardResult:
+    def forward(self, x: np.ndarray, mode: str = "infer", rng: RandomSource | None = None) -> ForwardResult:
         """Run the network; returns probabilities, logits, and (in train
         mode) the op tape for the backward pass."""
-        mode = mode or self.mode
         if x.ndim != 3 or x.shape[2] != 1:
             raise ValueError(f"expected input [B,T,1], got {x.shape}")
         first_rf = self.units[0].rf

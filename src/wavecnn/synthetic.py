@@ -72,8 +72,7 @@ class SmokeResult:
     result: TrainResult
 
 
-def smoke_overfit(seed: int = SMOKE_SEED, epochs: int = SMOKE_EPOCHS,
-                  log_path=None, checkpoint_path=None) -> SmokeResult:
+def smoke_overfit(seed: int = SMOKE_SEED, epochs: int = SMOKE_EPOCHS, log_path=None) -> SmokeResult:
     """Overfit 32 sine-vs-noise clips with a reduced-width 3-layer model."""
     data = SyntheticDataset(n_clips=32, seed=seed)
     config = TrainConfig(
@@ -85,7 +84,6 @@ def smoke_overfit(seed: int = SMOKE_SEED, epochs: int = SMOKE_EPOCHS,
         channel_scale=SMOKE_CHANNEL_SCALE,
         stop_at_train_acc=1.0,
         log_path=log_path,
-        checkpoint_path=checkpoint_path,
     )
     result = train(config, data)
     last = result.history[-1]

@@ -25,7 +25,6 @@ from contextlib import contextmanager
 import numpy as np
 
 TRAIN_DTYPE = np.float32
-CHECK_DTYPE = np.float64
 
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces NaN or Inf."""
@@ -75,8 +74,6 @@ class RandomSource:
     ziggurat `standard_normal`. Identical seeds (and derivation tags) yield
     identical value streams across runs.
     """
-
-    algorithm = "pcg64"
 
     def __init__(self, seed: int, _key=None):
         self.seed = int(seed)

@@ -35,6 +35,13 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"WCNNCKPT"
 CHECKPOINT_VERSION = 1
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,seconds"
+EVAL_BATCH = 64
+
+# Adam's moment decay rates and denominator floor. Only the step size
+# (TrainConfig.alpha) is configurable.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # RandomSource derivation tags used by train(); shuffles depend only on
 # (seed, epoch) so a resumed run replays the same batch order.
@@ -73,9 +80,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     l2_coeff: float = 1e-4
     seed: int = 0
     test_fold: int = 10
@@ -99,8 +103,8 @@ class TrainConfig:
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params: dict, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.alpha, self.beta1, self.beta2, self.eps = alpha, beta1, beta2, eps
+    def __init__(self, params: dict, alpha=1e-3):
+        self.alpha = alpha
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -109,8 +113,8 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on params."""
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -118,9 +122,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         if g.shape != p.shape:
             raise ValueError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
         m, v = state.m[name], state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p -= (state.alpha * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(p.dtype, copy=False)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        p -= (state.alpha * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.dtype, copy=False)
 
 
 def add_l2_gradients(params: dict, grads: dict, coeff: float) -> None:
@@ -160,7 +164,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     adam_meta = None
     if ckpt.adam is not None:
         a = ckpt.adam
-        adam_meta = {"t": a.t, "alpha": a.alpha, "beta1": a.beta1, "beta2": a.beta2, "eps": a.eps}
+        adam_meta = {"t": a.t, "alpha": a.alpha, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                     "eps": ADAM_EPS}
         arrays += [(name, "adam_m", arr) for name, arr in a.m.items()]
         arrays += [(name, "adam_v", arr) for name, arr in a.v.items()]
 
@@ -254,9 +259,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     adam = None
     if meta is not None:
-        adam = AdamState(
-            sections["param"], meta["alpha"], meta["beta1"], meta["beta2"], meta["eps"]
-        )
+        adam = AdamState(sections["param"], meta["alpha"])
         adam.t = meta["t"]
         adam.m = sections["adam_m"]
         adam.v = sections["adam_v"]
@@ -320,7 +323,6 @@ class TrainResult:
     checkpoint: Checkpoint
     graph: ModelGraph
     history: list
-    log_path: str | None
 
 
 def _grad_norm_ratio(grads: dict, first_name: str, last_name: str) -> float:
@@ -371,8 +373,7 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
     train_entries, test_entries = split_entries(dataset.entries, config.test_fold)
     val_entries = []
     if config.val_fold is not None:
-        val_entries = [e for e in train_entries if e.fold == config.val_fold]
-        train_entries = [e for e in train_entries if e.fold != config.val_fold]
+        train_entries, val_entries = split_entries(train_entries, config.val_fold)
     if not train_entries:
         raise ValueError("training split is empty")
 
@@ -383,7 +384,7 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         rng=root.derive(_STREAM_INIT),
         channel_scale=config.channel_scale,
     )
-    adam = AdamState(graph.params, config.alpha, config.beta1, config.beta2, config.eps_adam)
+    adam = AdamState(graph.params, config.alpha)
     train_rng = root.derive(_STREAM_TRAIN_OPS)
     start_epoch = 0
     if resume_from is not None:
@@ -394,8 +395,7 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         restore_model(resume_from, graph)
         if resume_from.adam is not None:
             adam = resume_from.adam
-            adam.alpha, adam.beta1 = config.alpha, config.beta1
-            adam.beta2, adam.eps = config.beta2, config.eps_adam
+            adam.alpha = config.alpha
         if resume_from.rng_state is not None:
             train_rng.set_state(resume_from.rng_state)
         start_epoch = resume_from.epoch
@@ -479,18 +479,18 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
             break
 
     final = _make_checkpoint(config, graph, adam, train_rng, history[-1].epoch)
-    return TrainResult(checkpoint=final, graph=graph, history=history, log_path=config.log_path)
+    return TrainResult(checkpoint=final, graph=graph, history=history)
 
 
-def evaluate(graph: ModelGraph, x: np.ndarray, labels: np.ndarray, batch_size: int = 64):
+def evaluate(graph: ModelGraph, x: np.ndarray, labels: np.ndarray):
     """Infer-mode accuracy plus a per-class confusion matrix
     (rows = true class, columns = predicted; argmax ties go to the first
     index). Never mutates parameters or running statistics."""
     K = graph.num_classes
     confusion = np.zeros((K, K), dtype=np.int64)
-    for i in range(0, len(labels), batch_size):
-        xb = x[i : i + batch_size]
-        yb = labels[i : i + batch_size]
+    for i in range(0, len(labels), EVAL_BATCH):
+        xb = x[i : i + EVAL_BATCH]
+        yb = labels[i : i + EVAL_BATCH]
         probs = graph.forward(xb, mode="infer").probs
         pred = np.argmax(probs, axis=1)
         np.add.at(confusion, (yb, pred), 1)

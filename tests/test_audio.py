@@ -1,6 +1,7 @@
 import logging
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from wavecnn.audio import (
     preprocess,
     resample_sinc,
     split_entries,
+    stack_clips,
     standardize,
     to_mono_8k,
 )
+from wavecnn.synthetic import SyntheticDataset
 from wavecnn.tensor import RandomSource
 
 
@@ -354,3 +357,18 @@ class TestDatasetIndex:
         meta.write_text("slice_file_name,fold,classID\nsolo.wav,3,1\n")
         index = DatasetIndex.from_metadata_csv(meta, tmp_path)
         assert index.load(index.entries[0]).shape == (CLIP_SAMPLES,)
+
+
+def test_stack_clips_copies_each_clip_once():
+    """Stacking float32 clips allocates the stacked array and no second
+    copy of it: the traced peak stays near the stacked bytes."""
+    data = SyntheticDataset(n_clips=64)
+    tracemalloc.start()
+    try:
+        x, labels = stack_clips(data, data.entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (64, CLIP_SAMPLES, 1) and x.dtype == np.float32
+    assert np.array_equal(labels, [e.label for e in data.entries])
+    assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the stacked bytes"

@@ -334,3 +334,33 @@ class TestForward:
         a = build("m11", rng=RandomSource(42), channel_scale=1 / 8)
         b = build("m11", rng=RandomSource(42), channel_scale=1 / 8)
         assert _param_digest(a) == _param_digest(b)
+
+
+# Tape records per train-mode forward. A change here changes what the
+# backward walks, and the benchmark's models.tape_records with it.
+_TAPE_RECORDS = {
+    "m11": 36, "m11-fc": 44, "m11-lrf": 36, "m11-no-bn": 26, "m11-srf": 36,
+    "m11-stride1": 36, "m18": 57, "m18-fc": 65, "m18-lrf": 57, "m18-no-bn": 40,
+    "m18-srf": 57, "m3": 10, "m3-big": 10, "m3-fc": 18, "m3-no-bn": 8,
+    "m34-no-bn": 104, "m34-res": 137, "m5": 18, "m5-big": 18, "m5-fc": 26,
+    "m5-no-bn": 14,
+}
+
+
+@pytest.mark.parametrize("name", valid_architectures())
+def test_tape_structure(name):
+    """The backward yields a gradient for exactly the parameters (adam_step
+    silently ignores extra keys, such as a bias gradient for a BN conv),
+    from a tape of the pinned length."""
+    graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+    x = RandomSource(0).normal(0, 1, (2, 1280, 1))
+    res = graph.forward(x, mode="train", rng=RandomSource(0))
+    _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
+    grads = {}
+    res.tape.backward(dlogits, grads)
+    assert set(grads) == set(graph.params)
+    assert len(res.tape) == _TAPE_RECORDS[name]
+
+
+def test_tape_structure_covers_every_name():
+    assert sorted(_TAPE_RECORDS) == valid_architectures()

@@ -1,7 +1,8 @@
-"""Every public function and class of ops.py and tensor.py is used by
-another module of the package. A name that only its own tests call is dead
+"""Every public function, class and module-level constant of ops.py and
+tensor.py is used by another module of the package. A name that only its own tests call is dead
 code: delete it, or fold it into what the package uses."""
 
+import ast
 import inspect
 import io
 import tokenize
@@ -18,6 +19,17 @@ def _code_names(path: Path) -> set:
     return {t.string for t in tokens if t.type == tokenize.NAME}
 
 
+def _constants(path: Path) -> list:
+    """Names a module assigns at its top level."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
 @pytest.mark.parametrize("module", [ops, tensor], ids=lambda m: m.__name__)
 def test_public_names_are_used_elsewhere_in_the_package(module):
     own = Path(module.__file__)
@@ -31,6 +43,7 @@ def test_public_names_are_used_elsewhere_in_the_package(module):
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     ]
+    public += [name for name in _constants(own) if not name.startswith("_")]
     assert public
     unused = sorted(set(public) - used)
     assert not unused, f"{module.__name__}: no other module of the package uses {unused}"
