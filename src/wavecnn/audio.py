@@ -1,9 +1,9 @@
 """WAV ingestion, 8 kHz resampling, standardization, and fold management.
 
-The per-clip pipeline is decode -> mono mixdown -> windowed-sinc resample to
-8 kHz -> standardize to zero mean / unit variance -> pad or truncate to
-32000 samples (4 s). Every stage is a pure function, so the chain is
-bit-reproducible for a given file.
+The per-clip pipeline is decode -> mono mixdown -> ideal (sinc) low-pass
+resample to 8 kHz by FFT -> standardize to zero mean / unit variance -> pad
+or truncate to 32000 samples (4 s). Every stage is a pure function, so the
+chain is bit-reproducible for a given file.
 
 Dataset discovery is metadata-driven: a CSV with columns
 `slice_file_name,fold,classID` (extra columns ignored), audio under
@@ -17,7 +17,6 @@ import hashlib
 import logging
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -29,16 +28,14 @@ logger = logging.getLogger(__name__)
 
 TARGET_RATE = 8000
 CLIP_SAMPLES = 32000
-# Highest source rate accepted. The resampler's filter bank grows with the
-# source rate, so an unbounded rate in a hostile header costs unbounded
-# time and memory.
+# Highest source rate accepted. The resampler zero-pads a clip to a whole
+# number of rate / gcd(rate, 8000) samples, so an unbounded rate in a
+# hostile header costs unbounded time and memory.
 MAX_SOURCE_RATE = 384000
-# Largest resampler filter bank, in coefficients (up phases x 2K+1 taps),
-# 2 MiB of float64. A rate sharing few factors with the target needs up to
-# 8000 phases; 11,024 Hz needs 500 x 269 and passes, while 22,254 Hz
-# (4000 x 539) and 44,056 Hz (1000 x 1061) are refused.
-MAX_FILTER_BANK = 1 << 18
 STD_FLOOR = 1e-8
+# Hashed into every cache key with the source bytes. Change it whenever
+# `preprocess` output changes, so blobs from an older pipeline are not served.
+_PIPELINE_TAG = b"fft-sinc 8 kHz, standardized, 32000 float32\n"
 
 
 class WavError(ValueError):
@@ -51,8 +48,7 @@ class MalformedWavError(WavError):
 
 class UnsupportedWavError(WavError):
     """Container is valid but the codec is not PCM 8/16/24-bit or float32,
-    the sample rate is above MAX_SOURCE_RATE, or resampling it would need
-    a filter bank above MAX_FILTER_BANK coefficients."""
+    or the sample rate is above MAX_SOURCE_RATE."""
 
 
 class TruncatedWavError(WavError):
@@ -129,6 +125,8 @@ def decode_wav(data: bytes):
             f"data chunk holds {len(raw)} bytes, not a multiple of frame size {frame_bytes}"
         )
     frames = len(raw) // frame_bytes
+    if frames == 0:
+        raise TruncatedWavError("data chunk holds no frames")
 
     if bits == 8:
         samples = (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
@@ -145,66 +143,32 @@ def decode_wav(data: bytes):
     return samples.reshape(frames, channels), rate, channels
 
 
-# Resampler design: the continuous kernel is a Kaiser-windowed sinc with
-# cutoff at the target Nyquist. Evaluated on the rational up/down grid it
-# decomposes into `up` polyphase filters. Sized so a tone at 97.5% of the
-# target Nyquist passes nearly unattenuated while anything above it is
-# strongly rejected.
-_SINC_ZEROS = 96
-_KAISER_BETA = 6.0
-
-
-@lru_cache(maxsize=16)
-def _polyphase_filters(src_rate: int, dst_rate: int):
-    g = gcd(src_rate, dst_rate)
-    up, down = dst_rate // g, src_rate // g
-    cutoff = 0.5 * dst_rate / src_rate  # cycles per input sample
-    half = _SINC_ZEROS / (2.0 * cutoff)  # kernel half-width in input samples
-    K = int(np.ceil(half)) + 1
-    if up * (2 * K + 1) > MAX_FILTER_BANK:
-        raise UnsupportedWavError(
-            f"rate {src_rate} Hz to {dst_rate} Hz needs a {up} x {2 * K + 1} filter bank, "
-            f"above {MAX_FILTER_BANK} coefficients"
-        )
-    offsets = np.arange(-K, K + 1, dtype=np.float64)
-    filters = np.zeros((up, 2 * K + 1), dtype=np.float64)
-    for phase in range(up):
-        tau = phase / up - offsets
-        window = np.where(
-            np.abs(tau) <= half,
-            np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - (tau / half) ** 2, 0.0)))
-            / np.i0(_KAISER_BETA),
-            0.0,
-        )
-        h = 2.0 * cutoff * np.sinc(2.0 * cutoff * tau) * window
-        filters[phase] = h / h.sum()  # unit DC gain per phase
-    return up, down, K, filters
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT needs no Bluestein
+    plan for, whose buffers would inflate the process's resident memory."""
+    bits = range(n.bit_length() + 1)
+    odd = (3**b * 5**c for b in bits for c in bits)
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
 
 
 def resample_sinc(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
-    """Polyphase windowed-sinc resampling with cutoff at dst_rate/2."""
-    if src_rate == dst_rate:
-        return np.asarray(x, dtype=np.float64)
+    """Ideal (sinc) low-pass resampling by FFT, keeping only the bins
+    below dst_rate/2; the output has ceil(len(x) * dst_rate / src_rate)
+    samples."""
     x = np.asarray(x, dtype=np.float64)
-    up, down, K, filters = _polyphase_filters(src_rate, dst_rate)
-    n_out = -(-len(x) * up // down)
-    xp = np.pad(x, (K, K + down))
-    y = np.empty(n_out, dtype=np.float64)
-    inv_down = pow(down, -1, up)
-    stride = xp.strides[0]
-    for phase in range(up):
-        n0 = (phase * inv_down) % up
-        if n0 >= n_out:
-            continue
-        rows = (n_out - n0 + up - 1) // up
-        base0 = (n0 * down) // up
-        windows = np.lib.stride_tricks.as_strided(
-            xp[base0:],
-            shape=(rows, 2 * K + 1),
-            strides=(down * stride, stride),
-        )
-        y[n0::up] = windows @ filters[phase]
-    return y
+    if src_rate == dst_rate:
+        return x
+    g = gcd(src_rate, dst_rate)
+    up, down = dst_rate // g, src_rate // g
+    # Zero-padding to a whole number of `down` samples makes the output
+    # length a whole number too, so every output sample falls exactly on
+    # its instant; otherwise the clip is time-stretched.
+    n_in = _fast_len(-(-len(x) // down)) * down
+    n_out = n_in // down * up
+    spec = np.fft.rfft(x, n_in)
+    y = np.fft.irfft(spec[: (n_out + 1) // 2], n_out)
+    y *= up / down
+    return y[: -(-len(x) * up // down)]
 
 
 def to_mono_8k(samples: np.ndarray, rate: int) -> np.ndarray:
@@ -265,9 +229,10 @@ class DatasetIndex:
     """Fold-organized catalog of clips behind a metadata CSV.
 
     Decoded clips are memoized in memory; `cache_dir`, when set, also stores
-    the preprocessed 32000-sample float32 blob keyed by the content hash of
-    the source file so later runs skip decoding and resampling. Blobs are
-    written atomically; one of the wrong size is recomputed and rewritten.
+    the preprocessed 32000-sample float32 blob keyed by the hash of the
+    pipeline tag and the source file so later runs skip decoding and
+    resampling. Blobs are written atomically; one of the wrong size is
+    recomputed and rewritten.
     """
 
     def __init__(self, entries, class_names, cache_dir=None):
@@ -310,8 +275,9 @@ class DatasetIndex:
         return len(self.class_names)
 
     def _cache_path(self, raw: bytes) -> Path:
-        key = hashlib.sha256(raw).hexdigest()[:32]
-        return self.cache_dir / f"{key}.f32"
+        key = hashlib.sha256(_PIPELINE_TAG)
+        key.update(raw)
+        return self.cache_dir / f"{key.hexdigest()[:32]}.f32"
 
     def load(self, entry: ClipEntry) -> np.ndarray:
         """Preprocessed 32000-sample float32 waveform for one entry."""

@@ -7,7 +7,7 @@ import sys
 
 from . import __version__
 from .analysis import kernel_spectra, write_spectrum_csv, write_spectrum_pgm
-from .audio import TARGET_RATE, DatasetIndex, split_entries, stack_clips
+from .audio import CLIP_SAMPLES, TARGET_RATE, DatasetIndex, split_entries, stack_clips
 from .models import (
     build,
     count_parameters,
@@ -25,8 +25,6 @@ from .training import (
     model_from_checkpoint,
     train,
 )
-
-INSPECT_TRACE_T = 32000
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -131,11 +129,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_inspect(args) -> int:
     graph = build(args.arch, num_classes=args.num_classes, rng=RandomSource(0))
-    trace = shape_trace(graph, INSPECT_TRACE_T)
+    trace = shape_trace(graph, CLIP_SAMPLES)
     counts = dict(parameter_breakdown(graph))
     units = {u.label: u for u in graph.units}
 
-    print(f"architecture {args.arch} ({args.num_classes} classes, input {INSPECT_TRACE_T}x1)")
+    print(f"architecture {args.arch} ({args.num_classes} classes, input {CLIP_SAMPLES}x1)")
     header = f"{'layer':<24} {'rf':>4} {'stride':>6} {'params':>10} {'output (T x C)':>16}"
     print(header)
     print("-" * len(header))

@@ -259,7 +259,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     adam = None
     if meta is not None:
-        adam = AdamState(sections["param"], meta["alpha"])
+        adam = AdamState({}, meta["alpha"])  # takes the loaded moments, allocates none
         adam.t = meta["t"]
         adam.m = sections["adam_m"]
         adam.v = sections["adam_v"]
@@ -384,7 +384,6 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         rng=root.derive(_STREAM_INIT),
         channel_scale=config.channel_scale,
     )
-    adam = AdamState(graph.params, config.alpha)
     train_rng = root.derive(_STREAM_TRAIN_OPS)
     start_epoch = 0
     if resume_from is not None:
@@ -393,12 +392,14 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
                 f"checkpoint arch {resume_from.arch!r} != config arch {config.arch!r}"
             )
         restore_model(resume_from, graph)
-        if resume_from.adam is not None:
-            adam = resume_from.adam
-            adam.alpha = config.alpha
         if resume_from.rng_state is not None:
             train_rng.set_state(resume_from.rng_state)
         start_epoch = resume_from.epoch
+    if resume_from is not None and resume_from.adam is not None:
+        adam = resume_from.adam
+        adam.alpha = config.alpha
+    else:
+        adam = AdamState(graph.params, config.alpha)
 
     test_x, test_y = stack_clips(dataset, test_entries) if test_entries else (None, None)
     val_x, val_y = stack_clips(dataset, val_entries) if val_entries else (None, None)

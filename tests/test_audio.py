@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import struct
 import time
@@ -119,12 +120,10 @@ class TestDecodeWav:
         with pytest.raises(UnsupportedWavError, match="format 7"):
             decode_wav(bytes(blob))
 
-    # Above MAX_SOURCE_RATE, then inside it but sharing so few factors
-    # with 8 kHz that the bank would need 8000 phases.
-    @pytest.mark.parametrize("rate", [1_000_003, 50_000_017, 48_001, 383_999])
+    @pytest.mark.parametrize("rate", [1_000_003, 50_000_017])
     def test_rate_above_bound_rejected_fast(self, rate):
-        """A 400-byte file declaring a huge or awkward rate is refused
-        before the resampler builds a filter bank for it."""
+        """A 400-byte file declaring a rate above MAX_SOURCE_RATE is
+        refused before the resampler pads it to that rate's grid."""
         blob = wav_bytes(np.zeros(178), rate)
         assert len(blob) == 400
         t0 = time.perf_counter()
@@ -132,25 +131,48 @@ class TestDecodeWav:
             preprocess(blob)
         assert time.perf_counter() - t0 < 1.0
 
+    # Rates sharing so few factors with 8 kHz that a clip is zero-padded to
+    # up to 383,999 samples before the FFT; 383,999 is prime.
+    @pytest.mark.parametrize("rate", [48_001, 383_999])
+    def test_awkward_rate_resampled_fast(self, rate):
+        """A 400-byte file at an awkward rate inside the bound is
+        resampled within the same second."""
+        blob = wav_bytes(np.random.default_rng(8).uniform(-0.5, 0.5, 178), rate)
+        assert len(blob) == 400
+        t0 = time.perf_counter()
+        y = preprocess(blob)
+        assert time.perf_counter() - t0 < 1.0
+        assert y.shape == (CLIP_SAMPLES,) and np.isfinite(y).all()
+
     def test_rate_at_bound_accepted(self):
         _, rate, _ = decode_wav(wav_bytes(np.zeros(48), 384000))
         assert rate == 384000
 
     # Every rate of the benchmark corpus (perfbench/inputs.py), 352.8 kHz,
-    # the rate bound, and 11,024 Hz, which occurs in UrbanSound8K and needs
-    # a larger bank (500 x 269) than any corpus rate.
+    # the rate bound, 11,024 Hz, which occurs in UrbanSound8K, and the
+    # NTSC-derived 22,254 and 44,056 Hz.
     @pytest.mark.parametrize("rate", [
         8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000,
-        88200, 96000, 176400, 192000, 352800, 384000, 11024,
+        88200, 96000, 176400, 192000, 352800, 384000, 11024, 22254, 44056,
     ])
     def test_common_rates_resampled(self, rate):
         y = preprocess(wav_bytes(np.zeros(rate // 100), rate))
-        assert y.shape == (CLIP_SAMPLES,)
+        assert y.shape == (CLIP_SAMPLES,) and y.dtype == np.float32
+        assert np.isfinite(y).all()
 
     def test_truncated_data_chunk(self):
         blob = wav_bytes(np.zeros(100), 8000)
         with pytest.raises(TruncatedWavError, match="declares"):
             decode_wav(blob[:-50])
+
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_no_frames_is_typed_error(self, rate):
+        blob = bytearray(wav_bytes(np.zeros(1), rate)[:-2])
+        struct.pack_into("<I", blob, 4, 36)  # RIFF size
+        struct.pack_into("<I", blob, 40, 0)  # data chunk size
+        assert len(blob) == 44
+        with pytest.raises(TruncatedWavError, match="no frames"):
+            preprocess(bytes(blob))
 
     def test_missing_chunks(self):
         with pytest.raises(TruncatedWavError):
@@ -203,6 +225,39 @@ class TestResampler:
 
     def test_stopband_5khz(self):
         assert self.tone_amplitude(5000) <= 0.05
+
+    # 0.7317 s puts none of these tones on an FFT bin, so an FFT resampler
+    # without an exact output grid, or with its cutoff off 4 kHz, fails.
+    @staticmethod
+    def off_bin_tone(freq, src=44100):
+        t = np.arange(round(0.7317 * src)) / src
+        return resample_sinc(np.sin(2 * np.pi * freq * t), src, 8000)
+
+    @staticmethod
+    def fitted_amplitude(y, freq):
+        """Amplitude of the `freq` Hz sinusoid that best fits the middle
+        half of an 8 kHz signal."""
+        mid = np.arange(len(y) // 4, 3 * len(y) // 4)
+        w = 2 * np.pi * freq * mid / 8000
+        basis = np.stack([np.sin(w), np.cos(w)], axis=1)
+        return float(np.hypot(*np.linalg.lstsq(basis, y[mid], rcond=None)[0]))
+
+    def test_off_bin_tone_matches_analytic_sine(self):
+        y = self.off_bin_tone(1000.37)
+        ref = np.sin(2 * np.pi * 1000.37 * np.arange(len(y)) / 8000)
+        mid = slice(len(y) // 4, 3 * len(y) // 4)
+        assert np.abs(y[mid] - ref[mid]).max() < 1e-4
+
+    def test_off_bin_passband_tone(self):
+        assert self.fitted_amplitude(self.off_bin_tone(3900.5), 3900.5) >= 0.99
+
+    @pytest.mark.parametrize("freq", [4010, 4100.3])
+    def test_off_bin_stopband_tone_not_aliased(self, freq):
+        """A tone above 4 kHz must not fold back to 8000 - freq Hz. The
+        brick-wall's ringing from the clip edges sits just below 4 kHz, is
+        not an alias, and is not counted: for 4010 Hz it is 0.02 RMS
+        amplitude over the middle half."""
+        assert self.fitted_amplitude(self.off_bin_tone(freq), 8000 - freq) <= 0.01
 
     def test_resample_determinism(self):
         x = np.random.default_rng(2).standard_normal(22050)
@@ -349,6 +404,17 @@ class TestDatasetIndex:
         assert "1001 bytes" in caplog.text
         assert list(cache.iterdir()) == [blob]
         assert blob.stat().st_size == 4 * CLIP_SAMPLES
+
+    def test_blob_under_bytes_only_key_ignored(self, tmp_path):
+        """A blob keyed by the source bytes alone, as a pipeline without a
+        tag wrote it, is not served: the key names the pipeline."""
+        meta = write_corpus(tmp_path)
+        cache = tmp_path / "cache"
+        index = DatasetIndex.from_metadata_csv(meta, tmp_path, cache_dir=cache)
+        raw = index.entries[0].path.read_bytes()
+        stale = cache / f"{hashlib.sha256(raw).hexdigest()[:32]}.f32"
+        stale.write_bytes(np.ones(CLIP_SAMPLES, dtype="<f4").tobytes())
+        np.testing.assert_array_equal(index.load(index.entries[0]), preprocess(raw))
 
     def test_flat_layout_fallback(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,24 @@ class TestCheckpoint:
         assert loaded.epoch == 1
         for name, arr in first.checkpoint.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
+
+    def test_load_allocates_each_tensor_once(self, tmp_path):
+        """The Adam moments are read into the loaded state, not allocated
+        as zeros first: the traced peak stays near the tensor bytes."""
+        graph = build("m34-res", num_classes=10, rng=RandomSource(0), channel_scale=0.25)
+        ckpt = Checkpoint(version=1, arch="m34-res", epoch=1, params=graph.params,
+                          state=graph.state, config={}, adam=AdamState(graph.params))
+        path = tmp_path / "m34res.ckpt"
+        save_checkpoint(ckpt, path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sections = (loaded.params, loaded.state, loaded.adam.m, loaded.adam.v)
+        nbytes = sum(a.nbytes for d in sections for a in d.values())
+        assert peak <= 1.15 * nbytes, f"peak {peak / nbytes:.2f}x the tensor bytes"
 
     def test_float64_graph_refused(self, tmp_path):
         ckpt = Checkpoint(
