@@ -259,6 +259,14 @@ class TestResampler:
         amplitude over the middle half."""
         assert self.fitted_amplitude(self.off_bin_tone(freq), 8000 - freq) <= 0.01
 
+    def test_off_bin_stopband_tone_leaves_little_energy(self):
+        """4100.3 Hz is far enough above 4 kHz for the edge ringing to be
+        small, so everything it leaves in the band, at any frequency,
+        must be: RMS amplitude over the middle half at most 0.01."""
+        y = self.off_bin_tone(4100.3)
+        mid = y[len(y) // 4 : 3 * len(y) // 4]
+        assert np.sqrt(2.0 * np.mean(mid**2)) <= 0.01
+
     def test_resample_determinism(self):
         x = np.random.default_rng(2).standard_normal(22050)
         np.testing.assert_array_equal(

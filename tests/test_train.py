@@ -175,6 +175,23 @@ class TestEvaluate:
         assert abs(acc - 0.1) <= 0.05
         np.testing.assert_array_equal(confusion.sum(axis=1), np.bincount(y, minlength=10))
 
+    def test_peak_memory_bounded_by_eight_clips(self):
+        """Evaluation holds at most 8 clips' activations at a time, so 32
+        clips peak no higher than 8 do."""
+        graph = build("m3", num_classes=10, rng=RandomSource(4), channel_scale=1 / 8)
+
+        def peak(n):
+            x = np.random.default_rng(5).standard_normal((n, 8000, 1), dtype=np.float32)
+            y = np.arange(n) % 10
+            tracemalloc.start()
+            try:
+                evaluate(graph, x, y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 1.2 * peak(8)
+
     def test_evaluation_is_pure(self):
         graph = build("m5", num_classes=2, rng=RandomSource(2), channel_scale=1 / 16)
         x = RandomSource(3).normal(0, 1, (6, 2000, 1))
