@@ -48,7 +48,7 @@ class MalformedWavError(WavError):
 
 class UnsupportedWavError(WavError):
     """Container is valid but the codec is not PCM 8/16/24-bit or float32,
-    or the sample rate is above MAX_SOURCE_RATE."""
+    or the sample rate is below TARGET_RATE or above MAX_SOURCE_RATE."""
 
 
 class TruncatedWavError(WavError):
@@ -183,7 +183,7 @@ def to_mono_8k(samples: np.ndarray, rate: int) -> np.ndarray:
     Upsampling is refused: the recipe only ever reduces the rate.
     """
     if rate < TARGET_RATE:
-        raise ValueError(f"refusing to upsample from {rate} Hz to {TARGET_RATE} Hz")
+        raise UnsupportedWavError(f"refusing to upsample from {rate} Hz to {TARGET_RATE} Hz")
     samples = np.asarray(samples, dtype=np.float64)
     mono = samples.mean(axis=1) if samples.ndim == 2 else samples
     return resample_sinc(mono, rate, TARGET_RATE)

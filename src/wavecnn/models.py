@@ -22,6 +22,11 @@ All weights are Glorot-uniform initialized; conv fans are
 In train mode every unit records its ops' backward closures on one op tape,
 all through `_record`: the one place a backward step goes onto the tape.
 Gradients at fan-out points (the residual shortcut) accumulate additively.
+
+A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
+(conv units, FC units and a residual block's first conv). A standalone ReLU
+op remains only where no BN precedes it: after the residual shortcut add
+and in the no-BN variants' conv units.
 """
 
 from __future__ import annotations
@@ -144,15 +149,16 @@ def _record(tape, backward, cache, *names):
     tape.record(back)
 
 
-def _bn(y, k, graph, mode, tape):
-    """Batch norm over the `{k}.bn.*` params and state."""
+def _bn(y, k, graph, mode, tape, relu):
+    """Batch norm over the `{k}.bn.*` params and state, with the ReLU as
+    its epilogue if asked."""
     s = ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
     )
-    y, cache = ops.batchnorm_forward(y, s, mode)
+    y, cache = ops.batchnorm_forward(y, s, mode, relu)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
@@ -181,8 +187,8 @@ class _ConvUnit:
             graph.params[f"{k}.bias"] = np.zeros(self.out_ch, dtype=graph.dtype)
         return self.out_ch
 
-    def conv_bn(self, x, graph, mode, tape):
-        """The convolution and its batch norm (or bias), without the ReLU."""
+    def conv_bn(self, x, graph, mode, tape, relu):
+        """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
         k = self.label
         p = ops.ConvParams(
             kernel=graph.params[f"{k}.kernel"],
@@ -193,11 +199,11 @@ class _ConvUnit:
         # Without a bias the bias gradient is None, which adds nothing.
         _record(tape, ops.conv1d_backward, cache, f"{k}.kernel", f"{k}.bias")
         if self.with_bn:
-            y = _bn(y, k, graph, mode, tape)
-        return y
+            return _bn(y, k, graph, mode, tape, relu)
+        return _relu(y, tape) if relu else y
 
     def forward(self, x, graph, mode, tape, rng):
-        return _relu(self.conv_bn(x, graph, mode, tape), tape)
+        return self.conv_bn(x, graph, mode, tape, relu=True)
 
     def trace(self, T, C):
         return ops.same_pad_1d(T, self.rf, self.stride)[0], self.out_ch
@@ -243,7 +249,7 @@ class _ResBlockUnit:
         in_ch = x.shape[-1]
         stash = []
         _record(tape, lambda g, stash: g + stash.pop(), stash)
-        h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape)
+        h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape, relu=False)
         grow = self.out_ch - in_ch
         h = h + (np.pad(x, ((0, 0), (0, 0), (0, grow))) if grow else x)
         def fan_out(g, stash):
@@ -318,7 +324,7 @@ class _FCUnit:
         k = self.label
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
         _record(tape, ops.affine_backward, cache, f"{k}.w")
-        y = _relu(_bn(y, k, graph, mode, tape), tape)
+        y = _bn(y, k, graph, mode, tape, relu=True)
         y, cache = ops.dropout(y, FC_DROPOUT, mode, rng)
         _record(tape, ops.dropout_backward, cache)
         return y

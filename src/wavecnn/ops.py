@@ -8,19 +8,26 @@ Precision follows the input dtype. A float64 op computes in float64, and the
 float64 convolution forward accumulates products one (tap, in_channel) pair
 at a time, in the same order as a naive triple loop, so results are bitwise
 equal to the brute-force reference; gradient checks use this path. A float32
-op computes in float32: the convolution forward is an im2col GEMM written
-straight into the output, and the backward GEMMs accumulate in float32 too.
+op computes in float32, and its convolution GEMMs accumulate in float32.
 Per-channel reductions are the exception: batch-norm statistics and
 gradient sums and the conv bias gradient are float64 on both paths, and
 batch norm applies its statistics as one float64-derived scale/shift per
-channel.
+channel. A ReLU that follows batch norm runs as the BN op's in-place
+epilogue.
 
-Convolution backward dispatches on the input channel count. A per-tap
-product has inner dimension Cin, so with deep inputs each of the rf taps is
-already a full GEMM and the backward loops over taps. With thin inputs (the
-waveform stem has Cin 1) a per-tap product is a memory-bound pass over the
-whole output gradient, repeated 2*rf times, so the backward instead gathers
-each clip's receptive fields into im2col rows [out_T, rf*Cin] and does one
+The float32 convolution forward and the backward (both dtypes) pick their
+path by the input channel count, against one threshold, _IM2COL_MAX_CIN. A
+per-tap product has inner dimension Cin, so with deep inputs each of the rf
+taps is already a full GEMM. The deep forward sums rf GEMMs on strided views
+of the padded input: the first tap writes the output, and each later tap
+goes through one reused output-sized buffer. The deep backward reuses one
+(B, out_T, Cin) buffer for every tap: it holds the tap's input rows for the
+grad_kernel GEMM, then that tap's share of grad_x. Neither direction builds
+an im2col or a transposed copy. With thin inputs (the waveform stem has
+Cin 1) a per-tap product is a memory-bound pass over the whole output, so
+both directions gather receptive fields into im2col rows [out_T, rf*Cin]:
+the forward does one GEMM written straight into the output, in batch slices
+within a byte budget, and the backward goes one clip at a time, with one
 GEMM for grad_kernel and one for the im2col gradient, which an rf-step
 strided col2im adds back onto grad_x.
 """
@@ -38,9 +45,10 @@ from .tensor import check_finite
 # in slices.
 _GEMM_BUDGET_BYTES = 128 << 20
 
-# Backward gathers whole-window im2col rows below this many input channels;
-# from Cin 8 up the per-tap GEMMs measured as fast or faster.
-_IM2COL_BACKWARD_MAX_CIN = 8
+# Below this many input channels the float32 forward and the backward both
+# gather whole-window im2col rows; from Cin 8 up each tap's product is
+# already a full GEMM, and the per-tap paths measured as fast or faster.
+_IM2COL_MAX_CIN = 8
 
 
 @dataclass
@@ -119,7 +127,7 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
                 y += xs[:, :, c : c + 1] * p.kernel[r, c][None, None, :]
         if p.bias is not None:
             y += p.bias
-    else:
+    elif Cin < _IM2COL_MAX_CIN:
         k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, -1)
         y = np.empty((B, out_T, p.out_channels), dtype=x.dtype)
         step = max(1, _GEMM_BUDGET_BYTES // (out_T * Cin * rf * x.itemsize))
@@ -127,6 +135,18 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
             win = sliding_window_view(xp[b0 : b0 + step], rf, axis=1)[:, ::stride]
             flat = win.reshape(-1, Cin * rf)
             np.matmul(flat, k2, out=y[b0 : b0 + step].reshape(-1, p.out_channels))
+        if p.bias is not None:
+            y += p.bias
+    else:
+        # One GEMM per tap on strided views of xp; taps after the first
+        # go through one reused buffer.
+        k = p.kernel.astype(x.dtype, copy=False)
+        span = stride * out_T
+        y = np.matmul(xp[:, 0:span:stride], k[0])
+        buf = np.empty_like(y)
+        for r in range(1, rf):
+            np.matmul(xp[:, r : r + span : stride], k[r], out=buf)
+            y += buf
         if p.bias is not None:
             y += p.bias
 
@@ -146,7 +166,7 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     dt = grad_out.dtype
     k = p.kernel.astype(dt, copy=False)
     grad_xp = np.zeros(xp.shape, dtype=dt)
-    if Cin < _IM2COL_BACKWARD_MAX_CIN:
+    if Cin < _IM2COL_MAX_CIN:
         # One clip at a time, through buffers reused for every clip: the
         # im2col memory is one clip's worth, allocated once per call.
         k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
@@ -162,11 +182,18 @@ def conv1d_backward(grad_out: np.ndarray, cache):
                 grad_xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
         grad_kernel = gk2.reshape(Cin, rf, Cout).transpose(1, 0, 2)
     else:
+        # One (B, out_T, Cin) buffer serves every tap: it holds the tap's
+        # input rows for the grad_kernel GEMM, then that tap's grad_x share.
         grad_kernel = np.empty(k.shape, dtype=dt)
+        g2 = grad_out.reshape(-1, Cout)
+        buf = np.empty((B, out_T, Cin), dtype=dt)
+        buf2 = buf.reshape(-1, Cin)
         for r in range(rf):
-            xs = xp[:, r : r + stride * out_T : stride, :]
-            grad_kernel[r] = np.tensordot(xs, grad_out, axes=([0, 1], [0, 1]))
-            grad_xp[:, r : r + stride * out_T : stride, :] += grad_out @ k[r].T
+            rows = slice(r, r + stride * out_T, stride)
+            buf[...] = xp[:, rows]
+            np.matmul(buf2.T, g2, out=grad_kernel[r])
+            np.matmul(grad_out, k[r].T, out=buf)
+            grad_xp[:, rows] += buf
     grad_x = grad_xp[:, left : left + T, :]
     grad_kernel = grad_kernel.astype(p.kernel.dtype, copy=False)
 
@@ -218,12 +245,13 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return grad_out * mask
 
 
-def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
+def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, relu: bool = False):
     """Normalize per channel; train mode pools stats over (batch, time).
 
     The statistics and the per-channel scale/shift are float64; the output
-    y = x * scale + shift is formed in x's dtype in two passes. Train mode
-    updates running stats in place:
+    y = x * scale + shift is formed in x's dtype in two passes. With relu,
+    max(y, 0) is applied in place as an epilogue. Train mode updates running
+    stats in place:
     running <- (1 - momentum) * running + momentum * batch.
     """
     C = x.shape[-1]
@@ -247,24 +275,37 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
     scale = s.gamma * inv
     y = x * scale.astype(x.dtype)
     y += (s.beta - mu * scale).astype(x.dtype)
-    cache = (x2, mu, inv, s.gamma, n, mode == "train")
-    return check_finite("batchnorm", y), cache
+    check_finite("batchnorm", y)
+    mask = None
+    if relu:
+        np.maximum(y, 0, out=y)
+        mask = y > 0
+    cache = (x2, mu, inv, s.gamma, n, mode == "train", mask)
+    return y, cache
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
     """Adjoints (grad_x, grad_gamma, grad_beta) of batchnorm_forward.
 
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
-    the sums of g and g * x.
+    the sums of g and g * x. After a ReLU epilogue, g is the output gradient
+    masked to where the output is positive, and grad_x is formed in place
+    on it.
     """
-    x2, mu, inv, gamma, n, trained = cache
+    x2, mu, inv, gamma, n, trained, mask = cache
     dt = grad_out.dtype
+    if mask is not None:
+        grad_out = grad_out * mask
     g2 = grad_out.reshape(x2.shape)
     sum_g = g2.sum(axis=0, dtype=np.float64)
     sum_gx = np.einsum("ij,ij->j", g2, x2, dtype=np.float64)
     grad_gamma = inv * (sum_gx - mu * sum_g)
     a = gamma * inv
-    grad_x = grad_out * a.astype(dt)
+    if mask is None:
+        grad_x = grad_out * a.astype(dt)
+    else:
+        grad_x = grad_out
+        grad_x *= a.astype(dt)
     if trained:
         # Batch statistics depend on x, so their adjoints fold back in.
         b = -a * inv * grad_gamma / n

@@ -1,10 +1,10 @@
 """Finite-difference trial runners shared by the gradient tests.
 
 Every trial builds a random small case in float64, computes analytic
-gradients through the op's backward rule (for the residual block, through
-the model unit's op tape), and compares against central finite differences
-(h = 1e-5) of a scalar projection of the forward pass. Returns the worst
-normwise relative error over the trial's gradients.
+gradients through the op's backward rule (for the conv unit and the residual
+block, through the model unit's op tape), and compares against central
+finite differences (h = 1e-5) of a scalar projection of the forward pass.
+Returns the worst normwise relative error over the trial's gradients.
 """
 
 import zlib
@@ -187,11 +187,66 @@ def _residual_case(rng, with_bn):
     return block, graph, x
 
 
+def _unit_errors(unit, graph, x, rng):
+    """Worst error of a model unit's input and parameter gradients, taken
+    backward through an op tape."""
+    tape, grads = ops.OpTape(), {}
+    y = unit.forward(x, graph, "train", tape, None)
+    R = _proj(rng, y.shape)
+    gx = tape.backward(R, grads)
+
+    def run(xv):
+        return unit.forward(xv, graph, "train", None, None)
+
+    def scalar(name, v):
+        saved = graph.params[name]
+        graph.params[name] = v
+        try:
+            return float((run(x) * R).sum())
+        finally:
+            graph.params[name] = saved
+
+    errs = [relative_error(gx, numerical_gradient(lambda v: float((run(v) * R).sum()), x, H))]
+    for name in unit.param_names():
+        p = graph.params[name]
+        errs.append(relative_error(grads[name], numerical_gradient(lambda v: scalar(name, v), p, H)))
+    return max(errs)
+
+
+def conv_unit_trial(rng):
+    """The model's conv unit with batch norm and its fused ReLU epilogue.
+
+    A case is redrawn while a pre-ReLU value lies within 1e-3 of the kink,
+    where a +-h step could flip the mask. Cin starts at 2: with a single
+    kernel entry per output channel, batch norm cancels its scale, so its
+    true gradient is zero and finite differences measure only round-off.
+    """
+    while True:
+        B = int(rng.integers(2, 4))
+        T = int(rng.integers(3, 10))
+        Cin = int(rng.integers(2, 4))
+        Cout = int(rng.integers(1, 4))
+        rf = int(rng.choice([1, 3, 8]))
+        stride = int(rng.choice([1, 2]))
+        x = rng.standard_normal((B, T, Cin))
+        unit = models._ConvUnit(1, rf, stride, Cout, with_bn=True)
+        graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(np.float64))
+        unit.build(Cin, RandomSource(0), graph)
+        graph.params.update({
+            "conv1.kernel": rng.standard_normal((rf, Cin, Cout)),
+            "conv1.bn.gamma": rng.standard_normal(Cout) + 1.5,
+            "conv1.bn.beta": rng.standard_normal(Cout),
+        })
+        if np.abs(unit.conv_bn(x, graph, "train", None, relu=False)).min() >= 1e-3:
+            break
+    return _unit_errors(unit, graph, x, rng)
+
+
 def _relu_inputs(block, graph, x):
     """What the block's inner and outer ReLUs see in forward."""
     c1, c2 = block._convs
-    inner = c1.conv_bn(x, graph, "train", None)
-    outer = c2.conv_bn(np.maximum(inner, 0), graph, "train", None)
+    inner = c1.conv_bn(x, graph, "train", None, relu=False)
+    outer = c2.conv_bn(np.maximum(inner, 0), graph, "train", None, relu=False)
     return inner, outer + np.pad(x, ((0, 0), (0, 0), (0, outer.shape[-1] - x.shape[-1])))
 
 
@@ -210,28 +265,7 @@ def residual_trial(rng, with_bn=True):
         clear = min(np.abs(inner).min(), np.abs(outer).min()) >= 1e-3
         if clear and (not with_bn or np.count_nonzero(inner > 0) >= 2):
             break
-
-    tape, grads = ops.OpTape(), {}
-    y = block.forward(x, graph, "train", tape, None)
-    R = _proj(rng, y.shape)
-    gx = tape.backward(R, grads)
-
-    def run(xv):
-        return block.forward(xv, graph, "train", None, None)
-
-    def scalar(name, v):
-        saved = graph.params[name]
-        graph.params[name] = v
-        try:
-            return float((run(x) * R).sum())
-        finally:
-            graph.params[name] = saved
-
-    errs = [relative_error(gx, numerical_gradient(lambda v: float((run(v) * R).sum()), x, H))]
-    for name in block.param_names():
-        p = graph.params[name]
-        errs.append(relative_error(grads[name], numerical_gradient(lambda v: scalar(name, v), p, H)))
-    return max(errs)
+    return _unit_errors(block, graph, x, rng)
 
 
 TRIALS = {
@@ -242,6 +276,7 @@ TRIALS = {
     "dense_softmax_xent": dense_xent_trial,
     "relu": relu_trial,
     "dropout": dropout_trial,
+    "conv_unit_bn_relu": conv_unit_trial,
     "residual_block": residual_trial,
     "residual_block_no_bn": lambda rng: residual_trial(rng, with_bn=False),
 }

@@ -13,6 +13,7 @@ from wavecnn.audio import (
     MalformedWavError,
     TruncatedWavError,
     UnsupportedWavError,
+    WavError,
     decode_wav,
     fix_length,
     make_batches,
@@ -195,6 +196,11 @@ class TestResampler:
     def test_upsampling_refused(self):
         with pytest.raises(ValueError, match="upsample"):
             to_mono_8k(np.zeros(100), 4000)
+
+    def test_rate_below_target_is_a_wav_error(self):
+        """A file declaring 4,000 Hz decodes, and its refusal is typed."""
+        with pytest.raises(WavError, match="upsample"):
+            preprocess(wav_bytes(np.zeros(400), 4000))
 
     def test_channels_averaged(self):
         left = np.full(8000, 0.5)

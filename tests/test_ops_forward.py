@@ -68,6 +68,22 @@ class TestConv1d:
             assert relative_error(y, ref) < 1e-6
             assert y.dtype == np.float32
 
+    @pytest.mark.parametrize("rf", [1, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_float32_deep_forward_matches_naive_within_1e6(self, rf, stride):
+        """The per-tap forward, taken from Cin = _IM2COL_MAX_CIN up."""
+        rng = np.random.default_rng(10 * rf + stride)
+        Cin = ops._IM2COL_MAX_CIN + stride - 1
+        for with_bias in (False, True):
+            x = rng.standard_normal((2, 21, Cin)).astype(np.float32)
+            k = rng.standard_normal((rf, Cin, 3)).astype(np.float32)
+            b = rng.standard_normal(3).astype(np.float32) if with_bias else None
+            y, _ = ops.conv1d_forward(x, ConvParams(k, b, stride))
+            b64 = None if b is None else b.astype(np.float64)
+            ref = conv1d_naive(x.astype(np.float64), k.astype(np.float64), b64, stride)
+            assert y.dtype == np.float32
+            assert relative_error(y, ref) < 1e-6
+
     def test_shape_law(self):
         """Same padding with stride s maps T -> ceil(T/s)."""
         rng = np.random.default_rng(7)
@@ -99,11 +115,13 @@ class TestConv1d:
         np.testing.assert_allclose(gk[0], np.einsum("btc,bto->co", x, gout), rtol=1e-12)
 
     # (B, T, Cin, Cout, rf, stride): the waveform stem, a thin input just
-    # below the whole-window threshold, and a deep input at the per-tap path.
+    # below the whole-window threshold, and deep inputs at the per-tap path,
+    # unstrided and strided.
     BACKWARD_CASES = [
         (3, 403, 1, 8, 80, 4),
-        (2, 37, ops._IM2COL_BACKWARD_MAX_CIN - 1, 4, 8, 3),
-        (3, 50, 2 * ops._IM2COL_BACKWARD_MAX_CIN, 5, 3, 1),
+        (2, 37, ops._IM2COL_MAX_CIN - 1, 4, 8, 3),
+        (3, 50, 2 * ops._IM2COL_MAX_CIN, 5, 3, 1),
+        (2, 41, ops._IM2COL_MAX_CIN, 6, 3, 2),
     ]
 
     @pytest.mark.parametrize("B,T,Cin,Cout,rf,stride", BACKWARD_CASES)
@@ -166,6 +184,36 @@ class TestConv1d:
         finally:
             tracemalloc.stop()
         assert peak < 2 * y.nbytes
+
+    def test_float32_deep_forward_peak_memory(self):
+        """The per-tap forward holds the padded input, the output and one
+        output-sized tap buffer: no im2col."""
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 4000, 64)).astype(np.float32)
+        k = rng.standard_normal((3, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y, _ = ops.conv1d_forward(x, ConvParams(k, stride=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * y.nbytes
+
+    def test_deep_backward_peak_memory(self):
+        """The deep backward holds grad_x and one input-sized buffer reused
+        by every tap: no per-tap temporaries or transposed copies."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 4000, 64)).astype(np.float32)
+        k = rng.standard_normal((3, 64, 64)).astype(np.float32)
+        y, cache = ops.conv1d_forward(x, ConvParams(k, stride=1))
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ops.conv1d_backward(g, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * x.nbytes
 
     def test_backward_shape_mismatch(self):
         y, cache = ops.conv1d_forward(np.zeros((1, 8, 1)), ConvParams(np.zeros((3, 1, 2))))
