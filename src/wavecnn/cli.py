@@ -40,18 +40,18 @@ def _parser() -> argparse.ArgumentParser:
     t.add_argument("--arch", required=True, choices=valid_architectures(), help="architecture name")
     t.add_argument("--data", required=True, help="corpus root (fold<N>/ subdirs or flat)")
     t.add_argument("--meta", required=True, help="metadata CSV (slice_file_name,fold,classID)")
-    t.add_argument("--epochs", type=int, default=100, help="training epochs")
-    t.add_argument("--batch-size", type=int, default=32, help="minibatch size (>= 2)")
-    t.add_argument("--lr", type=float, default=1e-3, help="Adam step size")
-    t.add_argument("--l2", type=float, default=1e-4, help="L2 regularization coefficient")
-    t.add_argument("--seed", type=int, default=0, help="seed for init, shuffling, dropout")
-    t.add_argument("--test-fold", type=int, default=10, help="held-out test fold")
-    t.add_argument("--val-fold", type=int, default=None,
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="minibatch size (>= 2)")
+    t.add_argument("--lr", type=float, default=TrainConfig.alpha, help="Adam step size")
+    t.add_argument("--l2", type=float, default=TrainConfig.l2_coeff, help="L2 regularization coefficient")
+    t.add_argument("--seed", type=int, default=TrainConfig.seed, help="seed for init, shuffling, dropout")
+    t.add_argument("--test-fold", type=int, default=TrainConfig.test_fold, help="held-out test fold")
+    t.add_argument("--val-fold", type=int, default=TrainConfig.val_fold,
                    help="optional fold held out of training for validation")
     t.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     t.add_argument("--log", default=None, help="metrics CSV output path")
     t.add_argument("--cache-dir", default=None, help="preprocessed clip cache directory")
-    t.add_argument("--ckpt-every", type=int, default=0,
+    t.add_argument("--ckpt-every", type=int, default=TrainConfig.checkpoint_every,
                    help="checkpoint cadence in epochs (0 = end of run only)")
     t.add_argument("--resume", default=None, help="checkpoint to resume from")
 

@@ -40,8 +40,6 @@ from . import ops
 from .tensor import RandomSource, TRAIN_DTYPE, check_shape
 
 FC_WIDTH = 1000
-FC_DROPOUT = 0.3
-POOL = 4  # maxpool window and stride
 
 # Per column: the first conv's width, the stages as (width, count), and
 # whether a maxpool follows the last stage. A maxpool-4 precedes every
@@ -275,12 +273,12 @@ class _MaxPoolUnit:
         return in_ch
 
     def forward(self, x, graph, mode, tape, rng):
-        y, cache = ops.maxpool1d_forward(x, window=POOL)
+        y, cache = ops.maxpool1d_forward(x)
         _record(tape, ops.maxpool1d_backward, cache)
         return y
 
     def trace(self, T, C):
-        return -(-T // POOL), C
+        return -(-T // ops.POOL), C
 
     def param_names(self):
         return []
@@ -325,7 +323,7 @@ class _FCUnit:
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
         _record(tape, ops.affine_backward, cache, f"{k}.w")
         y = _bn(y, k, graph, mode, tape, relu=True)
-        y, cache = ops.dropout(y, FC_DROPOUT, mode, rng)
+        y, cache = ops.dropout(y, mode, rng)
         _record(tape, ops.dropout_backward, cache)
         return y
 

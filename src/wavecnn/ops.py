@@ -25,11 +25,11 @@ goes through one reused output-sized buffer. The deep backward reuses one
 grad_kernel GEMM, then that tap's share of grad_x. Neither direction builds
 an im2col or a transposed copy. With thin inputs (the waveform stem has
 Cin 1) a per-tap product is a memory-bound pass over the whole output, so
-both directions gather receptive fields into im2col rows [out_T, rf*Cin]:
-the forward does one GEMM written straight into the output, in batch slices
-within a byte budget, and the backward goes one clip at a time, with one
-GEMM for grad_kernel and one for the im2col gradient, which an rf-step
-strided col2im adds back onto grad_x.
+both directions go one clip at a time, through one buffer of the clip's
+im2col rows [out_T, rf*Cin] that every clip reuses: im2col memory does not
+grow with the batch. The forward writes one GEMM per clip into the output;
+the backward does one GEMM for grad_kernel and one for the im2col gradient,
+which an rf-step strided col2im adds back onto grad_x.
 """
 
 from __future__ import annotations
@@ -41,14 +41,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import check_finite
 
-# Cap on the float32 forward's im2col buffer; larger batches are processed
-# in slices.
-_GEMM_BUDGET_BYTES = 128 << 20
-
 # Below this many input channels the float32 forward and the backward both
 # gather whole-window im2col rows; from Cin 8 up each tap's product is
 # already a full GEMM, and the per-tap paths measured as fast or faster.
 _IM2COL_MAX_CIN = 8
+
+POOL = 4  # maxpool window and stride
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+_DROPOUT_RATE = 0.3
 
 
 @dataclass
@@ -62,18 +63,6 @@ class ConvParams:
     kernel: np.ndarray
     bias: np.ndarray | None = None
     stride: int = 1
-
-    @property
-    def rf(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[2]
 
 
 @dataclass
@@ -89,8 +78,6 @@ class BatchNormState:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 def same_pad_1d(T: int, rf: int, stride: int) -> tuple:
@@ -104,39 +91,39 @@ def same_pad_1d(T: int, rf: int, stride: int) -> tuple:
     return out_T, left, total - left
 
 
+def _clip_cols(xp: np.ndarray, rf: int, stride: int, out_T: int):
+    """For each clip b of the padded input xp, yield (b, cols): the clip's
+    im2col rows [out_T, Cin*rf], gathered into one buffer every clip reuses."""
+    cols = np.empty((out_T, xp.shape[2], rf), dtype=xp.dtype)
+    for b in range(xp.shape[0]):
+        cols[...] = sliding_window_view(xp[b], rf, axis=0)[::stride]
+        yield b, cols.reshape(out_T, -1)
+
+
 def conv1d_forward(x: np.ndarray, p: ConvParams):
     """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding."""
     B, T, Cin = x.shape
     if T < 1:
         raise ValueError("conv1d: empty time axis")
-    if Cin != p.in_channels:
-        raise ValueError(
-            f"conv1d: input has {Cin} channels, kernel expects {p.in_channels}"
-        )
-    rf, stride = p.rf, p.stride
+    (rf, k_in, Cout), stride = p.kernel.shape, p.stride
+    if Cin != k_in:
+        raise ValueError(f"conv1d: input has {Cin} channels, kernel expects {k_in}")
     out_T, left, right = same_pad_1d(T, rf, stride)
     xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
 
     if x.dtype == np.float64:
-        y = np.zeros((B, out_T, p.out_channels), dtype=np.float64)
+        y = np.zeros((B, out_T, Cout), dtype=np.float64)
         # One (r, c) product per pass: accumulation order matches the naive
         # triple-loop reference bitwise.
         for r in range(rf):
             xs = xp[:, r : r + stride * out_T : stride, :]
             for c in range(Cin):
                 y += xs[:, :, c : c + 1] * p.kernel[r, c][None, None, :]
-        if p.bias is not None:
-            y += p.bias
     elif Cin < _IM2COL_MAX_CIN:
-        k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, -1)
-        y = np.empty((B, out_T, p.out_channels), dtype=x.dtype)
-        step = max(1, _GEMM_BUDGET_BYTES // (out_T * Cin * rf * x.itemsize))
-        for b0 in range(0, B, step):
-            win = sliding_window_view(xp[b0 : b0 + step], rf, axis=1)[:, ::stride]
-            flat = win.reshape(-1, Cin * rf)
-            np.matmul(flat, k2, out=y[b0 : b0 + step].reshape(-1, p.out_channels))
-        if p.bias is not None:
-            y += p.bias
+        k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
+        y = np.empty((B, out_T, Cout), dtype=x.dtype)
+        for b, cols in _clip_cols(xp, rf, stride, out_T):
+            np.matmul(cols, k2, out=y[b])
     else:
         # One GEMM per tap on strided views of xp; taps after the first
         # go through one reused buffer.
@@ -147,8 +134,8 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
         for r in range(1, rf):
             np.matmul(xp[:, r : r + span : stride], k[r], out=buf)
             y += buf
-        if p.bias is not None:
-            y += p.bias
+    if p.bias is not None:
+        y += p.bias
 
     cache = (xp, x.shape, p, out_T, left)
     return check_finite("conv1d", y), cache
@@ -158,7 +145,7 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias)."""
     xp, x_shape, p, out_T, left = cache
     B, T, Cin = x_shape
-    rf, stride, Cout = p.rf, p.stride, p.out_channels
+    (rf, _, Cout), stride = p.kernel.shape, p.stride
     if grad_out.shape != (B, out_T, Cout):
         raise ValueError(
             f"conv1d backward: grad shape {grad_out.shape} != {(B, out_T, Cout)}"
@@ -167,16 +154,12 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     k = p.kernel.astype(dt, copy=False)
     grad_xp = np.zeros(xp.shape, dtype=dt)
     if Cin < _IM2COL_MAX_CIN:
-        # One clip at a time, through buffers reused for every clip: the
-        # im2col memory is one clip's worth, allocated once per call.
         k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
-        cols = np.empty((out_T, Cin, rf), dtype=dt)
         gcols = np.empty((out_T, Cin, rf), dtype=dt)
-        for b in range(B):
+        for b, cols in _clip_cols(xp, rf, stride, out_T):
             g = grad_out[b]
-            cols[...] = sliding_window_view(xp[b], rf, axis=0)[::stride]
-            gk2 += cols.reshape(out_T, Cin * rf).T @ g
+            gk2 += cols.T @ g
             np.matmul(g, k2.T, out=gcols.reshape(out_T, Cin * rf))
             for r in range(rf):
                 grad_xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
@@ -203,37 +186,36 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     return grad_x, grad_kernel, grad_bias
 
 
-def maxpool1d_forward(x: np.ndarray, window: int = 4):
-    """Per-window maximum along time, ceil semantics for the final window."""
+def maxpool1d_forward(x: np.ndarray):
+    """Maximum over time windows of POOL, ceil semantics for the last one."""
     B, T, C = x.shape
-    out_T = -(-T // window)
-    pad = out_T * window - T
+    out_T = -(-T // POOL)
+    pad = out_T * POOL - T
     if pad:
         xp = np.concatenate(
             [x, np.full((B, pad, C), -np.inf, dtype=x.dtype)], axis=1
         )
     else:
         xp = x
-    xr = xp.reshape(B, out_T, window, C)
+    xr = xp.reshape(B, out_T, POOL, C)
     y = xr.max(axis=2)
     # The first maximal slot's index is the count of slots before it that
     # miss the max, which keeps the first-index rule on ties.
     before = xr[:, :, 0, :] != y
     idx = before.astype(np.intp)
-    for w in range(1, window - 1):
+    for w in range(1, POOL - 1):
         before &= xr[:, :, w, :] != y
         idx += before
-    cache = (idx, T, window)
-    return check_finite("maxpool1d", y), cache
+    return check_finite("maxpool1d", y), (idx, T)
 
 
 def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     """Route each window's gradient to its (first) argmax position."""
-    idx, T, window = cache
+    idx, T = cache
     B, out_T, C = grad_out.shape
-    g = np.zeros((B, out_T, window, C), dtype=grad_out.dtype)
+    g = np.zeros((B, out_T, POOL, C), dtype=grad_out.dtype)
     np.put_along_axis(g, idx[:, :, None, :], grad_out[:, :, None, :], axis=2)
-    return g.reshape(B, out_T * window, C)[:, :T, :]
+    return g.reshape(B, out_T * POOL, C)[:, :T, :]
 
 
 def relu_forward(x: np.ndarray):
@@ -252,47 +234,47 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, relu: bool = 
     y = x * scale + shift is formed in x's dtype in two passes. With relu,
     max(y, 0) is applied in place as an epilogue. Train mode updates running
     stats in place:
-    running <- (1 - momentum) * running + momentum * batch.
+    running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
+    Infer mode returns no cache (None): it has no backward.
     """
     C = x.shape[-1]
     if C != s.gamma.shape[0]:
         raise ValueError(f"batchnorm: {C} channels vs state {s.gamma.shape[0]}")
     x2 = x.reshape(-1, C)
-    n = x2.shape[0]
     if mode == "train":
         if x.shape[0] < 2:
             raise ValueError("batchnorm train mode requires batch size >= 2")
         mu = x2.mean(axis=0, dtype=np.float64)
-        var = np.maximum(np.einsum("ij,ij->j", x2, x2, dtype=np.float64) / n - mu * mu, 0.0)
-        s.running_mean[...] = (1 - s.momentum) * s.running_mean + s.momentum * mu
-        s.running_var[...] = (1 - s.momentum) * s.running_var + s.momentum * var
+        var = np.maximum(np.einsum("ij,ij->j", x2, x2, dtype=np.float64) / len(x2) - mu * mu, 0.0)
+        s.running_mean[...] = (1 - _BN_MOMENTUM) * s.running_mean + _BN_MOMENTUM * mu
+        s.running_var[...] = (1 - _BN_MOMENTUM) * s.running_var + _BN_MOMENTUM * var
     elif mode == "infer":
         mu = s.running_mean.astype(np.float64)
         var = s.running_var.astype(np.float64)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    inv = 1.0 / np.sqrt(var + s.eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     scale = s.gamma * inv
     y = x * scale.astype(x.dtype)
     y += (s.beta - mu * scale).astype(x.dtype)
     check_finite("batchnorm", y)
-    mask = None
     if relu:
         np.maximum(y, 0, out=y)
-        mask = y > 0
-    cache = (x2, mu, inv, s.gamma, n, mode == "train", mask)
-    return y, cache
+    if mode == "infer":
+        return y, None
+    return y, (x2, mu, inv, s.gamma, y > 0 if relu else None)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
-    """Adjoints (grad_x, grad_gamma, grad_beta) of batchnorm_forward.
+    """Adjoints (grad_x, grad_gamma, grad_beta) of train-mode batchnorm_forward.
 
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
     the sums of g and g * x. After a ReLU epilogue, g is the output gradient
     masked to where the output is positive, and grad_x is formed in place
     on it.
     """
-    x2, mu, inv, gamma, n, trained, mask = cache
+    x2, mu, inv, gamma, mask = cache
+    n = len(x2)
     dt = grad_out.dtype
     if mask is not None:
         grad_out = grad_out * mask
@@ -306,12 +288,11 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     else:
         grad_x = grad_out
         grad_x *= a.astype(dt)
-    if trained:
-        # Batch statistics depend on x, so their adjoints fold back in.
-        b = -a * inv * grad_gamma / n
-        c = -a * sum_g / n - b * mu
-        grad_x += x2.reshape(grad_out.shape) * b.astype(dt)
-        grad_x += c.astype(dt)
+    # Batch statistics depend on x, so their adjoints fold back in.
+    b = -a * inv * grad_gamma / n
+    c = -a * sum_g / n - b * mu
+    grad_x += x2.reshape(grad_out.shape) * b.astype(dt)
+    grad_x += c.astype(dt)
     return grad_x, grad_gamma.astype(dt), sum_g.astype(dt)
 
 
@@ -368,24 +349,20 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return loss, check_finite("softmax_xent", probs), grad_logits.astype(logits.dtype, copy=False)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str, rng=None):
-    """Inverted dropout: train zeroes with probability rate and rescales
-    survivors by 1/(1-rate); inference is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0,1)")
-    if mode != "train" or rate == 0.0:
+def dropout(x: np.ndarray, mode: str, rng=None):
+    """Inverted dropout: train zeroes with probability _DROPOUT_RATE and
+    rescales survivors by 1/(1-_DROPOUT_RATE); inference is the identity."""
+    if mode != "train":
         return x, None
     if rng is None:
         raise ValueError("dropout train mode needs a RandomSource")
-    keep = rng.uniform(0.0, 1.0, x.shape, dtype=x.dtype) >= rate
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
+    keep = rng.uniform(0.0, 1.0, x.shape, dtype=x.dtype) >= _DROPOUT_RATE
+    scale = np.asarray(1.0 / (1.0 - _DROPOUT_RATE), dtype=x.dtype)
     y = x * keep * scale
     return check_finite("dropout", y), (keep, scale)
 
 
 def dropout_backward(grad_out: np.ndarray, cache) -> np.ndarray:
-    if cache is None:
-        return grad_out
     keep, scale = cache
     return grad_out * keep * scale
 

@@ -195,7 +195,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
-_ADAM_KEYS = ("t", "alpha", "beta1", "beta2", "eps")
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
 
 
 def _tensor_entry(t, sections: dict, path) -> tuple:
@@ -208,9 +209,32 @@ def _tensor_entry(t, sections: dict, path) -> tuple:
     if not (isinstance(kind, str) and kind in sections):
         raise CheckpointFormatError(f"{path}: tensor {name!r} has unknown kind {kind!r}")
     extents = (offset, *shape)
-    if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in extents):
+    if not isinstance(name, str) or not all(_is_count(v) for v in extents):
         raise CheckpointFormatError(f"{path}: tensor entry {t!r:.120} has a bad name, shape or offset")
     return kind, name, shape, offset
+
+
+def _bad_fields(manifest: dict) -> list:
+    """Names of the manifest fields that are missing or not as save_checkpoint writes them."""
+    rng_state, meta = manifest.get("rng_state"), manifest.get("adam")
+    ok = {
+        "tensors": isinstance(manifest.get("tensors"), list),
+        "epoch": _is_count(manifest.get("epoch")),
+        "arch": isinstance(manifest.get("arch"), str),
+        "config": isinstance(manifest.get("config", {}), dict),
+        "rng_state": rng_state is None or (
+            isinstance(rng_state, dict) and rng_state.get("bit_generator") == "PCG64"),
+    }
+    if meta is not None:
+        adam = meta if isinstance(meta, dict) else {}
+        alpha = adam.get("alpha")
+        ok |= {
+            "adam.t": _is_count(adam.get("t")),
+            "adam.alpha": type(alpha) in (int, float) and math.isfinite(alpha),
+            "adam.beta1/beta2/eps": [adam.get(k) for k in ("beta1", "beta2", "eps")]
+            == [ADAM_BETA1, ADAM_BETA2, ADAM_EPS],
+        }
+    return [name for name, good in ok.items() if not good]
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -235,12 +259,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointVersionError(
                 f"{path}: format version {manifest.get('version')} != {CHECKPOINT_VERSION}"
             )
-        missing = [k for k in ("arch", "epoch", "tensors") if k not in manifest]
+        bad = _bad_fields(manifest)
+        if bad:
+            raise CheckpointFormatError(f"{path}: manifest lacks or garbles {bad}")
         meta = manifest.get("adam")
-        if meta is not None:
-            missing += [f"adam.{k}" for k in _ADAM_KEYS if not isinstance(meta, dict) or k not in meta]
-        if missing or not isinstance(manifest["tensors"], list):
-            raise CheckpointFormatError(f"{path}: manifest lacks {missing or 'a tensor list'}")
 
         payload_bytes = size - head - n
         sections = {"param": {}, "state": {}, "adam_m": {}, "adam_v": {}}
@@ -421,14 +443,15 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
                     raise NonFiniteError(f"loss={loss}")
                 grads: dict = {}
                 result.tape.backward(grad_logits, grads)
-                add_l2_gradients(graph.params, grads, config.l2_coeff)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite values at epoch {epoch}, batch {batch_id}: {exc}"
                 ) from exc
+            # Before the L2 term, which writes a gradient for every parameter.
             missing = param_names - set(grads)
             if missing:
                 raise RuntimeError(f"no gradient for parameters {sorted(missing)}")
+            add_l2_gradients(graph.params, grads, config.l2_coeff)
             ratio = _grad_norm_ratio(grads, first_param, last_param)
             if np.isfinite(ratio) or ratio == float("inf"):
                 ratio_min = min(ratio_min, ratio)

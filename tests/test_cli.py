@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wavecnn import build
-from wavecnn.cli import main
+from wavecnn.cli import _parser, main
 from wavecnn.tensor import RandomSource
-from wavecnn.training import Checkpoint, save_checkpoint
+from wavecnn.training import Checkpoint, TrainConfig, save_checkpoint
 
 from test_audio import write_corpus
 
@@ -44,6 +46,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["inspect", "--arch", "m3", "--bogus"])
         assert exc.value.code == 2
+
+    def test_train_defaults_are_train_config_defaults(self):
+        args = _parser().parse_args(["train", "--arch", "m3", "--data", "d", "--meta", "m.csv"])
+        flags = {"epochs": "epochs", "batch_size": "batch_size", "lr": "alpha",
+                 "l2": "l2_coeff", "seed": "seed", "test_fold": "test_fold",
+                 "val_fold": "val_fold", "ckpt_every": "checkpoint_every"}
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        for flag, field in flags.items():
+            assert getattr(args, flag) == defaults[field], flag
 
     @pytest.mark.parametrize("cmd", ["train", "eval", "inspect", "kernels", "smoke"])
     def test_help_lists_flags(self, cmd, capsys):

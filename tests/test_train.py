@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavecnn import build, tensor
+from wavecnn import build, ops, tensor
 from wavecnn.audio import make_batches
 from wavecnn.synthetic import SyntheticDataset
 from wavecnn.tensor import RandomSource
@@ -135,6 +135,21 @@ class TestTrainLoop:
         with np.errstate(all="ignore"):  # the blow-up itself is the point
             with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
                 train(mini_config(alpha=1e18, epochs=20, l2_coeff=0.0), mini_dataset())
+
+    def test_missing_gradient_raises_despite_l2(self, monkeypatch):
+        """The L2 term writes a gradient for every parameter, so the check
+        for parameters the backward left out must come before it."""
+        conv_backward = ops.conv1d_backward
+
+        def no_kernel_grad(g, cache):
+            grad_x, _, grad_bias = conv_backward(g, cache)
+            return grad_x, None, grad_bias
+
+        monkeypatch.setattr(ops, "conv1d_backward", no_kernel_grad)
+        config = mini_config(epochs=1, l2_coeff=TrainConfig.l2_coeff)
+        assert config.l2_coeff > 0
+        with pytest.raises(RuntimeError, match="no gradient for parameters.*conv1.kernel"):
+            train(config, mini_dataset())
 
     def test_metrics_csv_schema(self, tmp_path):
         log = tmp_path / "metrics.csv"
@@ -363,6 +378,19 @@ MANIFEST_EDITS = {
     "tensors-not-list": lambda m: m.update(tensors={"w": 0}),
     "no-arch": lambda m: m.pop("arch"),
     "adam-missing-key": lambda m: m["adam"].pop("beta2"),
+    "epoch-string": lambda m: m.update(epoch="1"),
+    "epoch-negative": lambda m: m.update(epoch=-1),
+    "epoch-bool": lambda m: m.update(epoch=True),
+    "arch-list": lambda m: m.update(arch=["m3"]),
+    "config-list": lambda m: m.update(config=[]),
+    "rng-state-empty": lambda m: m.update(rng_state={}),
+    "rng-state-other-generator": lambda m: m.update(rng_state={"bit_generator": "MT19937"}),
+    "adam-t-string": lambda m: m["adam"].update(t="x"),
+    "adam-alpha-string": lambda m: m["adam"].update(alpha="0.001"),
+    "adam-alpha-nan": lambda m: m["adam"].update(alpha=float("nan")),
+    "adam-beta1-other": lambda m: m["adam"].update(beta1=0.5),
+    "adam-beta2-other": lambda m: m["adam"].update(beta2=0.99),
+    "adam-eps-other": lambda m: m["adam"].update(eps=1e-7),
 }
 
 
