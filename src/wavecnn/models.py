@@ -273,7 +273,7 @@ class _MaxPoolUnit:
         return in_ch
 
     def forward(self, x, graph, mode, tape, rng):
-        y, cache = ops.maxpool1d_forward(x)
+        y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
         return y
 

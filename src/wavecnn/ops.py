@@ -30,6 +30,11 @@ im2col rows [out_T, rf*Cin] that every clip reuses: im2col memory does not
 grow with the batch. The forward writes one GEMM per clip into the output;
 the backward does one GEMM for grad_kernel and one for the im2col gradient,
 which an rf-step strided col2im adds back onto grad_x.
+
+OpTape holds the backward closures of one train-mode forward. It is walked
+once; each record, and the cache its closure captured, is released as soon
+as it has run, so an activation lives only until the backward that reads it.
+len() of a tape counts the ops recorded, before and after the walk.
 """
 
 from __future__ import annotations
@@ -186,8 +191,13 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     return grad_x, grad_kernel, grad_bias
 
 
-def maxpool1d_forward(x: np.ndarray):
-    """Maximum over time windows of POOL, ceil semantics for the last one."""
+def maxpool1d_forward(x: np.ndarray, mode: str):
+    """Maximum over time windows of POOL, ceil semantics for the last one.
+
+    Train mode caches (idx, T): idx is each window's first argmax slot, as
+    uint8 (POOL is 4), for the backward. Infer mode computes no argmax and
+    returns no cache (None).
+    """
     B, T, C = x.shape
     out_T = -(-T // POOL)
     pad = out_T * POOL - T
@@ -198,15 +208,17 @@ def maxpool1d_forward(x: np.ndarray):
     else:
         xp = x
     xr = xp.reshape(B, out_T, POOL, C)
-    y = xr.max(axis=2)
+    y = check_finite("maxpool1d", xr.max(axis=2))
+    if mode != "train":
+        return y, None
     # The first maximal slot's index is the count of slots before it that
     # miss the max, which keeps the first-index rule on ties.
     before = xr[:, :, 0, :] != y
-    idx = before.astype(np.intp)
+    idx = before.astype(np.uint8)
     for w in range(1, POOL - 1):
         before &= xr[:, :, w, :] != y
         idx += before
-    return check_finite("maxpool1d", y), (idx, T)
+    return y, (idx, T)
 
 
 def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
@@ -288,11 +300,14 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     else:
         grad_x = grad_out
         grad_x *= a.astype(dt)
-    # Batch statistics depend on x, so their adjoints fold back in.
+    # Batch statistics depend on x, so their adjoints fold back in, one
+    # clip at a time: no full-size x * b temporary.
     b = -a * inv * grad_gamma / n
-    c = -a * sum_g / n - b * mu
-    grad_x += x2.reshape(grad_out.shape) * b.astype(dt)
-    grad_x += c.astype(dt)
+    c = (-a * sum_g / n - b * mu).astype(dt)
+    b = b.astype(dt)
+    for gi, xi in zip(grad_x, x2.reshape(grad_x.shape)):
+        gi += xi * b
+        gi += c
     return grad_x, grad_gamma.astype(dt), sum_g.astype(dt)
 
 
@@ -368,22 +383,34 @@ def dropout_backward(grad_out: np.ndarray, cache) -> np.ndarray:
 
 
 class OpTape:
-    """Reverse-mode record: forward pushes one closure per op, backward walks
-    them in exact reverse order accumulating parameter gradients additively."""
+    """Reverse-mode record: forward pushes one closure per op; backward walks
+    them once, in exact reverse order, accumulating parameter gradients
+    additively.
+
+    Each record, with the cache its closure captured, is released as soon
+    as it has run, so the walk holds only what the rest of backward still
+    reads. len() counts the ops recorded, also after the walk. A tape is
+    walked once: a second backward raises RuntimeError.
+    """
 
     def __init__(self):
         self._records = []
+        self._recorded = 0
 
     def record(self, backward_fn) -> None:
         self._records.append(backward_fn)
+        self._recorded += 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._recorded
 
     def backward(self, grad_out: np.ndarray, grads: dict) -> np.ndarray:
+        records, self._records = self._records, None
+        if records is None:
+            raise RuntimeError("op tape already walked: backward runs once per forward")
         g = grad_out
-        for fn in reversed(self._records):
-            g = fn(g, grads)
+        while records:
+            g = records.pop()(g, grads)
         return g
 
 

@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (BN batch statistics)")
         if self.l2_coeff < 0:
             raise ValueError("l2_coeff must be >= 0")
+        if not 0 < self.channel_scale <= 1:
+            raise ValueError("channel_scale must be in (0, 1]")
 
 
 class AdamState:
@@ -214,6 +216,15 @@ def _tensor_entry(t, sections: dict, path) -> tuple:
     return kind, name, shape, offset
 
 
+def _is_rng_state(state) -> bool:
+    """Whether numpy accepts `state` as the state of a PCG64 generator."""
+    try:
+        np.random.PCG64(0).state = state
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 def _bad_fields(manifest: dict) -> list:
     """Names of the manifest fields that are missing or not as save_checkpoint writes them."""
     rng_state, meta = manifest.get("rng_state"), manifest.get("adam")
@@ -222,8 +233,7 @@ def _bad_fields(manifest: dict) -> list:
         "epoch": _is_count(manifest.get("epoch")),
         "arch": isinstance(manifest.get("arch"), str),
         "config": isinstance(manifest.get("config", {}), dict),
-        "rng_state": rng_state is None or (
-            isinstance(rng_state, dict) and rng_state.get("bit_generator") == "PCG64"),
+        "rng_state": rng_state is None or _is_rng_state(rng_state),
     }
     if meta is not None:
         adam = meta if isinstance(meta, dict) else {}
@@ -318,12 +328,21 @@ def restore_model(ckpt: Checkpoint, graph: ModelGraph) -> None:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ModelGraph:
-    graph = build(
-        ckpt.arch,
-        num_classes=int(ckpt.config.get("num_classes", 10)),
-        rng=RandomSource(0),
-        channel_scale=float(ckpt.config.get("channel_scale", 1.0)),
-    )
+    """Build the checkpoint's architecture at its config's class count and
+    width, and restore its tensors. Both config values are checked before
+    anything is sized from them."""
+    num_classes = ckpt.config.get("num_classes", 10)
+    scale = ckpt.config.get("channel_scale", 1.0)
+    if not (type(num_classes) is int and num_classes >= 1):
+        raise CheckpointFormatError(f"config num_classes {num_classes!r:.40} is not an int >= 1")
+    if not (type(scale) in (int, float) and 0 < scale <= 1):
+        raise CheckpointFormatError(f"config channel_scale {scale!r:.40} is not in (0, 1]")
+    dense_b = ckpt.params.get("dense.b")
+    if dense_b is None or dense_b.shape != (num_classes,):
+        raise CheckpointMismatchError(
+            f"config num_classes {num_classes} does not match dense.b {getattr(dense_b, 'shape', None)}"
+        )
+    graph = build(ckpt.arch, num_classes=num_classes, rng=RandomSource(0), channel_scale=scale)
     restore_model(ckpt, graph)
     return graph
 

@@ -59,12 +59,12 @@ def maxpool_trial(rng):
     # Spread values so +-h perturbations cannot flip a window's argmax.
     x = rng.permutation(B * T * C).astype(np.float64).reshape(B, T, C)
     x += rng.uniform(-0.3, 0.3, x.shape)
-    y, cache = ops.maxpool1d_forward(x)
+    y, cache = ops.maxpool1d_forward(x, "train")
     R = _proj(rng, y.shape)
     gx = ops.maxpool1d_backward(R, cache)
 
     def run(xv):
-        out, _ = ops.maxpool1d_forward(xv)
+        out, _ = ops.maxpool1d_forward(xv, "train")
         return float((out * R).sum())
 
     return relative_error(gx, numerical_gradient(run, x, H))

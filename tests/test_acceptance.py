@@ -124,7 +124,7 @@ def test_acceptance_3_oracle_equivalence():
         x = rng.standard_normal(
             (int(rng.integers(1, 5)), int(rng.integers(1, 201)), int(rng.integers(1, 9)))
         ).astype(dtype)
-        y, (idx, _) = ops.maxpool1d_forward(x)
+        y, (idx, _) = ops.maxpool1d_forward(x, "train")
         ref, ref_idx = maxpool1d_naive(x)
         if not (np.array_equal(y, ref) and np.array_equal(idx, ref_idx)):
             problems.append(f"maxpool case {case}")

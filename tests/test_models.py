@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,23 @@ def test_tape_structure(name):
     res.tape.backward(dlogits, grads)
     assert set(grads) == set(graph.params)
     assert len(res.tape) == _TAPE_RECORDS[name]
+
+
+def test_train_step_peak_memory():
+    """Backward releases each record once run, so an m3 step (forward and
+    backward) holds no more than a few copies of the stem output at once."""
+    graph = build("m3", rng=RandomSource(0), channel_scale=1 / 4)
+    x = RandomSource(1).normal(0, 1, (4, 32000, 1)).astype(np.float32)
+    stem_bytes = 4 * 8000 * 64 * 4  # [B, T/4, 256/4] float32
+    tracemalloc.start()
+    try:
+        res = graph.forward(x, mode="train", rng=RandomSource(2))
+        _, _, dlogits = softmax_xent(res.logits, np.arange(4) % 10)
+        res.tape.backward(dlogits, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * stem_bytes, f"peak {peak / stem_bytes:.2f}x the stem output"
 
 
 def test_tape_structure_covers_every_name():

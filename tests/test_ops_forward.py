@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 from types import SimpleNamespace
 
@@ -227,23 +228,23 @@ class TestConv1d:
 
 class TestMaxPool:
     def test_published_sizes(self):
-        y, _ = ops.maxpool1d_forward(np.zeros((1, 8000, 4), dtype=np.float32))
+        y, _ = ops.maxpool1d_forward(np.zeros((1, 8000, 4), dtype=np.float32), "train")
         assert y.shape == (1, 2000, 4)
 
     def test_ceil_semantics_125_to_32(self):
-        y, _ = ops.maxpool1d_forward(np.zeros((1, 125, 2)))
+        y, _ = ops.maxpool1d_forward(np.zeros((1, 125, 2)), "train")
         assert y.shape == (1, 32, 2)
 
     def test_hand_case_partial_window(self):
         x = np.array([1.0, 3.0, 2.0, 0.0, 5.0, 4.0]).reshape(1, 6, 1)
-        y, _ = ops.maxpool1d_forward(x)
+        y, _ = ops.maxpool1d_forward(x, "train")
         np.testing.assert_array_equal(y.ravel(), [3.0, 5.0])
 
     def test_matches_naive_bitwise_with_argmax(self):
         rng = np.random.default_rng(8)
         for _ in range(15):
             x = rng.standard_normal((2, int(rng.integers(1, 30)), 3))
-            y, (idx, _) = ops.maxpool1d_forward(x)
+            y, (idx, _) = ops.maxpool1d_forward(x, "train")
             yn, idxn = maxpool1d_naive(x)
             np.testing.assert_array_equal(y, yn)
             np.testing.assert_array_equal(idx, idxn)
@@ -252,7 +253,7 @@ class TestMaxPool:
         for dtype in (np.float64, np.float32):
             for T in (1, 5, 30, 103):
                 x = rng.integers(0, 3, (3, T, 4)).astype(dtype)
-                y, (idx, _) = ops.maxpool1d_forward(x)
+                y, (idx, _) = ops.maxpool1d_forward(x, "train")
                 yn, idxn = maxpool1d_naive(x)
                 np.testing.assert_array_equal(y, yn)
                 np.testing.assert_array_equal(idx, idxn)
@@ -261,18 +262,33 @@ class TestMaxPool:
         x = np.zeros((1, 10, 2))
         x[0, 5, 1] = np.nan
         with pytest.raises(NonFiniteError, match="maxpool1d"):
-            ops.maxpool1d_forward(x)
+            ops.maxpool1d_forward(x, "train")
 
     def test_tie_goes_to_first_index(self):
         x = np.array([2.0, 7.0, 7.0, 1.0]).reshape(1, 4, 1)
-        y, (idx, _) = ops.maxpool1d_forward(x)
+        y, (idx, _) = ops.maxpool1d_forward(x, "train")
         assert y.ravel()[0] == 7.0 and idx.ravel()[0] == 1
 
     def test_backward_routes_to_argmax(self):
         x = np.array([2.0, 7.0, 7.0, 1.0, 0.0, 9.0]).reshape(1, 6, 1)
-        y, cache = ops.maxpool1d_forward(x)
+        y, cache = ops.maxpool1d_forward(x, "train")
         gx = ops.maxpool1d_backward(np.array([[[1.0], [1.0]]]), cache)
         np.testing.assert_array_equal(gx.ravel(), [0, 1, 0, 0, 0, 1])
+
+
+    def test_infer_keeps_nothing(self):
+        """Infer mode returns the train-mode output bitwise, and no cache."""
+        x = np.random.default_rng(12).standard_normal((3, 103, 4), dtype=np.float32)
+        y_train, _ = ops.maxpool1d_forward(x, "train")
+        y_infer, cache = ops.maxpool1d_forward(x, "infer")
+        assert y_infer.dtype == y_train.dtype
+        assert y_infer.tobytes() == y_train.tobytes()
+        assert cache is None
+
+    def test_train_argmax_is_one_byte(self):
+        x = np.random.default_rng(13).standard_normal((2, 8000, 16), dtype=np.float32)
+        y, (idx, _) = ops.maxpool1d_forward(x, "train")
+        assert idx.nbytes == y.size
 
 
 class TestBatchNorm:
@@ -331,6 +347,23 @@ class TestBatchNorm:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channels"):
             ops.batchnorm_forward(np.zeros((2, 8, 3)), _bn_state(2), "train")
+
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_backward_peak_memory(self, relu):
+        """The backward forms grad_x in one output-sized array: its x * b
+        term goes in one clip at a time, with no full-size temporary."""
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((8, 2000, 64), dtype=np.float32)
+        _, cache = ops.batchnorm_forward(x, _bn_state(64, np.float32), "train", relu)
+        g = rng.standard_normal(x.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.batchnorm_backward(g, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
 class TestGlobalAvgPool:
@@ -464,3 +497,28 @@ class TestResidualBlock:
         gout = rng.standard_normal(y.shape)
         gx = tape.backward(gout, {})
         np.testing.assert_array_equal(gx, (gout * (y > 0))[:, :, :3])
+
+
+class TestOpTape:
+    def test_record_released_once_run(self):
+        """The record backward runs first, and the cache it captured, are
+        gone by the time the next record runs."""
+        tape = ops.OpTape()
+        alive = []
+        tape.record(lambda g, grads: alive.append(ref() is not None) or g)
+        cache = np.full(4, 3.0)
+        ref = weakref.ref(cache)
+        tape.record(lambda g, grads, cache=cache: g * cache)
+        del cache
+        g = tape.backward(np.full(4, 2.0), {})
+        assert alive == [False]
+        np.testing.assert_array_equal(g, 6.0)
+        assert len(tape) == 2
+
+    def test_second_walk_raises(self):
+        tape = ops.OpTape()
+        tape.record(lambda g, grads: g)
+        tape.backward(np.ones(2), {})
+        with pytest.raises(RuntimeError, match="once"):
+            tape.backward(np.ones(2), {})
+        assert len(tape) == 1

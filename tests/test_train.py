@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavecnn import build, ops, tensor
+from wavecnn import build, ops, tensor, training
 from wavecnn.audio import make_batches
 from wavecnn.synthetic import SyntheticDataset
 from wavecnn.tensor import RandomSource
@@ -385,6 +385,12 @@ MANIFEST_EDITS = {
     "config-list": lambda m: m.update(config=[]),
     "rng-state-empty": lambda m: m.update(rng_state={}),
     "rng-state-other-generator": lambda m: m.update(rng_state={"bit_generator": "MT19937"}),
+    "rng-state-no-state": lambda m: m.update(rng_state={"bit_generator": "PCG64"}),
+    "rng-state-string-state": lambda m: m.update(rng_state={"bit_generator": "PCG64", "state": "x"}),
+    "rng-state-no-inc": lambda m: m.update(
+        rng_state={"bit_generator": "PCG64", "state": {"state": 1}}),
+    "rng-state-negative": lambda m: m.update(rng_state={
+        "bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0, "uinteger": 0}),
     "adam-t-string": lambda m: m["adam"].update(t="x"),
     "adam-alpha-string": lambda m: m["adam"].update(alpha="0.001"),
     "adam-alpha-nan": lambda m: m["adam"].update(alpha=float("nan")),
@@ -426,6 +432,44 @@ class TestCheckpointManifest:
         self._write(path, [1, 2], b"")
         with pytest.raises(CheckpointFormatError, match="JSON object"):
             load_checkpoint(path)
+
+
+# Each edit garbles the config of an m3 checkpoint with 10 classes at width 1/16.
+CONFIG_EDITS = {
+    "num-classes-string": (CheckpointFormatError, {"num_classes": "abc"}),
+    "num-classes-list": (CheckpointFormatError, {"num_classes": [1]}),
+    "num-classes-float": (CheckpointFormatError, {"num_classes": 10.0}),
+    "num-classes-bool": (CheckpointFormatError, {"num_classes": True}),
+    "num-classes-zero": (CheckpointFormatError, {"num_classes": 0}),
+    "channel-scale-string": (CheckpointFormatError, {"channel_scale": "x"}),
+    "channel-scale-nan": (CheckpointFormatError, {"channel_scale": float("nan")}),
+    "channel-scale-zero": (CheckpointFormatError, {"channel_scale": 0.0}),
+    "channel-scale-above-one": (CheckpointFormatError, {"channel_scale": 1e6}),
+    "num-classes-not-dense-b": (CheckpointMismatchError, {"num_classes": 10**9}),
+}
+
+
+class TestModelFromCheckpointConfig:
+    """A garbled config value is refused before any tensor is sized from it."""
+
+    @pytest.mark.parametrize("error, edit", CONFIG_EDITS.values(), ids=CONFIG_EDITS.keys())
+    def test_refused_before_build(self, monkeypatch, error, edit):
+        graph = build("m3", num_classes=10, rng=RandomSource(0), channel_scale=1 / 16)
+        config = {"num_classes": 10, "channel_scale": 1 / 16} | edit
+        ckpt = Checkpoint(version=1, arch="m3", epoch=1, params=graph.params,
+                          state=graph.state, config=config)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built from a config that should be refused")
+
+        monkeypatch.setattr(training, "build", no_build)
+        with pytest.raises(error, match="num_classes|channel_scale"):
+            model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, float("nan")])
+    def test_train_config_refuses_channel_scale(self, scale):
+        with pytest.raises(ValueError, match="channel_scale"):
+            TrainConfig(arch="m3", channel_scale=scale)
 
 
 class TestBatching:
