@@ -157,15 +157,15 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def resample_sinc(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
-    """Ideal (sinc) low-pass resampling by FFT, keeping only the bins
-    below dst_rate/2; the output has ceil(len(x) * dst_rate / src_rate)
-    samples."""
+def resample_sinc(x: np.ndarray, src_rate: int) -> np.ndarray:
+    """Ideal (sinc) low-pass resampling to TARGET_RATE by FFT, keeping only
+    the bins below TARGET_RATE/2; the output has
+    ceil(len(x) * TARGET_RATE / src_rate) samples."""
     x = np.asarray(x, dtype=np.float64)
-    if src_rate == dst_rate:
+    if src_rate == TARGET_RATE:
         return x
-    g = gcd(src_rate, dst_rate)
-    up, down = dst_rate // g, src_rate // g
+    g = gcd(src_rate, TARGET_RATE)
+    up, down = TARGET_RATE // g, src_rate // g
     # Zero-padding to a whole number of `down` samples makes the output
     # length a whole number too, so every output sample falls exactly on
     # its instant; otherwise the clip is time-stretched.
@@ -186,7 +186,7 @@ def to_mono_8k(samples: np.ndarray, rate: int) -> np.ndarray:
         raise UnsupportedWavError(f"refusing to upsample from {rate} Hz to {TARGET_RATE} Hz")
     samples = np.asarray(samples, dtype=np.float64)
     mono = samples.mean(axis=1) if samples.ndim == 2 else samples
-    return resample_sinc(mono, rate, TARGET_RATE)
+    return resample_sinc(mono, rate)
 
 
 def standardize(samples: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ Variants, applied as unit constructor arguments:
   m11-stride1   first convolution with stride 1 instead of 4
 
 The units are the whole description of a network: each one builds its own
-parameters, runs its forward pass and traces its output shape.
+parameters, the one place that names them, runs its forward pass and traces
+its output shape. param_names() returns what build registered, in order.
 
 All weights are Glorot-uniform initialized; conv fans are
 (rf * in_ch, rf * out_ch). Layers followed by BN carry no bias.
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ops
-from .tensor import RandomSource, TRAIN_DTYPE, check_shape
+from .tensor import RandomSource, TRAIN_DTYPE
 
 FC_WIDTH = 1000
 
@@ -124,13 +125,6 @@ def _glorot(rng: RandomSource, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, shape, dtype=dtype)
 
 
-def _build_bn(graph, k, width):
-    graph.params[f"{k}.bn.gamma"] = np.ones(width, dtype=graph.dtype)
-    graph.params[f"{k}.bn.beta"] = np.zeros(width, dtype=graph.dtype)
-    graph.state[f"{k}.bn.running_mean"] = np.zeros(width, dtype=graph.dtype)
-    graph.state[f"{k}.bn.running_var"] = np.ones(width, dtype=graph.dtype)
-
-
 def _record(tape, backward, cache, *names):
     """Record `backward(g, cache)` on the tape, if there is one. With names,
     backward returns (grad_x, *param_grads), and each parameter gradient
@@ -167,7 +161,33 @@ def _relu(y, tape):
     return y
 
 
-class _ConvUnit:
+class _Unit:
+    """A unit without parameters or weight layers: build passes the channels
+    through. A unit with parameters registers each one in build with
+    `_param`, and param_names() returns them in that order."""
+
+    weight_layers = 0
+    _names = ()
+
+    def build(self, in_ch, rng, graph):
+        return in_ch
+
+    def param_names(self):
+        return list(self._names)
+
+    def _param(self, graph, name, value):
+        graph.params[name] = value
+        self._names += (name,)
+
+    def _bn_params(self, graph, width):
+        k = self.label
+        self._param(graph, f"{k}.bn.gamma", np.ones(width, dtype=graph.dtype))
+        self._param(graph, f"{k}.bn.beta", np.zeros(width, dtype=graph.dtype))
+        graph.state[f"{k}.bn.running_mean"] = np.zeros(width, dtype=graph.dtype)
+        graph.state[f"{k}.bn.running_var"] = np.ones(width, dtype=graph.dtype)
+
+
+class _ConvUnit(_Unit):
     def __init__(self, idx, rf, stride, out_ch, with_bn):
         self.rf, self.stride = rf, stride
         self.out_ch, self.with_bn = out_ch, with_bn
@@ -175,14 +195,14 @@ class _ConvUnit:
 
     def build(self, in_ch, rng, graph):
         k = self.label
-        graph.params[f"{k}.kernel"] = _glorot(
+        self._param(graph, f"{k}.kernel", _glorot(
             rng, (self.rf, in_ch, self.out_ch),
             self.rf * in_ch, self.rf * self.out_ch, graph.dtype,
-        )
+        ))
         if self.with_bn:
-            _build_bn(graph, k, self.out_ch)
+            self._bn_params(graph, self.out_ch)
         else:
-            graph.params[f"{k}.bias"] = np.zeros(self.out_ch, dtype=graph.dtype)
+            self._param(graph, f"{k}.bias", np.zeros(self.out_ch, dtype=graph.dtype))
         return self.out_ch
 
     def conv_bn(self, x, graph, mode, tape, relu):
@@ -206,19 +226,14 @@ class _ConvUnit:
     def trace(self, T, C):
         return ops.same_pad_1d(T, self.rf, self.stride)[0], self.out_ch
 
-    def param_names(self):
-        k = self.label
-        names = [f"{k}.kernel"]
-        names += [f"{k}.bn.gamma", f"{k}.bn.beta"] if self.with_bn else [f"{k}.bias"]
-        return names
-
     weight_layers = 1
 
 
-class _ResBlockUnit:
+class _ResBlockUnit(_Unit):
     """relu(conv_bn2(relu(conv_bn1(x))) + pad(x)): two stride-1 conv units
-    (conv indices i, i+1) and a shortcut that zero-pads x up to the block's
-    channels.
+    (conv indices i, i+1), whose parameters are the block's, and a
+    zero-padded identity shortcut that adds x in place onto the first in_ch
+    channels of the branch output.
 
     The shortcut is a fan-out of x, so its gradient adds to the branch's.
     On the linear op tape that is two closures around the branch: the one
@@ -248,8 +263,7 @@ class _ResBlockUnit:
         stash = []
         _record(tape, lambda g, stash: g + stash.pop(), stash)
         h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape, relu=False)
-        grow = self.out_ch - in_ch
-        h = h + (np.pad(x, ((0, 0), (0, 0), (0, grow))) if grow else x)
+        h[:, :, :in_ch] += x
         def fan_out(g, stash):
             stash.append(g[:, :, :in_ch])
             return g
@@ -265,12 +279,9 @@ class _ResBlockUnit:
     weight_layers = 2
 
 
-class _MaxPoolUnit:
+class _MaxPoolUnit(_Unit):
     def __init__(self, idx):
         self.label = f"maxpool{idx}"
-
-    def build(self, in_ch, rng, graph):
-        return in_ch
 
     def forward(self, x, graph, mode, tape, rng):
         y, cache = ops.maxpool1d_forward(x, mode)
@@ -280,17 +291,9 @@ class _MaxPoolUnit:
     def trace(self, T, C):
         return -(-T // ops.POOL), C
 
-    def param_names(self):
-        return []
 
-    weight_layers = 0
-
-
-class _GlobalAvgPoolUnit:
+class _GlobalAvgPoolUnit(_Unit):
     label = "global_avg_pool"
-
-    def build(self, in_ch, rng, graph):
-        return in_ch
 
     def forward(self, x, graph, mode, tape, rng):
         y, T = ops.global_avg_pool(x)
@@ -300,13 +303,8 @@ class _GlobalAvgPoolUnit:
     def trace(self, T, C):
         return 1, C
 
-    def param_names(self):
-        return []
 
-    weight_layers = 0
-
-
-class _FCUnit:
+class _FCUnit(_Unit):
     """Fully connected layer with BN, ReLU, and inverted dropout."""
 
     def __init__(self, idx):
@@ -314,8 +312,8 @@ class _FCUnit:
 
     def build(self, in_ch, rng, graph):
         k = self.label
-        graph.params[f"{k}.w"] = _glorot(rng, (in_ch, FC_WIDTH), in_ch, FC_WIDTH, graph.dtype)
-        _build_bn(graph, k, FC_WIDTH)
+        self._param(graph, f"{k}.w", _glorot(rng, (in_ch, FC_WIDTH), in_ch, FC_WIDTH, graph.dtype))
+        self._bn_params(graph, FC_WIDTH)
         return FC_WIDTH
 
     def forward(self, x, graph, mode, tape, rng):
@@ -330,24 +328,20 @@ class _FCUnit:
     def trace(self, T, C):
         return 1, FC_WIDTH
 
-    def param_names(self):
-        k = self.label
-        return [f"{k}.w", f"{k}.bn.gamma", f"{k}.bn.beta"]
-
     weight_layers = 1
 
 
-class _DenseUnit:
+class _DenseUnit(_Unit):
     label = "dense"
 
     def __init__(self, num_classes):
         self.num_classes = num_classes
 
     def build(self, in_ch, rng, graph):
-        graph.params["dense.w"] = _glorot(
+        self._param(graph, "dense.w", _glorot(
             rng, (in_ch, self.num_classes), in_ch, self.num_classes, graph.dtype
-        )
-        graph.params["dense.b"] = np.zeros(self.num_classes, dtype=graph.dtype)
+        ))
+        self._param(graph, "dense.b", np.zeros(self.num_classes, dtype=graph.dtype))
         return self.num_classes
 
     def forward(self, x, graph, mode, tape, rng):
@@ -358,9 +352,6 @@ class _DenseUnit:
     def trace(self, T, C):
         return 1, self.num_classes
 
-    def param_names(self):
-        return ["dense.w", "dense.b"]
-
     weight_layers = 1
 
 
@@ -368,8 +359,7 @@ class ModelGraph:
     """Executable layer sequence with a named, deterministically ordered
     parameter map and per-layer BN running statistics."""
 
-    def __init__(self, name: str, units: list, rng: RandomSource | None = None, dtype=TRAIN_DTYPE):
-        self.name = name
+    def __init__(self, units: list, rng: RandomSource | None = None, dtype=TRAIN_DTYPE):
         self.units = units
         self.dtype = np.dtype(dtype)
         self.params: dict = {}
@@ -386,6 +376,8 @@ class ModelGraph:
     def forward(self, x: np.ndarray, mode: str = "infer", rng: RandomSource | None = None) -> ForwardResult:
         """Run the network; returns probabilities, logits, and (in train
         mode) the op tape for the backward pass."""
+        if mode not in ("train", "infer"):
+            raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         if x.ndim != 3 or x.shape[2] != 1:
             raise ValueError(f"expected input [B,T,1], got {x.shape}")
         first_rf = self.units[0].rf
@@ -404,7 +396,7 @@ class ModelGraph:
 def build(name: str, num_classes: int = 10, rng: RandomSource | None = None,
           dtype=TRAIN_DTYPE, channel_scale: float = 1.0) -> ModelGraph:
     """Construct a freshly initialized network by name."""
-    return ModelGraph(name, architecture(name, num_classes, channel_scale), rng=rng, dtype=dtype)
+    return ModelGraph(architecture(name, num_classes, channel_scale), rng=rng, dtype=dtype)
 
 
 def count_parameters(graph: ModelGraph) -> int:
@@ -425,13 +417,12 @@ def rounded_millions(count: int) -> str:
     return f"{round(count / 1e5) / 10:.1f}M"
 
 
-def shape_trace(name_or_graph, input_T: int, num_classes: int = 10) -> list:
+def shape_trace(name_or_graph, input_T: int) -> list:
     """Symbolic forward over shapes only: [(layer label, (T, C)), ...]."""
     if isinstance(name_or_graph, ModelGraph):
         units = name_or_graph.units
     else:
-        units = architecture(name_or_graph, num_classes)
-    check_shape((input_T,))
+        units = architecture(name_or_graph)
     first_rf = units[0].rf
     if input_T < first_rf:
         raise ValueError(f"input length {input_T} < first receptive field {first_rf}")

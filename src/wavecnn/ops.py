@@ -231,8 +231,10 @@ def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
 
 
 def relu_forward(x: np.ndarray):
-    y = np.maximum(x, 0)
-    return check_finite("relu", y), x > 0
+    # The input, not the output: max(-inf, 0) is 0, and the residual
+    # shortcut add before this ReLU has no check of its own.
+    check_finite("relu", x)
+    return np.maximum(x, 0), x > 0
 
 
 def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ class SyntheticDataset:
     """
 
     def __init__(self, n_clips: int = 32, seed: int = SMOKE_SEED, length: int = CLIP_SAMPLES,
-                 num_classes: int = 2, fold: int = 1):
+                 num_classes: int = 2):
         rng = RandomSource(seed).derive(90)
         self.class_names = ["sine", "noise"] if num_classes == 2 else [
             f"class_{i}" for i in range(num_classes)
@@ -53,7 +53,8 @@ class SyntheticDataset:
             else:
                 wave = rng.normal(0.0, 1.0, length, dtype=np.float64)
             clip_id = f"synth_{i:03d}"
-            self.entries.append(ClipEntry(clip_id, None, label, fold, length / TARGET_RATE))
+            # Fold 1: every clip is a train clip under the default test fold 10.
+            self.entries.append(ClipEntry(clip_id, None, label, 1, length / TARGET_RATE))
             self._clips[clip_id] = standardize(wave).astype(np.float32)
 
     @property

@@ -1,5 +1,4 @@
-"""Dense array helpers, shape checks, atomic file writes, and the seeded
-random source.
+"""The finiteness check, atomic file writes, and the seeded random source.
 
 Every module in the package shares two layout conventions:
 
@@ -28,17 +27,6 @@ TRAIN_DTYPE = np.float32
 
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces NaN or Inf."""
-
-
-def check_shape(dims) -> tuple:
-    """Validate extents (each >= 1, integral) and return them as a tuple."""
-    dims = tuple(int(d) for d in dims)
-    if not dims:
-        raise ValueError("shape must have at least one extent")
-    for d in dims:
-        if d < 1:
-            raise ValueError(f"shape {dims} has extent {d} < 1")
-    return dims
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:

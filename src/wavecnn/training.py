@@ -9,6 +9,9 @@ Checkpoint container format (version 1):
     magic b"WCNNCKPT" | uint32 LE manifest length | UTF-8 JSON manifest |
     raw little-endian float32 tensor payloads, in manifest order
 
+The payloads tile the rest of the file: each tensor's offset is the byte
+count of the tensors before it, and no bytes follow the last one.
+
 The manifest records version, architecture, epoch, config snapshot, RNG
 state, Adam scalars, and one entry per tensor (name, kind, shape, offset).
 """
@@ -249,7 +252,8 @@ def _bad_fields(manifest: dict) -> list:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file. Each tensor is read into its own array, so
-    memory use is the size of the tensors, not of the file on top."""
+    memory use is the size of the tensors, not of the file on top; since
+    the tensors must tile the payload, that is at most the file's size."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = len(CHECKPOINT_MAGIC) + 4
@@ -274,17 +278,26 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: manifest lacks or garbles {bad}")
         meta = manifest.get("adam")
 
+        # Every entry is checked before any tensor is allocated.
         payload_bytes = size - head - n
         sections = {"param": {}, "state": {}, "adam_m": {}, "adam_v": {}}
+        entries, end = {}, 0
         for t in manifest["tensors"]:
             kind, name, shape, offset = _tensor_entry(t, sections, path)
-            end = offset + math.prod(shape) * 4
+            if offset != end:
+                raise CheckpointFormatError(f"{path}: tensor {name} at offset {offset}, expected {end}")
+            if (kind, name) in entries:
+                raise CheckpointFormatError(f"{path}: tensor {name!r} listed twice as {kind}")
+            end += math.prod(shape) * 4
             if end > payload_bytes:
                 raise CheckpointTruncatedError(
                     f"{path}: tensor {name} needs bytes up to {end}, payload has {payload_bytes}"
                 )
+            entries[kind, name] = shape
+        if end != payload_bytes:
+            raise CheckpointFormatError(f"{path}: {payload_bytes - end} bytes follow the last tensor")
+        for (kind, name), shape in entries.items():
             arr = np.empty(shape, dtype="<f4")
-            f.seek(head + n + offset)
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointTruncatedError(f"{path}: tensor {name} ends early")
             sections[kind][name] = arr

@@ -262,7 +262,7 @@ def test_acceptance_8_data_pipeline(tmp_path):
 
     def tone_amp(freq, src=44100):
         t = np.arange(src) / src
-        y = resample_sinc(np.sin(2 * np.pi * freq * t), src, 8000)
+        y = resample_sinc(np.sin(2 * np.pi * freq * t), src)
         mid = y[len(y) // 4 : 3 * len(y) // 4]
         return float(np.sqrt(2.0) * np.sqrt(np.mean(mid**2)))
 

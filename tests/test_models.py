@@ -120,6 +120,13 @@ class TestGoldenCounts:
         graph = build("m5", rng=RandomSource(0))
         assert sum(c for _, c in parameter_breakdown(graph)) == count_parameters(graph)
 
+    @pytest.mark.parametrize("name", valid_architectures())
+    def test_unit_param_names_are_the_graph_params(self, name):
+        """Each unit names exactly what its build registered: over the units,
+        in order, the names are the graph's parameter map."""
+        graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+        assert [n for u in graph.units for n in u.param_names()] == list(graph.params)
+
     def test_running_stats_not_counted(self):
         graph = build("m3", rng=RandomSource(0))
         assert all("running" not in name for name in graph.params)
@@ -325,6 +332,13 @@ class TestForward:
         before = graph.state["conv1.bn.running_mean"].copy()
         graph.forward(x, mode="train")
         assert not np.array_equal(graph.state["conv1.bn.running_mean"], before)
+
+    def test_unknown_mode_rejected(self):
+        """Without BN no op checks the mode, so the graph does."""
+        graph = build("m3-no-bn", rng=RandomSource(4), channel_scale=1 / 16)
+        x = np.zeros((2, 1000, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match="mode"):
+            graph.forward(x, mode="trian")
 
     def test_short_input_rejected(self):
         graph = build("m3", rng=RandomSource(4), channel_scale=1 / 16)

@@ -430,6 +430,13 @@ class TestDropout:
         assert abs(y.mean() - 1.0) < 0.02
 
 
+class TestRelu:
+    def test_non_finite_input_rejected(self):
+        """-inf would come out as 0, so the input is what is checked."""
+        with pytest.raises(NonFiniteError, match="relu"):
+            ops.relu_forward(np.array([-np.inf, 1.0], dtype=np.float32))
+
+
 class TestResidualBlock:
     """The model's residual block unit, run outside a full network."""
 
@@ -479,6 +486,15 @@ class TestResidualBlock:
             h = block.forward(h, graph, "train", None, None)
         expect = np.maximum(np.pad(x, ((0, 0), (0, 0), (0, 3))), 0.0)
         np.testing.assert_array_equal(h, expect)
+
+    def test_shortcut_overflow_rejected(self):
+        """A branch output of -3e38 plus an input of -3e38 overflows to -inf
+        in the shortcut add; the ReLU after it must not turn that into 0."""
+        x = np.full((2, 6, 4), -3e38, dtype=np.float32)
+        block, graph = self._block(4, 4, dtype=np.float32)
+        graph.params["conv2.bn.beta"][...] = -3e38
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="relu"):
+            block.forward(x, graph, "train", None, None)
 
     def test_fanout_gradient_accumulates_both_paths(self):
         """Input gradient = branch adjoint + shortcut adjoint."""

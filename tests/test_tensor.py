@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from wavecnn.tensor import NonFiniteError, RandomSource, check_finite, check_shape
+from wavecnn.tensor import NonFiniteError, RandomSource, check_finite
 
 
 class TestShapeAndFiniteness:
-    def test_check_shape(self):
-        assert check_shape([2, 3]) == (2, 3)
-
-    @pytest.mark.parametrize("dims", [[], [0], [2, -1]])
-    def test_bad_shapes(self, dims):
-        with pytest.raises(ValueError):
-            check_shape(dims)
-
     def test_nan_is_hard_error(self):
         with pytest.raises(NonFiniteError):
             check_finite("x", np.array([1.0, np.nan]))

@@ -372,6 +372,9 @@ MANIFEST_EDITS = {
     "no-offset": _drop("offset"),
     "no-shape": _drop("shape"),
     "negative-offset": lambda m: m["tensors"][0].update(offset=-4),
+    "overlapping-offset": lambda m: m["tensors"][1].update(offset=0),
+    "gap-before-offset": lambda m: m["tensors"][1].update(offset=16),
+    "duplicate-name": lambda m: m["tensors"][2].update(kind="adam_m"),
     "float-extent": lambda m: m["tensors"][0].update(shape=[1.5]),
     "entry-not-object": lambda m: m["tensors"].__setitem__(0, "w"),
     "no-tensors": lambda m: m.pop("tensors"),
@@ -426,6 +429,34 @@ class TestCheckpointManifest:
         self._write(path, manifest, data[head + n :])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        params = {"w": np.arange(3, dtype=np.float32)}
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(Checkpoint(version=1, arch="m3", epoch=1, params=params,
+                                   state={}, config={}), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointFormatError, match="4 bytes follow"):
+            load_checkpoint(path)
+
+    def test_overlapping_entries_allocate_nothing(self, tmp_path):
+        """40 entries all at offset 0 of a 1 MiB payload are refused before
+        any of them is allocated, rather than loading 40 MiB."""
+        n = 1 << 18
+        tensors = [{"name": f"w{i}", "kind": "param", "shape": [n], "offset": 0}
+                   for i in range(40)]
+        manifest = {"version": 1, "arch": "m3", "epoch": 1, "config": {},
+                    "rng_state": None, "adam": None, "tensors": tensors}
+        path = tmp_path / "overlap.ckpt"
+        self._write(path, manifest, bytes(4 * n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="offset"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n, f"peak {peak} bytes"
 
     def test_manifest_not_an_object(self, tmp_path):
         path = tmp_path / "list.ckpt"
