@@ -266,12 +266,9 @@ class DatasetIndex:
                 label = int(row["classID"])
                 folded = data_root / f"fold{fold}" / name
                 path = folded if folded.exists() else data_root / name
-                duration = None
-                if row.get("start") and row.get("end"):
-                    duration = float(row["end"]) - float(row["start"])
                 if row.get("class"):
                     names[label] = row["class"]
-                entries.append(ClipEntry(name, path, label, fold, duration))
+                entries.append(ClipEntry(name, path, label, fold))
         n_classes = max((e.label for e in entries), default=-1) + 1
         class_names = [names.get(i, f"class_{i}") for i in range(n_classes)]
         return cls(entries, class_names, cache_dir=cache_dir)
@@ -291,21 +288,19 @@ class DatasetIndex:
         if clip is not None:
             return clip
         raw = Path(entry.path).read_bytes()
-        if self.cache_dir:
-            blob = self._cache_path(raw)
-            if blob.exists():
-                data = blob.read_bytes()
-                if len(data) == 4 * CLIP_SAMPLES:
-                    clip = np.frombuffer(data, dtype="<f4")
-                else:
-                    logger.warning("%s: cache blob has %d bytes, not %d; recomputing",
-                                   blob, len(data), 4 * CLIP_SAMPLES)
-            if clip is None:
-                clip = preprocess(raw)
+        blob = self._cache_path(raw) if self.cache_dir else None
+        if blob is not None and blob.exists():
+            data = blob.read_bytes()
+            if len(data) == 4 * CLIP_SAMPLES:
+                clip = np.frombuffer(data, dtype="<f4")
+            else:
+                logger.warning("%s: cache blob has %d bytes, not %d; recomputing",
+                               blob, len(data), 4 * CLIP_SAMPLES)
+        if clip is None:
+            clip = preprocess(raw)
+            if blob is not None:
                 with atomic_write(blob) as f:
                     f.write(clip.astype("<f4", copy=False).data)
-        else:
-            clip = preprocess(raw)
         self._memo[entry.clip_id] = clip
         return clip
 

@@ -120,7 +120,7 @@ def _cmd_eval(args) -> int:
     accuracy, confusion = evaluate(graph, x, labels)
     print(f"fold={args.fold} clips={len(entries)} accuracy={accuracy:.4f}")
     print("confusion matrix (rows = true class, cols = predicted):")
-    width = max(len(n) for n in dataset.class_names) if dataset.class_names else 8
+    width = max(len(n) for n in dataset.class_names)
     for i, row in enumerate(confusion):
         name = dataset.class_names[i] if i < len(dataset.class_names) else str(i)
         print(f"  {name:<{width}} " + " ".join(f"{v:5d}" for v in row))
@@ -167,18 +167,19 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_smoke(args) -> int:
-    outcome = smoke_overfit(seed=args.seed, epochs=args.epochs, log_path=args.log)
-    for rec in outcome.result.history:
+    history = smoke_overfit(seed=args.seed, epochs=args.epochs, log_path=args.log).history
+    for rec in history:
         print(
             f"epoch {rec.epoch:3d} train_loss={rec.train_loss:.6f} "
             f"train_acc={rec.train_acc:.4f}"
         )
-    if outcome.reached_full_train_accuracy:
-        print(f"smoke: reached 100% train accuracy at epoch {outcome.epochs_run}")
+    last = history[-1]
+    if last.train_acc >= 1.0:
+        print(f"smoke: reached 100% train accuracy at epoch {last.epoch}")
         return 0
     print(
         f"smoke: FAILED to reach 100% train accuracy in {args.epochs} epochs "
-        f"(final {outcome.final_train_acc:.4f})",
+        f"(final {last.train_acc:.4f})",
         file=sys.stderr,
     )
     return 1

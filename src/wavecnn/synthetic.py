@@ -1,18 +1,19 @@
 """Synthetic sine-vs-noise data and the desk-scale training harnesses.
 
-Two harnesses build on the same tiny dataset:
+Two harnesses build on the same tiny dataset and return what `train` returns:
 
   smoke_overfit           reduced-width 3-layer model driven to 100% train
-                          accuracy, the end-to-end determinism check
+                          accuracy, the end-to-end determinism check;
+                          returns the run's TrainResult
   trainability_contrast   narrow 34-layer residual model with and without
-                          batch normalization, comparing training loss and
-                          best train accuracy; the first/last gradient-norm
-                          ratio is a diagnostic of the BN run
+                          batch normalization; returns the two epoch
+                          histories (BN, no-BN), compared on last-epoch
+                          training loss and best train accuracy. The
+                          first/last gradient-norm ratio is a diagnostic
+                          of the BN run
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +52,10 @@ class SyntheticDataset:
                 phase = float(rng.uniform(0.0, 2 * np.pi))
                 wave = np.sin(2 * np.pi * freq * t + phase)
             else:
-                wave = rng.normal(0.0, 1.0, length, dtype=np.float64)
+                wave = rng.normal(length, dtype=np.float64)
             clip_id = f"synth_{i:03d}"
             # Fold 1: every clip is a train clip under the default test fold 10.
-            self.entries.append(ClipEntry(clip_id, None, label, 1, length / TARGET_RATE))
+            self.entries.append(ClipEntry(clip_id, None, label, 1))
             self._clips[clip_id] = standardize(wave).astype(np.float32)
 
     @property
@@ -65,15 +66,7 @@ class SyntheticDataset:
         return self._clips[entry.clip_id]
 
 
-@dataclass
-class SmokeResult:
-    reached_full_train_accuracy: bool
-    epochs_run: int
-    final_train_acc: float
-    result: TrainResult
-
-
-def smoke_overfit(seed: int = SMOKE_SEED, epochs: int = SMOKE_EPOCHS, log_path=None) -> SmokeResult:
+def smoke_overfit(seed: int = SMOKE_SEED, epochs: int = SMOKE_EPOCHS, log_path=None) -> TrainResult:
     """Overfit 32 sine-vs-noise clips with a reduced-width 3-layer model."""
     data = SyntheticDataset(n_clips=32, seed=seed)
     config = TrainConfig(
@@ -86,48 +79,12 @@ def smoke_overfit(seed: int = SMOKE_SEED, epochs: int = SMOKE_EPOCHS, log_path=N
         stop_at_train_acc=1.0,
         log_path=log_path,
     )
-    result = train(config, data)
-    last = result.history[-1]
-    return SmokeResult(
-        reached_full_train_accuracy=last.train_acc >= 1.0,
-        epochs_run=last.epoch,
-        final_train_acc=last.train_acc,
-        result=result,
-    )
+    return train(config, data)
 
 
-@dataclass
-class ContrastResult:
-    bn_history: list
-    no_bn_history: list
-
-    @property
-    def bn_epoch_loss(self) -> float:
-        return self.bn_history[-1].train_loss
-
-    @property
-    def no_bn_epoch_loss(self) -> float:
-        return self.no_bn_history[-1].train_loss
-
-    @property
-    def bn_best_train_acc(self) -> float:
-        return max(rec.train_acc for rec in self.bn_history)
-
-    @property
-    def no_bn_best_train_acc(self) -> float:
-        return max(rec.train_acc for rec in self.no_bn_history)
-
-    def bn_ratio_inside(self, low: float = 1e-4, high: float = 1e4) -> bool:
-        """Did the BN run's first/last gradient-norm ratio stay within
-        [low, high] in every epoch?"""
-        return all(
-            low <= rec.grad_ratio_min and rec.grad_ratio_max <= high
-            for rec in self.bn_history
-        )
-
-
-def trainability_contrast(seed: int = SMOKE_SEED, epochs: int = 5) -> ContrastResult:
-    """Train narrow 34-layer variants with and without BN on the smoke set.
+def trainability_contrast(seed: int = SMOKE_SEED, epochs: int = 5) -> tuple:
+    """Train narrow 34-layer variants with and without BN on the smoke set
+    and return their histories, (m34-res, m34-no-bn).
 
     Both runs share the seed, data and width; m34-no-bn is m34-res with
     BN removed, identity shortcuts kept. What the two are compared on is
@@ -139,7 +96,7 @@ def trainability_contrast(seed: int = SMOKE_SEED, epochs: int = 5) -> ContrastRe
     shortcuts the forward shrinkage of activations and the backward
     shrinkage of output gradients cancel in a first/last quotient.
     """
-    histories = {}
+    histories = []
     for arch in ("m34-res", "m34-no-bn"):
         data = SyntheticDataset(n_clips=32, seed=seed)
         config = TrainConfig(
@@ -150,7 +107,5 @@ def trainability_contrast(seed: int = SMOKE_SEED, epochs: int = 5) -> ContrastRe
             num_classes=2,
             channel_scale=CONTRAST_CHANNEL_SCALE,
         )
-        histories[arch] = train(config, data).history
-    return ContrastResult(
-        bn_history=histories["m34-res"], no_bn_history=histories["m34-no-bn"]
-    )
+        histories.append(train(config, data).history)
+    return tuple(histories)

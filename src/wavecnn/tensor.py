@@ -75,12 +75,8 @@ class RandomSource:
     def uniform(self, low: float, high: float, shape=None, dtype=TRAIN_DTYPE) -> np.ndarray:
         return np.asarray(self._gen.uniform(low, high, size=shape)).astype(dtype, copy=False)
 
-    def normal(self, mean: float = 0.0, std: float = 1.0, shape=None, dtype=TRAIN_DTYPE) -> np.ndarray:
-        out = mean + std * self._gen.standard_normal(size=shape)
-        return np.asarray(out).astype(dtype, copy=False)
-
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
+    def normal(self, shape=None, dtype=TRAIN_DTYPE) -> np.ndarray:
+        return np.asarray(self._gen.standard_normal(size=shape)).astype(dtype, copy=False)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

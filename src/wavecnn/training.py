@@ -121,9 +121,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
         m, v = state.m[name], state.v[name]
@@ -380,12 +378,8 @@ class TrainResult:
 
 
 def _grad_norm_ratio(grads: dict, first_name: str, last_name: str) -> float:
-    gf = grads.get(first_name)
-    gl = grads.get(last_name)
-    if gf is None or gl is None:
-        return float("nan")
-    nf = float(np.linalg.norm(gf.astype(np.float64)))
-    nl = float(np.linalg.norm(gl.astype(np.float64)))
+    nf = float(np.linalg.norm(grads[first_name].astype(np.float64)))
+    nl = float(np.linalg.norm(grads[last_name].astype(np.float64)))
     if nl == 0.0:
         return float("inf") if nf > 0 else float("nan")
     return nf / nl
@@ -439,7 +433,7 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         channel_scale=config.channel_scale,
     )
     train_rng = root.derive(_STREAM_TRAIN_OPS)
-    start_epoch = 0
+    start_epoch, adam = 0, None
     if resume_from is not None:
         if resume_from.arch != config.arch:
             raise CheckpointMismatchError(
@@ -448,8 +442,8 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         restore_model(resume_from, graph)
         if resume_from.rng_state is not None:
             train_rng.set_state(resume_from.rng_state)
-        start_epoch = resume_from.epoch
-    adam = getattr(resume_from, "adam", None) or AdamState(graph.params, config.alpha)
+        start_epoch, adam = resume_from.epoch, resume_from.adam
+    adam = adam or AdamState(graph.params, config.alpha)
     adam.alpha = config.alpha
 
     test_x, test_y = stack_clips(dataset, test_entries) if test_entries else (None, None)
@@ -465,7 +459,7 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         t0 = time.monotonic()
         shuffle_rng = root.derive(_STREAM_SHUFFLE, epoch)
         loss_sum, correct, seen, batch_id = 0.0, 0, 0, 0
-        ratio_min, ratio_max = float("inf"), float("-inf")
+        ratios = []
         for batch in make_batches(dataset, train_entries, config.batch_size, shuffle_rng):
             try:
                 result = graph.forward(batch.x, mode="train", rng=train_rng)
@@ -485,9 +479,8 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
                 raise RuntimeError(f"no gradient for parameters {sorted(missing)}")
             add_l2_gradients(graph.params, grads, config.l2_coeff)
             ratio = _grad_norm_ratio(grads, first_param, last_param)
-            if np.isfinite(ratio) or ratio == float("inf"):
-                ratio_min = min(ratio_min, ratio)
-                ratio_max = max(ratio_max, ratio)
+            if not math.isnan(ratio):
+                ratios.append(ratio)
             adam_step(graph.params, grads, adam)
             n = len(batch.labels)
             loss_sum += loss * n
@@ -508,8 +501,8 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
             train_acc=train_acc,
             test_acc=test_acc,
             seconds=time.monotonic() - t0,
-            grad_ratio_min=ratio_min if ratio_min != float("inf") else float("nan"),
-            grad_ratio_max=ratio_max if ratio_max != float("-inf") else float("nan"),
+            grad_ratio_min=min(ratios, default=float("nan")),
+            grad_ratio_max=max(ratios, default=float("nan")),
         )
         if val_x is not None:
             record.val_acc, _ = evaluate(graph, val_x, val_y)

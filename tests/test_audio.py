@@ -359,7 +359,6 @@ class TestDatasetIndex:
         index = DatasetIndex.from_metadata_csv(meta, tmp_path)
         assert len(index.entries) == 12
         assert index.class_names == ["sine", "noise"]
-        assert index.entries[0].duration == pytest.approx(0.25)
 
     def test_missing_required_column(self, tmp_path):
         bad = tmp_path / "bad.csv"

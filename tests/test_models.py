@@ -294,19 +294,19 @@ def _param_digest(graph):
 class TestForward:
     def test_fresh_model_rows_sum_to_one(self):
         graph = build("m5", rng=RandomSource(4), channel_scale=1 / 8)
-        x = RandomSource(5).normal(0, 1, (3, 4000, 1))
+        x = RandomSource(5).normal((3, 4000, 1))
         res = graph.forward(x, mode="infer")
         np.testing.assert_allclose(res.probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_inference_is_length_independent(self):
         graph = build("m18", rng=RandomSource(4), channel_scale=1 / 16)
         for T in (32000, 16000):
-            x = RandomSource(6).normal(0, 1, (1, T, 1))
+            x = RandomSource(6).normal((1, T, 1))
             assert graph.forward(x, mode="infer").probs.shape == (1, 10)
 
     def test_train_mode_returns_tape_with_full_coverage(self):
         graph = build("m11", rng=RandomSource(4), channel_scale=1 / 16)
-        x = RandomSource(7).normal(0, 1, (2, 2000, 1))
+        x = RandomSource(7).normal((2, 2000, 1))
         res = graph.forward(x, mode="train")
         _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
         grads = {}
@@ -321,14 +321,14 @@ class TestForward:
 
     def test_infer_mode_mutates_nothing(self):
         graph = build("m5", rng=RandomSource(4), channel_scale=1 / 8)
-        x = RandomSource(8).normal(0, 1, (2, 3000, 1))
+        x = RandomSource(8).normal((2, 3000, 1))
         before = _param_digest(graph)
         graph.forward(x, mode="infer")
         assert _param_digest(graph) == before
 
     def test_train_mode_updates_running_stats(self):
         graph = build("m5", rng=RandomSource(4), channel_scale=1 / 8)
-        x = RandomSource(8).normal(0, 1, (2, 3000, 1))
+        x = RandomSource(8).normal((2, 3000, 1))
         before = graph.state["conv1.bn.running_mean"].copy()
         graph.forward(x, mode="train")
         assert not np.array_equal(graph.state["conv1.bn.running_mean"], before)
@@ -369,7 +369,7 @@ def test_tape_structure(name):
     silently ignores extra keys, such as a bias gradient for a BN conv),
     from a tape of the pinned length."""
     graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
-    x = RandomSource(0).normal(0, 1, (2, 1280, 1))
+    x = RandomSource(0).normal((2, 1280, 1))
     res = graph.forward(x, mode="train", rng=RandomSource(0))
     _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
     grads = {}
@@ -382,7 +382,7 @@ def test_train_step_peak_memory():
     """Backward releases each record once run, so an m3 step (forward and
     backward) holds no more than a few copies of the stem output at once."""
     graph = build("m3", rng=RandomSource(0), channel_scale=1 / 4)
-    x = RandomSource(1).normal(0, 1, (4, 32000, 1)).astype(np.float32)
+    x = RandomSource(1).normal((4, 32000, 1)).astype(np.float32)
     stem_bytes = 4 * 8000 * 64 * 4  # [B, T/4, 256/4] float32
     tracemalloc.start()
     try:

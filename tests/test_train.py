@@ -209,7 +209,7 @@ class TestEvaluate:
 
     def test_evaluation_is_pure(self):
         graph = build("m5", num_classes=2, rng=RandomSource(2), channel_scale=1 / 16)
-        x = RandomSource(3).normal(0, 1, (6, 2000, 1))
+        x = RandomSource(3).normal((6, 2000, 1))
         y = np.array([0, 1, 0, 1, 0, 1])
         before = {n: p.copy() for n, p in list(graph.params.items()) + list(graph.state.items())}
         evaluate(graph, x, y)
