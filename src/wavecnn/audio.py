@@ -55,12 +55,20 @@ class TruncatedWavError(WavError):
     """The file ends before the declared chunk or frame data."""
 
 
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Bytes 2..15 of the SubFormat GUIDs that carry a plain format code in their
+# first two (KSDATAFORMAT_SUBTYPE_PCM, KSDATAFORMAT_SUBTYPE_IEEE_FLOAT).
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
 def decode_wav(data: bytes):
     """Parse a RIFF/WAVE blob into (samples [frames, channels], rate, channels).
 
     Integer PCM is scaled to [-1, 1] by the type's maximum magnitude
     (16-bit: /32768); 8-bit WAV PCM is unsigned and re-centered. Channels
-    are kept separate for the caller.
+    are kept separate for the caller. A WAVE_FORMAT_EXTENSIBLE fmt chunk is
+    read as the format its SubFormat GUID names; the channel mask and
+    valid-bits field are ignored.
     """
     if len(data) < 12:
         raise TruncatedWavError(f"only {len(data)} bytes, need at least 12 (offset 0)")
@@ -84,6 +92,17 @@ def decode_wav(data: bytes):
                 raise TruncatedWavError(f"fmt chunk runs past end of file (offset {pos})")
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
             fmt_offset = pos
+            if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
+                # The format code is the first two bytes of the SubFormat GUID
+                # at body bytes 24..39.
+                if size < 40:
+                    raise MalformedWavError(f"extensible fmt chunk of {size} bytes at offset {pos}")
+                if body_start + 40 > len(data):
+                    raise TruncatedWavError(f"fmt chunk runs past end of file (offset {pos})")
+                guid = data[body_start + 24 : body_start + 40]
+                if guid[2:] != _SUBFORMAT_TAIL:
+                    raise UnsupportedWavError(f"fmt chunk at offset {pos}: SubFormat {guid.hex()}")
+                fmt = struct.unpack_from("<H", guid) + fmt[1:]
         elif cid == b"data":
             if body_start + size > len(data):
                 raise TruncatedWavError(
@@ -264,6 +283,11 @@ class DatasetIndex:
                 name = row["slice_file_name"]
                 fold = int(row["fold"])
                 label = int(row["classID"])
+                if fold < 0 or label < 0:
+                    raise ValueError(
+                        f"{meta_path}, line {reader.line_num}: fold {fold} and classID {label} "
+                        "must be >= 0"
+                    )
                 folded = data_root / f"fold{fold}" / name
                 path = folded if folded.exists() else data_root / name
                 if row.get("class"):

@@ -4,11 +4,13 @@ All ops are pure functions over [batch, time, channels] arrays. Each forward
 returns (output, cache); the matching backward consumes the cache and the
 output gradient and returns exact adjoints.
 
-Precision follows the input dtype. A float64 op computes in float64, and the
-float64 convolution forward accumulates products one (tap, in_channel) pair
-at a time, in the same order as a naive triple loop, so results are bitwise
-equal to the brute-force reference; gradient checks use this path. A float32
-op computes in float32, and its convolution GEMMs accumulate in float32.
+Precision follows the input dtype. Training runs in float32
+(tensor.TRAIN_DTYPE) and numerical gradient checks in float64, since finite
+differences are unreliable in 32-bit. A float64 op computes in float64, and
+the float64 convolution forward accumulates products one (tap, in_channel)
+pair at a time, in the same order as a naive triple loop, so results are
+bitwise equal to the brute-force reference. A float32 op computes in
+float32, and its convolution GEMMs accumulate in float32.
 Per-channel reductions are the exception: batch-norm statistics and
 gradient sums and the conv bias gradient are float64 on both paths, and
 batch norm applies its statistics as one float64-derived scale/shift per

@@ -8,12 +8,8 @@ Every module in the package shares two layout conventions:
 Keeping the time axis in the middle leaves it contiguously strided for the
 convolution inner loops and avoids transposition bugs between layers.
 
-Numeric precision is dual: float32 for training, float64 for numerical
-gradient checks (finite differences are unreliable in 32-bit). A float32
-op computes in float32, GEMM accumulation included; only per-channel
-reductions (batch-norm statistics and gradient sums, the conv bias
-gradient) are taken in float64. A float64 op computes in float64
-throughout.
+The precision policy (which dtype each op computes and accumulates in) is
+stated once, in the `ops` module docstring.
 """
 
 from __future__ import annotations

@@ -533,6 +533,10 @@ def evaluate(graph: ModelGraph, x: np.ndarray, labels: np.ndarray):
     (rows = true class, columns = predicted; argmax ties go to the first
     index). Never mutates parameters or running statistics."""
     K = graph.num_classes
+    outside = (labels < 0) | (labels >= K)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"label {labels[i]} at row {i} is outside [0, {K})")
     confusion = np.zeros((K, K), dtype=np.int64)
     for i in range(0, len(labels), EVAL_BATCH):
         xb = x[i : i + EVAL_BATCH]

@@ -62,6 +62,21 @@ def wav_bytes(samples, rate, bits=16, audio_format=1):
     return header + raw
 
 
+# Bytes 2..15 of the PCM and IEEE-float SubFormat GUIDs.
+GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def extensible(blob, guid_tail=GUID_TAIL, fmt_size=40):
+    """The same wav_bytes blob with its fmt chunk rewritten as
+    WAVE_FORMAT_EXTENSIBLE (tag 0xFFFE, the old tag in the SubFormat GUID),
+    cut to fmt_size bytes."""
+    tag, channels, rate, byte_rate, block, bits = struct.unpack_from("<HHIIHH", blob, 20)
+    body = struct.pack("<HHIIHHHHIH", 0xFFFE, channels, rate, byte_rate, block, bits,
+                       22, bits, 0, tag) + guid_tail
+    out = blob[:12] + b"fmt " + struct.pack("<I", fmt_size) + body[:fmt_size] + blob[36:]
+    return out[:4] + struct.pack("<I", len(out) - 8) + out[8:]
+
+
 class TestDecodeWav:
     def test_16bit_positive_full_scale(self):
         data = wav_bytes(np.array([32767 / 32768.0]), 8000)
@@ -120,6 +135,24 @@ class TestDecodeWav:
         blob[20:22] = struct.pack("<H", 7)  # mu-law
         with pytest.raises(UnsupportedWavError, match="format 7"):
             decode_wav(bytes(blob))
+
+    @pytest.mark.parametrize("bits,audio_format", [(16, 1), (24, 1), (32, 3)])
+    def test_extensible_decodes_as_plain(self, bits, audio_format):
+        plain = wav_bytes(np.random.default_rng(3).uniform(-1, 1, (50, 2)), 48000,
+                          bits=bits, audio_format=audio_format)
+        samples, rate, ch = decode_wav(extensible(plain))
+        want, want_rate, want_ch = decode_wav(plain)
+        assert (rate, ch) == (want_rate, want_ch)
+        assert samples.tobytes() == want.tobytes()
+
+    def test_extensible_unknown_subformat(self):
+        blob = extensible(wav_bytes(np.zeros(4), 8000), guid_tail=bytes(14))
+        with pytest.raises(UnsupportedWavError, match="SubFormat"):
+            decode_wav(blob)
+
+    def test_extensible_short_fmt_chunk(self):
+        with pytest.raises(MalformedWavError, match="18 bytes"):
+            decode_wav(extensible(wav_bytes(np.zeros(4), 8000), fmt_size=18))
 
     @pytest.mark.parametrize("rate", [1_000_003, 50_000_017])
     def test_rate_above_bound_rejected_fast(self, rate):
@@ -359,6 +392,13 @@ class TestDatasetIndex:
         index = DatasetIndex.from_metadata_csv(meta, tmp_path)
         assert len(index.entries) == 12
         assert index.class_names == ["sine", "noise"]
+
+    @pytest.mark.parametrize("row", ["b.wav,-3,1", "b.wav,1,-1"])
+    def test_negative_fold_or_class_refused(self, tmp_path, row):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(f"slice_file_name,fold,classID\na.wav,1,0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            DatasetIndex.from_metadata_csv(meta, tmp_path)
 
     def test_missing_required_column(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -173,6 +173,19 @@ class TestShapeTrace:
         with pytest.raises(ValueError, match="receptive field"):
             shape_trace("m18", 50)
 
+    @pytest.mark.parametrize("name", valid_architectures())
+    def test_trace_matches_unit_outputs(self, name):
+        """Each unit's infer-mode output has the (T, C) of its shape_trace
+        row; a 2-D head output counts as T=1."""
+        graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+        rows = shape_trace(graph, 3200)
+        assert rows[0] == ("input", (3200, 1))
+        h = RandomSource(1).normal((2, 3200, 1))
+        for unit, row in zip(graph.units, rows[1:], strict=True):
+            h = unit.forward(h, graph, "infer", None, None)
+            got = (1, h.shape[1]) if h.ndim == 2 else h.shape[1:]
+            assert (unit.label, got) == row
+
 
 class TestNameLaw:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""Every public function, class and module-level constant of ops.py and
-tensor.py is used by another module of the package. A name that only its own tests call is dead
-code: delete it, or fold it into what the package uses."""
+"""Every public function, class, class method and module-level constant of
+ops.py and tensor.py is used by another module of the package. A name that
+only its own tests call is dead code: delete it, or fold it into what the
+package uses."""
 
 import ast
 import inspect
@@ -30,20 +31,40 @@ def _constants(path: Path) -> list:
     return names
 
 
-@pytest.mark.parametrize("module", [ops, tensor], ids=lambda m: m.__name__)
-def test_public_names_are_used_elsewhere_in_the_package(module):
+def _used_elsewhere(module) -> set:
+    """Identifiers in the code of the package's other modules."""
     own = Path(module.__file__)
-    used = set()
-    for path in own.parent.glob("*.py"):
-        if path != own:
-            used |= _code_names(path)
-    public = [
-        name for name, obj in vars(module).items()
+    return set().union(*(_code_names(p) for p in own.parent.glob("*.py") if p != own))
+
+
+def _public_own(namespace: dict, module) -> list:
+    return [
+        name for name, obj in namespace.items()
         if not name.startswith("_")
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     ]
-    public += [name for name in _constants(own) if not name.startswith("_")]
+
+
+@pytest.mark.parametrize("module", [ops, tensor], ids=lambda m: m.__name__)
+def test_public_names_are_used_elsewhere_in_the_package(module):
+    public = _public_own(vars(module), module)
+    public += [name for name in _constants(Path(module.__file__)) if not name.startswith("_")]
     assert public
-    unused = sorted(set(public) - used)
+    unused = sorted(set(public) - _used_elsewhere(module))
     assert not unused, f"{module.__name__}: no other module of the package uses {unused}"
+
+
+@pytest.mark.parametrize("module", [ops, tensor], ids=lambda m: m.__name__)
+def test_public_methods_are_used_elsewhere_in_the_package(module):
+    """Same token rule, one level down: a public method counts as used when
+    its name appears in another module's code."""
+    used = _used_elsewhere(module)
+    methods = [
+        (cls, name)
+        for cls in _public_own(vars(module), module)
+        for name in _public_own(vars(getattr(module, cls)), module)
+    ]
+    assert methods
+    unused = sorted(f"{cls}.{name}" for cls, name in methods if name not in used)
+    assert not unused, f"{module.__name__}: no other module of the package calls {unused}"

@@ -207,6 +207,14 @@ class TestEvaluate:
 
         assert peak(32) <= 1.2 * peak(8)
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_label_outside_class_range_refused(self, bad, monkeypatch):
+        graph = build("m3", num_classes=10, rng=RandomSource(1), channel_scale=1 / 32)
+        monkeypatch.setattr(graph, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        x = np.zeros((3, 2000, 1), dtype=np.float32)
+        with pytest.raises(ValueError, match=rf"label {bad} at row 2 is outside \[0, 10\)"):
+            evaluate(graph, x, np.array([0, 1, bad]))
+
     def test_evaluation_is_pure(self):
         graph = build("m5", num_classes=2, rng=RandomSource(2), channel_scale=1 / 16)
         x = RandomSource(3).normal((6, 2000, 1))
