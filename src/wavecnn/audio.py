@@ -253,11 +253,11 @@ def split_entries(entries, test_fold: int = 10):
 class DatasetIndex:
     """Fold-organized catalog of clips behind a metadata CSV.
 
-    Decoded clips are memoized in memory; `cache_dir`, when set, also stores
-    the preprocessed 32000-sample float32 blob keyed by the hash of the
-    pipeline tag and the source file so later runs skip decoding and
-    resampling. Blobs are written atomically; one of the wrong size is
-    recomputed and rewritten.
+    Decoded clips are memoized in memory by file path; `cache_dir`, when
+    set, also stores the preprocessed 32000-sample float32 blob keyed by
+    the hash of the pipeline tag and the source file so later runs skip
+    decoding and resampling. Blobs are written atomically; one of the wrong
+    size is recomputed and rewritten.
     """
 
     def __init__(self, entries, class_names, cache_dir=None):
@@ -281,8 +281,12 @@ class DatasetIndex:
                 raise ValueError(f"{meta_path}: metadata CSV missing columns {sorted(missing)}")
             for row in reader:
                 name = row["slice_file_name"]
-                fold = int(row["fold"])
-                label = int(row["classID"])
+                try:
+                    fold, label = int(row["fold"]), int(row["classID"])
+                except ValueError:
+                    raise ValueError(f"{meta_path}, line {reader.line_num}: fold "
+                                     f"{row['fold']!r} and classID {row['classID']!r} "
+                                     "must be integers") from None
                 if fold < 0 or label < 0:
                     raise ValueError(
                         f"{meta_path}, line {reader.line_num}: fold {fold} and classID {label} "
@@ -308,7 +312,7 @@ class DatasetIndex:
 
     def load(self, entry: ClipEntry) -> np.ndarray:
         """Preprocessed 32000-sample float32 waveform for one entry."""
-        clip = self._memo.get(entry.clip_id)
+        clip = self._memo.get(entry.path)
         if clip is not None:
             return clip
         raw = Path(entry.path).read_bytes()
@@ -325,7 +329,7 @@ class DatasetIndex:
             if blob is not None:
                 with atomic_write(blob) as f:
                     f.write(clip.astype("<f4", copy=False).data)
-        self._memo[entry.clip_id] = clip
+        self._memo[entry.path] = clip
         return clip
 
 

@@ -28,6 +28,11 @@ A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
 (conv units, FC units and a residual block's first conv). A standalone ReLU
 op remains only where no BN precedes it: after the residual shortcut add
 and in the no-BN variants' conv units.
+
+A maxpool unit applies the tail of the unit before it, which that unit
+skips: a BN conv's BN and ReLU, as one BN op that pools first, or else the
+ReLU, after the maxpool op. Outputs stay bitwise those of the published
+order; ops.py says what else changes.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ def _units(column, num_classes, channel_scale,
     units = [_ConvUnit(1, first_rf, first_stride, ch(first), with_bn)]
     conv_idx = 2
     for pool_idx, (width, count) in enumerate(stages, start=1):
-        units.append(_MaxPoolUnit(pool_idx))
+        units.append(_MaxPoolUnit(pool_idx, units[-1]))
         for _ in range(count):
             if residual:
                 units.append(_ResBlockUnit(conv_idx, ch(width), with_bn))
@@ -106,7 +111,7 @@ def _units(column, num_classes, channel_scale,
                 units.append(_ConvUnit(conv_idx, 3, 1, ch(width), with_bn))
             conv_idx += units[-1].weight_layers
     if pool_last:
-        units.append(_MaxPoolUnit(len(stages) + 1))
+        units.append(_MaxPoolUnit(len(stages) + 1, units[-1]))
     units.append(_GlobalAvgPoolUnit())
     if fc:
         units += [_FCUnit(1), _FCUnit(2)]
@@ -141,16 +146,16 @@ def _record(tape, backward, cache, *names):
     tape.record(back)
 
 
-def _bn(y, k, graph, mode, tape, relu):
+def _bn(y, k, graph, mode, tape, relu, pool=False):
     """Batch norm over the `{k}.bn.*` params and state, with the ReLU as
-    its epilogue if asked."""
+    its epilogue and the maxpool before its scale/shift if asked."""
     s = ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
     )
-    y, cache = ops.batchnorm_forward(y, s, mode, relu)
+    y, cache = ops.batchnorm_forward(y, s, mode, relu, pool)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
@@ -168,6 +173,7 @@ class _Unit:
 
     weight_layers = 0
     _names = ()
+    pooled = False  # a maxpool follows and applies this unit's tail
 
     def build(self, in_ch, rng, graph):
         return in_ch
@@ -205,8 +211,8 @@ class _ConvUnit(_Unit):
             self._param(graph, f"{k}.bias", np.zeros(self.out_ch, dtype=graph.dtype))
         return self.out_ch
 
-    def conv_bn(self, x, graph, mode, tape, relu):
-        """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
+    def conv(self, x, graph, tape):
+        """The convolution, with its bias when no batch norm follows."""
         k = self.label
         p = ops.ConvParams(
             kernel=graph.params[f"{k}.kernel"],
@@ -216,11 +222,18 @@ class _ConvUnit(_Unit):
         y, cache = ops.conv1d_forward(x, p)
         # Without a bias the bias gradient is None, which adds nothing.
         _record(tape, ops.conv1d_backward, cache, f"{k}.kernel", f"{k}.bias")
+        return y
+
+    def conv_bn(self, x, graph, mode, tape, relu):
+        """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
+        y = self.conv(x, graph, tape)
         if self.with_bn:
-            return _bn(y, k, graph, mode, tape, relu)
+            return _bn(y, self.label, graph, mode, tape, relu)
         return _relu(y, tape) if relu else y
 
     def forward(self, x, graph, mode, tape, rng):
+        if self.pooled:
+            return self.conv(x, graph, tape)
         return self.conv_bn(x, graph, mode, tape, relu=True)
 
     def trace(self, T, C):
@@ -268,7 +281,7 @@ class _ResBlockUnit(_Unit):
             stash.append(g[:, :, :in_ch])
             return g
         _record(tape, fan_out, stash)
-        return _relu(h, tape)
+        return h if self.pooled else _relu(h, tape)
 
     def trace(self, T, C):
         return T, self.out_ch
@@ -280,13 +293,19 @@ class _ResBlockUnit(_Unit):
 
 
 class _MaxPoolUnit(_Unit):
-    def __init__(self, idx):
+    """Maxpool-4 that applies the tail of `prev` (module docstring)."""
+
+    def __init__(self, idx, prev):
         self.label = f"maxpool{idx}"
+        prev.pooled = True
+        self._bn_key = prev.label if isinstance(prev, _ConvUnit) and prev.with_bn else None
 
     def forward(self, x, graph, mode, tape, rng):
+        if self._bn_key is not None:
+            return _bn(x, self._bn_key, graph, mode, tape, relu=True, pool=True)
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
-        return y
+        return _relu(y, tape)
 
     def trace(self, T, C):
         return -(-T // ops.POOL), C

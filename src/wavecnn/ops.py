@@ -17,6 +17,19 @@ batch norm applies its statistics as one float64-derived scale/shift per
 channel. A ReLU that follows batch norm runs as the BN op's in-place
 epilogue.
 
+A maxpool after batch norm runs inside the BN op: maxpool commutes with
+per-channel non-decreasing maps, and float rounding is monotone, so the op
+pools x after the statistics (the min where the float64 scale gamma * inv
+is negative) and applies scale/shift, check and ReLU at a quarter of the
+size, bitwise equal to BN + ReLU, then maxpool. The check then sees pooled
+values only, as where models.py pools before a ReLU: NaN and +inf still
+raise, but a pre-ReLU -inf (an overflow of scale * x + shift or of the
+residual shortcut add) that loses its window passes; the ReLU zeroes it.
+The gradient goes to the first extreme slot of x, which differs from the
+BN output's only where rounding ties distinct x. With gamma == 0 all slots
+tie, and the gamma gradient takes x at the raw argmax, not at the first
+slot; both are valid subgradients.
+
 The float32 convolution forward and the backward (both dtypes) pick their
 path by the input channel count, against one threshold, _IM2COL_MAX_CIN. A
 per-tap product has inner dimension Cin, so with deep inputs each of the rf
@@ -193,28 +206,25 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     return grad_x, grad_kernel, grad_bias
 
 
-def maxpool1d_forward(x: np.ndarray, mode: str):
-    """Maximum over time windows of POOL, ceil semantics for the last one.
-
-    Train mode caches (idx, T): idx is each window's first argmax slot, as
-    uint8 (POOL is 4), for the backward. Infer mode computes no argmax and
-    returns no cache (None).
-    """
+def _window_extreme(x: np.ndarray, mode: str, low=False):
+    """Extreme over time windows of POOL, ceil semantics for the last one:
+    the max, or the min in the channels where the bool `low` is set. Train
+    mode caches (idx, T), idx being each window's first extreme slot as
+    uint8 (POOL is 4); infer mode computes no slots and caches None."""
     B, T, C = x.shape
     out_T = -(-T // POOL)
     pad = out_T * POOL - T
     if pad:
-        xp = np.concatenate(
-            [x, np.full((B, pad, C), -np.inf, dtype=x.dtype)], axis=1
-        )
-    else:
-        xp = x
-    xr = xp.reshape(B, out_T, POOL, C)
-    y = check_finite("maxpool1d", xr.max(axis=2))
+        fill = np.where(low, np.inf, -np.inf).astype(x.dtype)
+        x = np.concatenate([x, np.broadcast_to(fill, (B, pad, C))], axis=1)
+    xr = x.reshape(B, out_T, POOL, C)
+    y = xr.max(axis=2)
+    if np.any(low):
+        y[..., low] = xr[..., low].min(axis=2)
     if mode != "train":
         return y, None
-    # The first maximal slot's index is the count of slots before it that
-    # miss the max, which keeps the first-index rule on ties.
+    # The first extreme slot's index is the count of slots before it that
+    # miss the extreme, which keeps the first-index rule on ties.
     before = xr[:, :, 0, :] != y
     idx = before.astype(np.uint8)
     for w in range(1, POOL - 1):
@@ -223,13 +233,21 @@ def maxpool1d_forward(x: np.ndarray, mode: str):
     return y, (idx, T)
 
 
+def maxpool1d_forward(x: np.ndarray, mode: str):
+    """Maximum over time windows of POOL, ceil semantics for the last one;
+    the cache is _window_extreme's."""
+    y, cache = _window_extreme(x, mode)
+    return check_finite("maxpool1d", y), cache
+
+
 def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     """Route each window's gradient to its (first) argmax position."""
     idx, T = cache
     B, out_T, C = grad_out.shape
     g = np.zeros((B, out_T, POOL, C), dtype=grad_out.dtype)
     np.put_along_axis(g, idx[:, :, None, :], grad_out[:, :, None, :], axis=2)
-    return g.reshape(B, out_T * POOL, C)[:, :T, :]
+    # Contiguous, so that the conv backward that reads it next copies nothing.
+    return np.ascontiguousarray(g.reshape(B, out_T * POOL, C)[:, :T, :])
 
 
 def relu_forward(x: np.ndarray):
@@ -243,13 +261,15 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return grad_out * mask
 
 
-def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, relu: bool = False):
+def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
+                      relu: bool = False, pool: bool = False):
     """Normalize per channel; train mode pools stats over (batch, time).
 
     The statistics and the per-channel scale/shift are float64; the output
     y = x * scale + shift is formed in x's dtype in two passes. With relu,
-    max(y, 0) is applied in place as an epilogue. Train mode updates running
-    stats in place:
+    max(y, 0) is applied in place as an epilogue. With pool, the output is
+    maxpooled, by pooling x before the scale/shift (module docstring).
+    Train mode updates running stats in place:
     running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
     Infer mode returns no cache (None): it has no backward.
     """
@@ -271,14 +291,15 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, relu: bool = 
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     scale = s.gamma * inv
-    y = x * scale.astype(x.dtype)
+    xs, slots = _window_extreme(x, mode, scale < 0) if pool else (x, None)
+    y = xs * scale.astype(x.dtype)
     y += (s.beta - mu * scale).astype(x.dtype)
     check_finite("batchnorm", y)
     if relu:
         np.maximum(y, 0, out=y)
     if mode == "infer":
         return y, None
-    return y, (x2, mu, inv, s.gamma, y > 0 if relu else None)
+    return y, (x2, xs, slots, mu, inv, s.gamma, y > 0 if relu else None)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
@@ -286,17 +307,18 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
 
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
     the sums of g and g * x. After a ReLU epilogue, g is the output gradient
-    masked to where the output is positive, and grad_x is formed in place
-    on it.
+    masked to where the output is positive, and g * a is formed in place
+    on it. After pooling, the sums and g * a run at the pooled size, over
+    the window extremes, and g * a then goes to each window's extreme slot.
     """
-    x2, mu, inv, gamma, mask = cache
-    n = len(x2)
+    x2, xs, slots, mu, inv, gamma, mask = cache
+    n, C = x2.shape
     dt = grad_out.dtype
     if mask is not None:
         grad_out = grad_out * mask
-    g2 = grad_out.reshape(x2.shape)
+    g2 = grad_out.reshape(-1, C)
     sum_g = g2.sum(axis=0, dtype=np.float64)
-    sum_gx = np.einsum("ij,ij->j", g2, x2, dtype=np.float64)
+    sum_gx = np.einsum("ij,ij->j", g2, xs.reshape(g2.shape), dtype=np.float64)
     grad_gamma = inv * (sum_gx - mu * sum_g)
     a = gamma * inv
     if mask is None:
@@ -304,6 +326,8 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     else:
         grad_x = grad_out
         grad_x *= a.astype(dt)
+    if slots is not None:
+        grad_x = maxpool1d_backward(grad_x, slots)
     # Batch statistics depend on x, so their adjoints fold back in, one
     # clip at a time: no full-size x * b temporary.
     b = -a * inv * grad_gamma / n

@@ -1,9 +1,10 @@
 """Finite-difference trial runners shared by the gradient tests.
 
 Every trial builds a random small case in float64, computes analytic
-gradients through the op's backward rule (for the conv unit and the residual
-block, through the model unit's op tape), and compares against central
-finite differences (h = 1e-5) of a scalar projection of the forward pass.
+gradients through the op's backward rule (for the conv unit, the conv unit
+with the maxpool unit after it, and the residual block, through the model
+units' op tape), and compares against central finite differences
+(h = 1e-5) of a scalar projection of the forward pass.
 Returns the worst normwise relative error over the trial's gradients.
 """
 
@@ -242,6 +243,49 @@ def conv_unit_trial(rng):
     return _unit_errors(unit, graph, x, rng)
 
 
+def conv_unit_pool_trial(rng):
+    """A conv unit with batch norm and the maxpool unit after it, which
+    applies the BN scale/shift and ReLU to the window extremes of the raw
+    conv output. Gammas take both signs, so some channels pool the min.
+
+    A case is redrawn while two raw values of one window lie within 1e-3 of
+    each other (which covers its two largest and two smallest), where a
+    +-h step could move the extreme to another slot, or while a pooled
+    pre-ReLU value lies within 1e-3 of the kink. Cin starts at 2, as in the
+    conv unit trial.
+    """
+    while True:
+        B = int(rng.integers(2, 4))
+        T = int(rng.integers(4, 14))
+        Cin = int(rng.integers(2, 4))
+        Cout = int(rng.integers(1, 4))
+        rf = int(rng.choice([1, 3, 8]))
+        stride = int(rng.choice([1, 2]))
+        x = rng.standard_normal((B, T, Cin))
+        conv = models._ConvUnit(1, rf, stride, Cout, with_bn=True)
+        pool = models._MaxPoolUnit(1, conv)
+        graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(np.float64))
+        conv.build(Cin, RandomSource(0), graph)
+        graph.params.update({
+            "conv1.kernel": rng.standard_normal((rf, Cin, Cout)),
+            "conv1.bn.gamma": rng.choice([-1.0, 1.0], Cout) * rng.uniform(0.5, 2.0, Cout),
+            "conv1.bn.beta": rng.standard_normal(Cout),
+        })
+        raw = conv.conv(x, graph, None)
+        pad = -raw.shape[1] % ops.POOL
+        windows = np.pad(raw, ((0, 0), (0, pad), (0, 0)), constant_values=np.nan)
+        gaps = np.diff(np.sort(windows.reshape(B, -1, ops.POOL, Cout), axis=2), axis=2)
+        pre = ops.maxpool1d_forward(conv.conv_bn(x, graph, "train", None, relu=False), "infer")[0]
+        if np.min(gaps, where=~np.isnan(gaps), initial=np.inf) >= 1e-3 and np.abs(pre).min() >= 1e-3:
+            break
+    pair = SimpleNamespace(
+        forward=lambda x, graph, mode, tape, rng: pool.forward(
+            conv.forward(x, graph, mode, tape, rng), graph, mode, tape, rng),
+        param_names=conv.param_names,
+    )
+    return _unit_errors(pair, graph, x, rng)
+
+
 def _relu_inputs(block, graph, x):
     """What the block's inner and outer ReLUs see in forward."""
     c1, c2 = block._convs
@@ -277,6 +321,7 @@ TRIALS = {
     "relu": relu_trial,
     "dropout": dropout_trial,
     "conv_unit_bn_relu": conv_unit_trial,
+    "conv_unit_bn_relu_pool": conv_unit_pool_trial,
     "residual_block": residual_trial,
     "residual_block_no_bn": lambda rng: residual_trial(rng, with_bn=False),
 }

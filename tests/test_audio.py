@@ -400,6 +400,28 @@ class TestDatasetIndex:
         with pytest.raises(ValueError, match="line 3"):
             DatasetIndex.from_metadata_csv(meta, tmp_path)
 
+    @pytest.mark.parametrize("row", ["b.wav,1.0,1", "b.wav,,1", "b.wav,1,x"])
+    def test_non_integer_fold_or_class_refused(self, tmp_path, row):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(f"slice_file_name,fold,classID\na.wav,1,0\n{row}\n")
+        with pytest.raises(ValueError, match=r"meta\.csv, line 3: .* must be integers"):
+            DatasetIndex.from_metadata_csv(meta, tmp_path)
+
+    def test_same_name_in_two_folds_loads_each_file(self, tmp_path):
+        """Two rows naming a.wav in different folds load two files."""
+        rng = np.random.default_rng(15)
+        sine = 0.5 * np.sin(2 * np.pi * 440 * np.arange(8000) / 8000)
+        for fold, wave in ((1, sine), (2, rng.uniform(-0.5, 0.5, 8000))):
+            (tmp_path / f"fold{fold}").mkdir()
+            (tmp_path / f"fold{fold}" / "a.wav").write_bytes(wav_bytes(wave, 8000))
+        meta = tmp_path / "meta.csv"
+        meta.write_text("slice_file_name,fold,classID\na.wav,1,0\na.wav,2,1\n")
+        index = DatasetIndex.from_metadata_csv(meta, tmp_path)
+        for e in index.entries:
+            np.testing.assert_array_equal(index.load(e), preprocess(e.path.read_bytes()))
+        first, second = (index.load(e) for e in index.entries)
+        assert not np.array_equal(first, second)
+
     def test_missing_required_column(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("file,fold\nx.wav,1\n")

@@ -366,6 +366,119 @@ class TestBatchNorm:
         assert peak <= 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
+def _pooled_reference(x, s, mode):
+    """Batch norm with its ReLU, then maxpool: the published order."""
+    y, bn_cache = ops.batchnorm_forward(x, s, mode, relu=True)
+    y, pool_cache = ops.maxpool1d_forward(y, mode)
+    return y, (bn_cache, pool_cache)
+
+
+def _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.0, 2.1, -1.9, 0.4)):
+    """Input and a state factory for 6 channels: gammas of both signs and
+    (by default) one 0, and running stats away from (0, 1) so infer mode
+    has work to do."""
+    x = (rng.standard_normal((2, T, 6)) * 1.5 + rng.standard_normal(6)).astype(dtype)
+    beta = rng.standard_normal(6).astype(dtype)
+    mean, var = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
+
+    def state():
+        s = _bn_state(6, dtype, np.array(gamma, dtype), beta.copy())
+        s.running_mean[...] = mean
+        s.running_var[...] = var
+        return s
+    return x, state
+
+
+class TestPooledBatchNorm:
+    """batchnorm_forward(..., relu=True, pool=True) against batch norm with
+    its ReLU followed by maxpool."""
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [125, 128, 2001])
+    def test_matches_bn_relu_then_maxpool_bitwise(self, T, dtype, mode):
+        x, state = _pooled_case(np.random.default_rng(T), T, dtype)
+        s, s_ref = state(), state()
+        ref, _ = _pooled_reference(x, s_ref, mode)
+        y, cache = ops.batchnorm_forward(x, s, mode, relu=True, pool=True)
+        assert y.dtype == ref.dtype and y.shape == (2, -(-T // ops.POOL), 6)
+        np.testing.assert_array_equal(y, ref)
+        np.testing.assert_array_equal(s.running_mean, s_ref.running_mean)
+        np.testing.assert_array_equal(s.running_var, s_ref.running_var)
+        assert (cache is None) == (mode == "infer")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [125, 128, 2001])
+    def test_backward_matches_bn_relu_then_maxpool(self, T, dtype):
+        """On an input whose BN outputs have no ties within a window, every
+        gradient is equal. (With gamma 0 every slot ties, so all gammas are
+        nonzero here.)"""
+        rng = np.random.default_rng(T + 1)
+        x, state = _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
+        full = ops.batchnorm_forward(x, state(), "train")[0]
+        windows = np.pad(full, ((0, 0), (0, -T % ops.POOL), (0, 0)), constant_values=-np.inf)
+        windows = windows.reshape(2, -1, ops.POOL, 6)
+        assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
+        ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
+        y, cache = ops.batchnorm_forward(x, state(), "train", relu=True, pool=True)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        want = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+        got = ops.batchnorm_backward(g, cache)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_zero_gamma_routes_to_the_raw_max(self):
+        """With gamma 0 every slot of a window ties after BN. The gradient
+        goes to the raw argmax: a valid subgradient for gamma, and grad_x
+        and grad_beta equal the unpooled order's."""
+        rng = np.random.default_rng(18)
+        x, state = _pooled_case(rng, 128, np.float64)
+        ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
+        y, cache = ops.batchnorm_forward(x, state(), "train", relu=True, pool=True)
+        g = rng.standard_normal(y.shape)
+        gx, gg, gb = ops.batchnorm_backward(g, cache)
+        rx, rg, rb = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+        np.testing.assert_array_equal(gx, rx)
+        np.testing.assert_array_equal(gb, rb)
+        x_max = x[:, :, 2].reshape(2, -1, ops.POOL).max(axis=2)
+        mu, inv = x[:, :, 2].mean(), 1 / np.sqrt(x[:, :, 2].var() + ops._BN_EPS)
+        mask = y[:, :, 2] > 0
+        assert mask.all(), "beta > 0 passes every window of the gamma-0 channel"
+        assert gg[2] != rg[2]
+        assert gg[2] == pytest.approx((g[:, :, 2] * mask * (x_max - mu) * inv).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_nan_raises(self, mode):
+        x, state = _pooled_case(np.random.default_rng(17), 128, np.float32)
+        x[1, 50, 3] = np.nan
+        with pytest.raises(NonFiniteError, match="batchnorm"):
+            ops.batchnorm_forward(x, state(), mode, relu=True, pool=True)
+
+    def test_overflow_to_pos_inf_raises(self):
+        """A pre-ReLU +inf wins its window, so it is always seen."""
+        x = np.zeros((2, 4, 1), np.float32)
+        x[0, :, 0] = [3, -1, -1, -1]
+        s = _bn_state(1, np.float32, gamma=np.array([2.45e38], np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="batchnorm"):
+            ops.batchnorm_forward(x, s, "train", relu=True, pool=True)
+
+    def test_pooled_away_neg_inf_does_not_raise(self):
+        """A pre-ReLU -inf that loses its window is not seen: the ReLU maps
+        it to 0 either way. Unpooled, the same input raises. Channel 1 has
+        a negative gamma and pools the min."""
+        x = np.zeros((2, 4, 2), np.float32)
+        x[0, :, 0] = [-3, 1, 1, 1]
+        x[0, :, 1] = [3, -1, -1, -1]
+        gamma = np.array([2.45e38, -2.45e38], np.float32)
+        with np.errstate(over="ignore"):
+            y, _ = ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train",
+                                         relu=True, pool=True)
+            assert np.all(np.isfinite(y)) and y[0, 0].min() > 1e38
+            with pytest.raises(NonFiniteError, match="batchnorm"):
+                ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train", relu=True)
+
+
 class TestGlobalAvgPool:
     def test_published_shape(self):
         y, _ = ops.global_avg_pool(np.zeros((1, 32, 512)))
