@@ -283,10 +283,9 @@ class DatasetIndex:
                 name = row["slice_file_name"]
                 try:
                     fold, label = int(row["fold"]), int(row["classID"])
-                except ValueError:
-                    raise ValueError(f"{meta_path}, line {reader.line_num}: fold "
-                                     f"{row['fold']!r} and classID {row['classID']!r} "
-                                     "must be integers") from None
+                except (TypeError, ValueError):  # TypeError: a short row's missing cell is None
+                    raise ValueError(f"{meta_path}, line {reader.line_num}: fold {row['fold']!r} "
+                                     f"and classID {row['classID']!r} must be integers") from None
                 if fold < 0 or label < 0:
                     raise ValueError(
                         f"{meta_path}, line {reader.line_num}: fold {fold} and classID {label} "

@@ -29,10 +29,8 @@ A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
 op remains only where no BN precedes it: after the residual shortcut add
 and in the no-BN variants' conv units.
 
-A maxpool unit applies the tail of the unit before it, which that unit
-skips: a BN conv's BN and ReLU, as one BN op that pools first, or else the
-ReLU, after the maxpool op. Outputs stay bitwise those of the published
-order; ops.py says what else changes.
+A maxpool unit applies the tail of the unit before it (BN and ReLU, or the
+ReLU), which that unit skips; ops.py states the pool order's contract.
 """
 
 from __future__ import annotations
@@ -293,8 +291,6 @@ class _ResBlockUnit(_Unit):
 
 
 class _MaxPoolUnit(_Unit):
-    """Maxpool-4 that applies the tail of `prev` (module docstring)."""
-
     def __init__(self, idx, prev):
         self.label = f"maxpool{idx}"
         prev.pooled = True

@@ -17,18 +17,17 @@ batch norm applies its statistics as one float64-derived scale/shift per
 channel. A ReLU that follows batch norm runs as the BN op's in-place
 epilogue.
 
-A maxpool after batch norm runs inside the BN op: maxpool commutes with
-per-channel non-decreasing maps, and float rounding is monotone, so the op
-pools x after the statistics (the min where the float64 scale gamma * inv
-is negative) and applies scale/shift, check and ReLU at a quarter of the
-size, bitwise equal to BN + ReLU, then maxpool. The check then sees pooled
-values only, as where models.py pools before a ReLU: NaN and +inf still
-raise, but a pre-ReLU -inf (an overflow of scale * x + shift or of the
-residual shortcut add) that loses its window passes; the ReLU zeroes it.
-The gradient goes to the first extreme slot of x, which differs from the
-BN output's only where rounding ties distinct x. With gamma == 0 all slots
-tie, and the gamma gradient takes x at the raw argmax, not at the first
-slot; both are valid subgradients.
+A maxpool after batch norm runs inside the BN op. Maxpool commutes with
+per-channel non-decreasing maps and float rounding is monotone, so the op
+pools x after the statistics (the min where the float64 gamma * inv < 0),
+then applies scale/shift, check and ReLU at quarter size: bitwise BN + ReLU,
+then maxpool. The check, as where models.py pools before a ReLU, sees
+pooled values: NaN and +inf still raise, but a pre-ReLU -inf (an overflow
+of scale * x + shift or of the shortcut add) that loses its window passes,
+and the ReLU zeroes it. The gradient goes to the first extreme slot of x,
+the BN output's first argmax unless rounding ties distinct x. With
+gamma == 0 all slots tie, and grad_gamma takes x at the raw argmax, not
+the first slot; both are valid subgradients.
 
 The float32 convolution forward and the backward (both dtypes) pick their
 path by the input channel count, against one threshold, _IM2COL_MAX_CIN. A
@@ -220,7 +219,8 @@ def _window_extreme(x: np.ndarray, mode: str, low=False):
     xr = x.reshape(B, out_T, POOL, C)
     y = xr.max(axis=2)
     if np.any(low):
-        y[..., low] = xr[..., low].min(axis=2)
+        # Two plain reductions: a channel gather would copy the low channels.
+        np.copyto(y, xr.min(axis=2), where=low)
     if mode != "train":
         return y, None
     # The first extreme slot's index is the count of slots before it that
@@ -234,8 +234,7 @@ def _window_extreme(x: np.ndarray, mode: str, low=False):
 
 
 def maxpool1d_forward(x: np.ndarray, mode: str):
-    """Maximum over time windows of POOL, ceil semantics for the last one;
-    the cache is _window_extreme's."""
+    """Maximum over time windows of POOL; the cache is _window_extreme's."""
     y, cache = _window_extreme(x, mode)
     return check_finite("maxpool1d", y), cache
 
@@ -267,9 +266,8 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
 
     The statistics and the per-channel scale/shift are float64; the output
     y = x * scale + shift is formed in x's dtype in two passes. With relu,
-    max(y, 0) is applied in place as an epilogue. With pool, the output is
-    maxpooled, by pooling x before the scale/shift (module docstring).
-    Train mode updates running stats in place:
+    max(y, 0) is applied in place as an epilogue; pool maxpools y (module
+    docstring). Train mode updates running stats in place:
     running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
     Infer mode returns no cache (None): it has no backward.
     """
@@ -308,8 +306,7 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
     the sums of g and g * x. After a ReLU epilogue, g is the output gradient
     masked to where the output is positive, and g * a is formed in place
-    on it. After pooling, the sums and g * a run at the pooled size, over
-    the window extremes, and g * a then goes to each window's extreme slot.
+    on it. With pool, sums and g * a are pooled-size; g * a is then scattered.
     """
     x2, xs, slots, mu, inv, gamma, mask = cache
     n, C = x2.shape

@@ -400,7 +400,7 @@ class TestDatasetIndex:
         with pytest.raises(ValueError, match="line 3"):
             DatasetIndex.from_metadata_csv(meta, tmp_path)
 
-    @pytest.mark.parametrize("row", ["b.wav,1.0,1", "b.wav,,1", "b.wav,1,x"])
+    @pytest.mark.parametrize("row", ["b.wav,1.0,1", "b.wav,,1", "b.wav,1,x", "b.wav,1"])
     def test_non_integer_fold_or_class_refused(self, tmp_path, row):
         meta = tmp_path / "meta.csv"
         meta.write_text(f"slice_file_name,fold,classID\na.wav,1,0\n{row}\n")
