@@ -291,6 +291,9 @@ class DatasetIndex:
                         f"{meta_path}, line {reader.line_num}: fold {fold} and classID {label} "
                         "must be >= 0"
                     )
+                if not name or name in (".", "..") or Path(name).name != name:
+                    raise ValueError(f"{meta_path}, line {reader.line_num}: slice_file_name "
+                                     f"{name!r} must be a bare file name")
                 folded = data_root / f"fold{fold}" / name
                 path = folded if folded.exists() else data_root / name
                 if row.get("class"):

@@ -27,10 +27,9 @@ Gradients at fan-out points (the residual shortcut) accumulate additively.
 A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
 (conv units, FC units and a residual block's first conv). A standalone ReLU
 op remains only where no BN precedes it: after the residual shortcut add
-and in the no-BN variants' conv units.
-
-A maxpool unit applies the tail of the unit before it (BN and ReLU, or the
-ReLU), which that unit skips; ops.py states the pool order's contract.
+and in the no-BN variants' conv units. A maxpool after a BN conv runs its
+BN and ReLU, pooling first; any other maxpool is plain (ops.py states the
+pool order's contract and which ops check for non-finite values).
 """
 
 from __future__ import annotations
@@ -171,7 +170,6 @@ class _Unit:
 
     weight_layers = 0
     _names = ()
-    pooled = False  # a maxpool follows and applies this unit's tail
 
     def build(self, in_ch, rng, graph):
         return in_ch
@@ -238,6 +236,7 @@ class _ConvUnit(_Unit):
         return ops.same_pad_1d(T, self.rf, self.stride)[0], self.out_ch
 
     weight_layers = 1
+    pooled = False  # with BN: the maxpool after it runs its batch norm and ReLU
 
 
 class _ResBlockUnit(_Unit):
@@ -275,11 +274,12 @@ class _ResBlockUnit(_Unit):
         _record(tape, lambda g, stash: g + stash.pop(), stash)
         h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape, relu=False)
         h[:, :, :in_ch] += x
+        ops.check_finite("shortcut_add", h)
         def fan_out(g, stash):
             stash.append(g[:, :, :in_ch])
             return g
         _record(tape, fan_out, stash)
-        return h if self.pooled else _relu(h, tape)
+        return _relu(h, tape)
 
     def trace(self, T, C):
         return T, self.out_ch
@@ -293,15 +293,16 @@ class _ResBlockUnit(_Unit):
 class _MaxPoolUnit(_Unit):
     def __init__(self, idx, prev):
         self.label = f"maxpool{idx}"
-        prev.pooled = True
-        self._bn_key = prev.label if isinstance(prev, _ConvUnit) and prev.with_bn else None
+        self._bn_key = None
+        if isinstance(prev, _ConvUnit) and prev.with_bn:
+            prev.pooled, self._bn_key = True, prev.label
 
     def forward(self, x, graph, mode, tape, rng):
         if self._bn_key is not None:
             return _bn(x, self._bn_key, graph, mode, tape, relu=True, pool=True)
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
-        return _relu(y, tape)
+        return y
 
     def trace(self, T, C):
         return -(-T // ops.POOL), C

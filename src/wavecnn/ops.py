@@ -21,13 +21,17 @@ A maxpool after batch norm runs inside the BN op. Maxpool commutes with
 per-channel non-decreasing maps and float rounding is monotone, so the op
 pools x after the statistics (the min where the float64 gamma * inv < 0),
 then applies scale/shift, check and ReLU at quarter size: bitwise BN + ReLU,
-then maxpool. The check, as where models.py pools before a ReLU, sees
-pooled values: NaN and +inf still raise, but a pre-ReLU -inf (an overflow
-of scale * x + shift or of the shortcut add) that loses its window passes,
-and the ReLU zeroes it. The gradient goes to the first extreme slot of x,
-the BN output's first argmax unless rounding ties distinct x. With
-gamma == 0 all slots tie, and grad_gamma takes x at the raw argmax, not
-the first slot; both are valid subgradients.
+then maxpool. The check sees pooled values: NaN and +inf still raise, but
+a -inf from scale * x + shift that loses its window passes, and the ReLU
+zeroes it. The gradient goes to the first extreme slot of x, the BN
+output's first argmax unless rounding ties distinct x. With gamma == 0 all
+slots tie, and grad_gamma takes x at the raw argmax, not the first slot;
+both are valid subgradients.
+
+Finiteness: an op that can turn finite inputs into NaN or +-inf checks what
+it makes: conv, batch norm, average pooling, affine, dropout, and the
+residual shortcut add (in models.py, through ops.check_finite). ReLU,
+maxpool and softmax cannot, and make no check.
 
 The float32 convolution forward and the backward (both dtypes) pick their
 path by the input channel count, against one threshold, _IM2COL_MAX_CIN. A
@@ -205,9 +209,9 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     return grad_x, grad_kernel, grad_bias
 
 
-def _window_extreme(x: np.ndarray, mode: str, low=False):
-    """Extreme over time windows of POOL, ceil semantics for the last one:
-    the max, or the min in the channels where the bool `low` is set. Train
+def maxpool1d_forward(x: np.ndarray, mode: str, low=False):
+    """Maximum over time windows of POOL, ceil semantics for the last one;
+    the min instead in the channels where the bool `low` is set. Train
     mode caches (idx, T), idx being each window's first extreme slot as
     uint8 (POOL is 4); infer mode computes no slots and caches None."""
     B, T, C = x.shape
@@ -233,12 +237,6 @@ def _window_extreme(x: np.ndarray, mode: str, low=False):
     return y, (idx, T)
 
 
-def maxpool1d_forward(x: np.ndarray, mode: str):
-    """Maximum over time windows of POOL; the cache is _window_extreme's."""
-    y, cache = _window_extreme(x, mode)
-    return check_finite("maxpool1d", y), cache
-
-
 def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     """Route each window's gradient to its (first) argmax position."""
     idx, T = cache
@@ -250,9 +248,6 @@ def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
 
 
 def relu_forward(x: np.ndarray):
-    # The input, not the output: max(-inf, 0) is 0, and the residual
-    # shortcut add before this ReLU has no check of its own.
-    check_finite("relu", x)
     return np.maximum(x, 0), x > 0
 
 
@@ -289,7 +284,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     scale = s.gamma * inv
-    xs, slots = _window_extreme(x, mode, scale < 0) if pool else (x, None)
+    xs, slots = maxpool1d_forward(x, mode, scale < 0) if pool else (x, None)
     y = xs * scale.astype(x.dtype)
     y += (s.beta - mu * scale).astype(x.dtype)
     check_finite("batchnorm", y)
@@ -368,7 +363,7 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Row-stable softmax (max subtraction)."""
     shift = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shift)
-    return check_finite("softmax", e / e.sum(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
@@ -386,7 +381,7 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     grad_logits = probs.copy()
     grad_logits[np.arange(B), labels] -= 1.0
     grad_logits /= B
-    return loss, check_finite("softmax_xent", probs), grad_logits.astype(logits.dtype, copy=False)
+    return loss, probs, grad_logits.astype(logits.dtype, copy=False)
 
 
 def dropout(x: np.ndarray, mode: str, rng=None):

@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError("l2_coeff must be >= 0")
         if not 0 < self.channel_scale <= 1:
             raise ValueError("channel_scale must be in (0, 1]")
+        if self.val_fold == self.test_fold:
+            raise ValueError(f"val_fold {self.val_fold} is also the test fold")
 
 
 class AdamState:
@@ -388,8 +390,8 @@ def _grad_norm_ratio(grads: dict, first_name: str, last_name: str) -> float:
 def _append_metrics(path, record: EpochRecord, new_file: bool) -> None:
     if path is None:
         return
-    with open(path, "a" if not new_file else "w") as f:
-        if new_file:
+    with open(path, "w" if new_file else "a") as f:
+        if f.tell() == 0:  # a fresh run, or a resumed run's new log
             f.write(METRICS_HEADER + "\n")
         f.write(
             f"{record.epoch},{record.train_loss:.6f},{record.train_acc:.4f},"
@@ -418,6 +420,9 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
     plus L2 penalty, reverse-mode backward, Adam step; then test-fold
     evaluation in infer mode against the BN running statistics.
     """
+    if resume_from is not None and resume_from.epoch >= config.epochs:
+        raise ValueError(f"checkpoint is at epoch {resume_from.epoch}, so epochs "
+                         f"{config.epochs} leaves no epoch to run")
     train_entries, test_entries = split_entries(dataset.entries, config.test_fold)
     val_entries = []
     if config.val_fold is not None:

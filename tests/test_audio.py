@@ -407,6 +407,14 @@ class TestDatasetIndex:
         with pytest.raises(ValueError, match=r"meta\.csv, line 3: .* must be integers"):
             DatasetIndex.from_metadata_csv(meta, tmp_path)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../outside.wav", "fold1/b.wav",
+                                      "/abs/b.wav"])
+    def test_name_outside_data_root_refused(self, tmp_path, name):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(f"slice_file_name,fold,classID\na.wav,1,0\n{name},1,1\n")
+        with pytest.raises(ValueError, match=r"meta\.csv, line 3: .* must be a bare file name"):
+            DatasetIndex.from_metadata_csv(meta, tmp_path)
+
     def test_same_name_in_two_folds_loads_each_file(self, tmp_path):
         """Two rows naming a.wav in different folds load two files."""
         rng = np.random.default_rng(15)

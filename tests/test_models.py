@@ -403,16 +403,14 @@ def _published_order_forward(graph, x, mode, rng):
             h = ops.maxpool1d_forward(h, mode)[0]
         else:
             h = u.forward(h, graph, mode, None, rng)
-            if isinstance(u, models._ResBlockUnit) and u.pooled:
-                h = ops.relu_forward(h)[0]
     return h
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", valid_architectures())
 def test_pool_after_tail_matches_published_order(name, dtype):
-    """A maxpool that applies the preceding unit's tail gives the train
-    logits, running stats and infer logits of the published order bitwise.
+    """A maxpool that runs the preceding BN conv's batch norm and ReLU gives
+    the train logits, running stats and infer logits of the published order bitwise.
     BN gammas are drawn with both signs, and T = 2000 puts a ceil window
     (125 -> 32) after a BN conv or a block."""
     graph = build(name, rng=RandomSource(0), dtype=dtype, channel_scale=1 / 16)

@@ -258,12 +258,6 @@ class TestMaxPool:
                 np.testing.assert_array_equal(y, yn)
                 np.testing.assert_array_equal(idx, idxn)
 
-    def test_nan_input_raises(self):
-        x = np.zeros((1, 10, 2))
-        x[0, 5, 1] = np.nan
-        with pytest.raises(NonFiniteError, match="maxpool1d"):
-            ops.maxpool1d_forward(x, "train")
-
     def test_tie_goes_to_first_index(self):
         x = np.array([2.0, 7.0, 7.0, 1.0]).reshape(1, 4, 1)
         y, (idx, _) = ops.maxpool1d_forward(x, "train")
@@ -543,13 +537,6 @@ class TestDropout:
         assert abs(y.mean() - 1.0) < 0.02
 
 
-class TestRelu:
-    def test_non_finite_input_rejected(self):
-        """-inf would come out as 0, so the input is what is checked."""
-        with pytest.raises(NonFiniteError, match="relu"):
-            ops.relu_forward(np.array([-np.inf, 1.0], dtype=np.float32))
-
-
 class TestResidualBlock:
     """The model's residual block unit, run outside a full network."""
 
@@ -602,12 +589,26 @@ class TestResidualBlock:
 
     def test_shortcut_overflow_rejected(self):
         """A branch output of -3e38 plus an input of -3e38 overflows to -inf
-        in the shortcut add; the ReLU after it must not turn that into 0."""
+        in the shortcut add, which checks its sum before the ReLU zeroes it."""
         x = np.full((2, 6, 4), -3e38, dtype=np.float32)
         block, graph = self._block(4, 4, dtype=np.float32)
         graph.params["conv2.bn.beta"][...] = -3e38
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="relu"):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="shortcut_add"):
             block.forward(x, graph, "train", None, None)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_shortcut_overflow_before_maxpool_rejected(self, mode):
+        """One -inf from the shortcut add loses its window to the -3e38
+        around it, so a maxpool after the block would drop it; the add's
+        own check refuses it first. The branch outputs beta = -3e38."""
+        block, graph = self._block(4, 4, dtype=np.float32)
+        pool = models._MaxPoolUnit(1, block)
+        graph.params["conv2.bn.gamma"][...] = 0.0
+        graph.params["conv2.bn.beta"][...] = -3e38
+        x = np.zeros((2, 8, 4), dtype=np.float32)
+        x[0, 5] = -3e38
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="shortcut_add"):
+            pool.forward(block.forward(x, graph, mode, None, None), graph, mode, None, None)
 
     def test_fanout_gradient_accumulates_both_paths(self):
         """Input gradient = branch adjoint + shortcut adjoint."""

@@ -160,6 +160,26 @@ class TestTrainLoop:
         fields = lines[1].split(",")
         assert int(fields[0]) == 1 and float(fields[1]) > 0
 
+    @pytest.mark.parametrize("empty_file", [False, True])
+    def test_resumed_run_into_new_log_writes_header(self, tmp_path, empty_file):
+        """A resumed run's log, missing or empty, starts with the header;
+        resuming into that log again appends without a second one."""
+        ckpt = tmp_path / "run.ckpt"
+        train(mini_config(epochs=2, checkpoint_path=str(ckpt)), mini_dataset())
+        log = tmp_path / "resumed.csv"
+        if empty_file:
+            log.write_text("")
+        for epochs in (3, 4):
+            config = mini_config(epochs=epochs, checkpoint_path=str(ckpt), log_path=str(log))
+            train(config, mini_dataset(), resume_from=load_checkpoint(ckpt))
+        lines = log.read_text().strip().split("\n")
+        assert lines[0] == training.METRICS_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
+
+    def test_val_fold_equal_to_test_fold_refused(self):
+        with pytest.raises(ValueError, match="val_fold 10 is also the test fold"):
+            mini_config(val_fold=10, test_fold=10)
+
     def test_val_fold_carved_out_of_training(self):
         data = mini_dataset(n=12)
         # move a third of the clips to fold 2
@@ -257,6 +277,13 @@ class TestCheckpoint:
             )
         for name in full.graph.state:
             np.testing.assert_array_equal(resumed.graph.state[name], full.graph.state[name])
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_resume_with_no_epoch_left_refused(self, tmp_path, epochs):
+        path = tmp_path / "done.ckpt"
+        train(mini_config(epochs=2, checkpoint_path=str(path)), mini_dataset())
+        with pytest.raises(ValueError, match=f"epoch 2, so epochs {epochs} leaves no epoch"):
+            train(mini_config(epochs=epochs), mini_dataset(), resume_from=load_checkpoint(path))
 
     def test_version_mismatch(self, tmp_path):
         result = train(mini_config(epochs=1), mini_dataset())
