@@ -27,9 +27,9 @@ Gradients at fan-out points (the residual shortcut) accumulate additively.
 A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
 (conv units, FC units and a residual block's first conv). A standalone ReLU
 op remains only where no BN precedes it: after the residual shortcut add
-and in the no-BN variants' conv units. A maxpool after a BN conv runs its
-BN and ReLU, pooling first; any other maxpool is plain (ops.py states the
-pool order's contract and which ops check for non-finite values).
+and in the no-BN variants' conv units. A maxpool after a BN conv runs the
+conv's BN and ReLU, pooling first; any other maxpool is plain (ops.py states
+the pool order's contract and which ops check for non-finite values).
 """
 
 from __future__ import annotations

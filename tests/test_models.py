@@ -410,9 +410,9 @@ def _published_order_forward(graph, x, mode, rng):
 @pytest.mark.parametrize("name", valid_architectures())
 def test_pool_after_tail_matches_published_order(name, dtype):
     """A maxpool that runs the preceding BN conv's batch norm and ReLU gives
-    the train logits, running stats and infer logits of the published order bitwise.
-    BN gammas are drawn with both signs, and T = 2000 puts a ceil window
-    (125 -> 32) after a BN conv or a block."""
+    the train logits, running stats and infer logits of the published order
+    bitwise. BN gammas are drawn with both signs, and T = 2000 puts a ceil
+    window (125 -> 32) after a BN conv or a block."""
     graph = build(name, rng=RandomSource(0), dtype=dtype, channel_scale=1 / 16)
     ref = build(name, rng=RandomSource(0), dtype=dtype, channel_scale=1 / 16)
     draw = np.random.default_rng(3)
