@@ -2,13 +2,20 @@
 
 import os as _os
 import sys as _sys
+import warnings as _warnings
 
-# WAVECNN_THREADS caps BLAS worker threads (0 or unset = library default).
-# Must happen before numpy is first imported anywhere in the process.
+# WAVECNN_THREADS sets the BLAS worker threads (0 or unset = library default)
+# through the variables below, which BLAS reads when numpy is first imported.
 _threads = _os.environ.get("WAVECNN_THREADS")
-if _threads and _threads != "0" and "numpy" not in _sys.modules:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+if _threads and _threads != "0":
+    _vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    if "numpy" not in _sys.modules:
+        for _var in _vars:
+            _os.environ[_var] = _threads
+    elif any(_os.environ.get(_var) != _threads for _var in _vars):
+        _warnings.warn(f"WAVECNN_THREADS={_threads} is ignored: numpy was imported "
+                       "before wavecnn, so its BLAS thread count is already fixed",
+                       RuntimeWarning, stacklevel=2)
 
 __version__ = "0.1.0"
 

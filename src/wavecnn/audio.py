@@ -68,7 +68,8 @@ def decode_wav(data: bytes):
     (16-bit: /32768); 8-bit WAV PCM is unsigned and re-centered. Channels
     are kept separate for the caller. A WAVE_FORMAT_EXTENSIBLE fmt chunk is
     read as the format its SubFormat GUID names; the channel mask and
-    valid-bits field are ignored.
+    valid-bits field are ignored. A float sample that is NaN or +-inf is
+    refused.
     """
     if len(data) < 12:
         raise TruncatedWavError(f"only {len(data)} bytes, need at least 12 (offset 0)")
@@ -109,7 +110,7 @@ def decode_wav(data: bytes):
                     f"data chunk at offset {pos} declares {size} bytes, "
                     f"file has {len(data) - body_start}"
                 )
-            raw = data[body_start : body_start + size]
+            raw, data_offset = data[body_start : body_start + size], pos
         pos = body_start + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -158,6 +159,10 @@ def decode_wav(data: bytes):
         samples = val.astype(np.float64) / 8388608.0
     else:
         samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        finite = np.isfinite(samples)
+        if not finite.all():
+            raise MalformedWavError(f"data chunk at offset {data_offset}: frame "
+                                    f"{int(np.argmin(finite)) // channels} is not finite")
 
     return samples.reshape(frames, channels), rate, channels
 
@@ -257,7 +262,7 @@ class DatasetIndex:
     set, also stores the preprocessed 32000-sample float32 blob keyed by
     the hash of the pipeline tag and the source file so later runs skip
     decoding and resampling. Blobs are written atomically; one of the wrong
-    size is recomputed and rewritten.
+    size, or holding a non-finite value, is recomputed and rewritten.
     """
 
     def __init__(self, entries, class_names, cache_dir=None):
@@ -323,6 +328,9 @@ class DatasetIndex:
             data = blob.read_bytes()
             if len(data) == 4 * CLIP_SAMPLES:
                 clip = np.frombuffer(data, dtype="<f4")
+                if not np.isfinite(clip).all():
+                    logger.warning("%s: cache blob holds a non-finite value; recomputing", blob)
+                    clip = None
             else:
                 logger.warning("%s: cache blob has %d bytes, not %d; recomputing",
                                blob, len(data), 4 * CLIP_SAMPLES)

@@ -22,7 +22,8 @@ All weights are Glorot-uniform initialized; conv fans are
 
 In train mode every unit records its ops' backward closures on one op tape,
 all through `_record`: the one place a backward step goes onto the tape.
-Gradients at fan-out points (the residual shortcut) accumulate additively.
+Each parameter gradient has one writer, the record of the op that uses it;
+the residual shortcut, the one fan-out, adds its gradient in place.
 
 A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
 (conv units, FC units and a residual block's first conv). A standalone ReLU
@@ -130,7 +131,7 @@ def _glorot(rng: RandomSource, shape, fan_in, fan_out, dtype):
 def _record(tape, backward, cache, *names):
     """Record `backward(g, cache)` on the tape, if there is one. With names,
     backward returns (grad_x, *param_grads), and each parameter gradient
-    adds into grads under its name."""
+    that is not None is stored in grads under its name."""
     if tape is None:
         return
     def back(g, grads):
@@ -138,7 +139,8 @@ def _record(tape, backward, cache, *names):
             return backward(g, cache)
         grad_x, *param_grads = backward(g, cache)
         for name, grad in zip(names, param_grads):
-            ops.accumulate_grad(grads, name, grad)
+            if grad is not None:
+                grads[name] = grad
         return grad_x
     tape.record(back)
 
@@ -216,7 +218,7 @@ class _ConvUnit(_Unit):
             stride=self.stride,
         )
         y, cache = ops.conv1d_forward(x, p)
-        # Without a bias the bias gradient is None, which adds nothing.
+        # Without a bias the bias gradient is None, which is not stored.
         _record(tape, ops.conv1d_backward, cache, f"{k}.kernel", f"{k}.bias")
         return y
 
@@ -249,7 +251,8 @@ class _ResBlockUnit(_Unit):
     On the linear op tape that is two closures around the branch: the one
     recorded after the add stashes the shortcut's share of the gradient,
     and the one recorded before the branch, which runs last in backward,
-    adds it back.
+    adds it in place into the branch's input gradient (a fresh view of the
+    first conv's padded gradient).
     """
 
     def __init__(self, idx, out_ch, with_bn):
@@ -271,7 +274,7 @@ class _ResBlockUnit(_Unit):
         c1, c2 = self._convs
         in_ch = x.shape[-1]
         stash = []
-        _record(tape, lambda g, stash: g + stash.pop(), stash)
+        _record(tape, lambda g, stash: np.add(g, stash.pop(), out=g), stash)
         h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape, relu=False)
         h[:, :, :in_ch] += x
         ops.check_finite("shortcut_add", h)

@@ -404,8 +404,8 @@ def dropout_backward(grad_out: np.ndarray, cache) -> np.ndarray:
 
 class OpTape:
     """Reverse-mode record: forward pushes one closure per op; backward walks
-    them once, in exact reverse order, accumulating parameter gradients
-    additively.
+    them once, in exact reverse order, and each closure stores the gradients
+    of its op's parameters in grads.
 
     Each record, with the cache its closure captured, is released as soon
     as it has run, so the walk holds only what the rest of backward still
@@ -432,12 +432,3 @@ class OpTape:
         while records:
             g = records.pop()(g, grads)
         return g
-
-
-def accumulate_grad(grads: dict, name: str, value) -> None:
-    if value is None:
-        return
-    if name in grads:
-        grads[name] = grads[name] + value
-    else:
-        grads[name] = value

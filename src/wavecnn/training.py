@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ops
 from .audio import make_batches, split_entries, stack_clips
-from .models import ModelGraph, build
+from .models import ModelGraph, build, valid_architectures
 from .tensor import NonFiniteError, RandomSource, atomic_write
 
 logger = logging.getLogger(__name__)
@@ -133,11 +133,12 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 
 
 def add_l2_gradients(params: dict, grads: dict, coeff: float) -> None:
-    """grad += 2 * coeff * param for every trainable."""
+    """grad += 2 * coeff * param for every trainable, in place: each
+    parameter's gradient must already be in grads."""
     if coeff == 0.0:
         return
     for name, p in params.items():
-        ops.accumulate_grad(grads, name, (2.0 * coeff) * p)
+        grads[name] += (2.0 * coeff) * p
 
 
 def l2_penalty(params: dict, coeff: float) -> float:
@@ -342,8 +343,10 @@ def restore_model(ckpt: Checkpoint, graph: ModelGraph) -> None:
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ModelGraph:
     """Build the checkpoint's architecture at its config's class count and
-    width, and restore its tensors. Both config values are checked before
-    anything is sized from them."""
+    width, and restore its tensors. The architecture name and both config
+    values are checked before anything is sized from them."""
+    if ckpt.arch not in valid_architectures():
+        raise CheckpointFormatError(f"unknown architecture {ckpt.arch!r:.40}")
     num_classes = ckpt.config.get("num_classes", 10)
     scale = ckpt.config.get("channel_scale", 1.0)
     if not (type(num_classes) is int and num_classes >= 1):
@@ -427,6 +430,8 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
     val_entries = []
     if config.val_fold is not None:
         train_entries, val_entries = split_entries(train_entries, config.val_fold)
+        if not val_entries:
+            raise ValueError(f"val_fold {config.val_fold} names no training clip")
     if not train_entries:
         raise ValueError("training split is empty")
 

@@ -77,7 +77,47 @@ def extensible(blob, guid_tail=GUID_TAIL, fmt_size=40):
     return out[:4] + struct.pack("<I", len(out) - 8) + out[8:]
 
 
+def _patch(offset, fmt, value):
+    def edit(blob):
+        struct.pack_into(fmt, blob, offset, value)
+        return bytes(blob)
+    return edit
+
+
+# Each edit breaks the header of a 100-frame 16-bit mono 8 kHz wav_bytes blob
+# (fmt body at byte 20, data chunk at 36, samples at 44):
+# (edit, error, message).
+HEADER_EDITS = {
+    "fmt-under-16-bytes": (_patch(16, "<I", 14), MalformedWavError, "fmt chunk of 14 bytes"),
+    "fmt-past-eof": (lambda b: bytes(b[:30]), TruncatedWavError, "runs past end of file"),
+    "extensible-fmt-past-eof": (lambda b: extensible(bytes(b))[:50], TruncatedWavError,
+                                "runs past end of file"),
+    "no-data-chunk": (lambda b: bytes(b[:36]), MalformedWavError, "no data chunk"),
+    "zero-channels": (_patch(22, "<H", 0), MalformedWavError, "channels=0"),
+    "zero-rate": (_patch(24, "<I", 0), MalformedWavError, "rate=0"),
+    "block-align-mismatch": (_patch(32, "<H", 3), MalformedWavError, "block align 3 != 2"),
+    "partial-frame": (_patch(40, "<I", 199), TruncatedWavError, "not a multiple of frame size 2"),
+}
+
+
 class TestDecodeWav:
+    @pytest.mark.parametrize("edit, error, message", HEADER_EDITS.values(),
+                             ids=HEADER_EDITS.keys())
+    def test_broken_header_refused(self, edit, error, message):
+        blob = edit(bytearray(wav_bytes(np.zeros(100), 8000)))
+        with pytest.raises(error, match=message):
+            decode_wav(blob)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_refused(self, bad):
+        """A float WAV holding NaN or +-inf is refused, naming the data chunk
+        and the frame, rather than standardized into a NaN clip."""
+        samples = np.zeros((10, 2))
+        samples[7, 1] = bad
+        blob = wav_bytes(samples, 8000, audio_format=3)
+        with pytest.raises(MalformedWavError, match="data chunk at offset 36: frame 7 is not finite"):
+            preprocess(blob)
+
     def test_16bit_positive_full_scale(self):
         data = wav_bytes(np.array([32767 / 32768.0]), 8000)
         samples, rate, ch = decode_wav(data)
@@ -487,6 +527,24 @@ class TestDatasetIndex:
         assert "1001 bytes" in caplog.text
         assert list(cache.iterdir()) == [blob]
         assert blob.stat().st_size == 4 * CLIP_SAMPLES
+
+    def test_non_finite_cache_blob_recomputed(self, tmp_path, caplog):
+        """A blob of the right size holding a NaN, as an older tree cached
+        from a NaN float WAV, is recomputed with a warning and rewritten."""
+        meta = write_corpus(tmp_path)
+        cache = tmp_path / "cache"
+        a = DatasetIndex.from_metadata_csv(meta, tmp_path, cache_dir=cache)
+        first = a.load(a.entries[0]).copy()
+        (blob,) = cache.iterdir()
+        poisoned = first.copy()
+        poisoned[:8000] = np.nan
+        blob.write_bytes(poisoned.astype("<f4").tobytes())
+        b = DatasetIndex.from_metadata_csv(meta, tmp_path, cache_dir=cache)
+        with caplog.at_level(logging.WARNING, logger="wavecnn.audio"):
+            np.testing.assert_array_equal(b.load(b.entries[0]), first)
+        assert "non-finite" in caplog.text
+        assert list(cache.iterdir()) == [blob]
+        assert blob.read_bytes() == first.astype("<f4").tobytes()
 
     def test_blob_under_bytes_only_key_ignored(self, tmp_path):
         """A blob keyed by the source bytes alone, as a pipeline without a

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import tracemalloc
 
@@ -358,6 +359,12 @@ class TestForward:
         with pytest.raises(ValueError, match="receptive field"):
             graph.forward(np.zeros((2, 60, 1), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(2, 1000), (2, 1000, 2), (1, 2, 1000, 1)])
+    def test_input_not_batch_time_one_rejected(self, shape):
+        graph = build("m3", rng=RandomSource(4), channel_scale=1 / 16)
+        with pytest.raises(ValueError, match=r"expected input \[B,T,1\]"):
+            graph.forward(np.zeros(shape, dtype=np.float32))
+
     def test_same_seed_same_init(self):
         a = build("m11", rng=RandomSource(42), channel_scale=1 / 8)
         b = build("m11", rng=RandomSource(42), channel_scale=1 / 8)
@@ -390,6 +397,30 @@ def test_tape_structure(name):
     res.tape.backward(dlogits, grads)
     assert set(grads) == set(graph.params)
     assert len(res.tape) == _TAPE_RECORDS[name]
+
+
+@pytest.mark.parametrize("name", valid_architectures())
+def test_each_parameter_gradient_has_one_writer(name, monkeypatch):
+    """Every parameter gets its gradient from exactly one tape record per
+    forward, so storing it (no sum) loses nothing."""
+    writers = collections.Counter()
+    record = models._record
+
+    def counting_record(tape, backward, cache, *names):
+        def counted(g, cache):
+            out = backward(g, cache)
+            if names:
+                writers.update(n for n, grad in zip(names, out[1:]) if grad is not None)
+            return out
+        record(tape, counted, cache, *names)
+
+    monkeypatch.setattr(models, "_record", counting_record)
+    graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+    x = RandomSource(0).normal((2, 1280, 1))
+    res = graph.forward(x, mode="train", rng=RandomSource(0))
+    _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
+    res.tape.backward(dlogits, {})
+    assert writers == collections.Counter(list(graph.params))
 
 
 def _published_order_forward(graph, x, mode, rng):

@@ -46,6 +46,10 @@ class TestConv1d:
         with pytest.raises(ValueError, match="channels"):
             ops.conv1d_forward(np.zeros((1, 8, 2)), ConvParams(np.zeros((3, 3, 4))))
 
+    def test_empty_time_axis_rejected(self):
+        with pytest.raises(ValueError, match="empty time axis"):
+            ops.conv1d_forward(np.zeros((1, 0, 3)), ConvParams(np.zeros((3, 3, 4))))
+
     def test_float64_matches_naive_bitwise(self):
         rng = np.random.default_rng(5)
         for trial in range(15):
@@ -342,6 +346,10 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match="channels"):
             ops.batchnorm_forward(np.zeros((2, 8, 3)), _bn_state(2), "train")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown batchnorm mode 'trian'"):
+            ops.batchnorm_forward(np.zeros((2, 8, 2)), _bn_state(2), "trian")
+
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_backward_peak_memory(self, relu):
@@ -492,6 +500,10 @@ class TestGlobalAvgPool:
             y, _ = ops.global_avg_pool(np.ones((1, T, 2)))
             assert y.shape == (1, 1, 2)
 
+    def test_empty_time_axis_rejected(self):
+        with pytest.raises(ValueError, match="empty time axis"):
+            ops.global_avg_pool(np.ones((1, 0, 2)))
+
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
@@ -535,6 +547,10 @@ class TestDropout:
         frac = np.count_nonzero(y) / y.size
         assert abs(frac - 0.7) < 0.02
         assert abs(y.mean() - 1.0) < 0.02
+
+    def test_train_mode_without_rng_rejected(self):
+        with pytest.raises(ValueError, match="RandomSource"):
+            ops.dropout(np.ones((2, 3)), "train")
 
 
 class TestResidualBlock:

@@ -99,7 +99,7 @@ class TestAdam:
         w = rng.uniform(0.01, 1.0, 64) * rng.choice([-1.0, 1.0], 64)
         params = {"w": w.copy()}
         state = AdamState(params, alpha=1e-3)
-        grads = {}
+        grads = {"w": np.zeros_like(w)}
         add_l2_gradients(params, grads, coeff=1e-4)
         np.testing.assert_allclose(grads["w"], 2e-4 * w, rtol=1e-12)
         adam_step(params, grads, state)
@@ -130,6 +130,11 @@ class TestTrainLoop:
         data.entries = [e.__class__(e.clip_id, e.path, e.label, 10, e.duration) for e in data.entries]
         with pytest.raises(ValueError, match="empty"):
             train(mini_config(epochs=1), data)
+
+    def test_one_clip_split_empty_after_batch_assembly(self):
+        """A lone clip is dropped as a short batch, so no epoch can run."""
+        with pytest.raises(ValueError, match="empty after batch assembly"):
+            train(mini_config(epochs=1), mini_dataset(n=1))
 
     def test_divergence_names_epoch_and_batch(self):
         with np.errstate(all="ignore"):  # the blow-up itself is the point
@@ -179,6 +184,16 @@ class TestTrainLoop:
     def test_val_fold_equal_to_test_fold_refused(self):
         with pytest.raises(ValueError, match="val_fold 10 is also the test fold"):
             mini_config(val_fold=10, test_fold=10)
+
+    def test_val_fold_with_no_clip_refused(self, monkeypatch):
+        """SyntheticDataset puts every clip in fold 1, so fold 7 is empty;
+        the run is refused before the model is built."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built for a run that should be refused")
+
+        monkeypatch.setattr(training, "build", no_build)
+        with pytest.raises(ValueError, match="val_fold 7 names no training clip"):
+            train(mini_config(epochs=1, val_fold=7), mini_dataset())
 
     def test_val_fold_carved_out_of_training(self):
         data = mini_dataset(n=12)
@@ -285,6 +300,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"epoch 2, so epochs {epochs} leaves no epoch"):
             train(mini_config(epochs=epochs), mini_dataset(), resume_from=load_checkpoint(path))
 
+    def test_resume_with_another_arch_refused(self, tmp_path):
+        path = tmp_path / "m3.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        with pytest.raises(CheckpointMismatchError, match="checkpoint arch 'm3' != config arch 'm5'"):
+            train(mini_config(arch="m5", epochs=2), mini_dataset(),
+                  resume_from=load_checkpoint(path))
+
     def test_version_mismatch(self, tmp_path):
         result = train(mini_config(epochs=1), mini_dataset())
         ckpt = result.checkpoint
@@ -317,6 +339,23 @@ class TestCheckpoint:
         other = build("m5", num_classes=2, rng=RandomSource(0), channel_scale=1 / 32)
         with pytest.raises(CheckpointMismatchError, match="conv1.kernel"):
             restore_model(load_checkpoint(path), other)
+
+    def test_restore_names_missing_tensor(self):
+        graph = build("m3", num_classes=2, rng=RandomSource(0), channel_scale=1 / 16)
+        params = dict(graph.params)
+        del params["dense.b"]
+        ckpt = Checkpoint(version=1, arch="m3", epoch=1, params=params,
+                          state=graph.state, config={})
+        with pytest.raises(CheckpointMismatchError, match="missing tensor 'dense.b'"):
+            restore_model(ckpt, graph)
+
+    def test_restore_names_unknown_tensor(self):
+        graph = build("m3", num_classes=2, rng=RandomSource(0), channel_scale=1 / 16)
+        state = graph.state | {"conv9.bn.running_mean": np.zeros(4, np.float32)}
+        ckpt = Checkpoint(version=1, arch="m3", epoch=1, params=graph.params,
+                          state=state, config={})
+        with pytest.raises(CheckpointMismatchError, match="unknown tensor 'conv9.bn.running_mean'"):
+            restore_model(ckpt, graph)
 
     def test_model_from_checkpoint_rebuilds(self, tmp_path):
         result = train(mini_config(epochs=1), mini_dataset())
@@ -493,6 +532,20 @@ class TestCheckpointManifest:
             tracemalloc.stop()
         assert peak <= 4 * n, f"peak {peak} bytes"
 
+    @pytest.mark.parametrize("manifest", [b"\xff\xfe{}", b"{\"version\": 1,"],
+                             ids=["not-utf8", "not-json"])
+    def test_manifest_bytes_not_json(self, tmp_path, manifest):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(manifest)) + manifest)
+        with pytest.raises(CheckpointFormatError, match="not valid JSON"):
+            load_checkpoint(path)
+
+    def test_manifest_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1000) + b"{}")
+        with pytest.raises(CheckpointTruncatedError, match="manifest truncated"):
+            load_checkpoint(path)
+
     def test_manifest_not_an_object(self, tmp_path):
         path = tmp_path / "list.ckpt"
         self._write(path, [1, 2], b"")
@@ -531,6 +584,27 @@ class TestModelFromCheckpointConfig:
         monkeypatch.setattr(training, "build", no_build)
         with pytest.raises(error, match="num_classes|channel_scale"):
             model_from_checkpoint(ckpt)
+
+    def test_unknown_arch_refused_before_build(self, monkeypatch):
+        graph = build("m3", num_classes=10, rng=RandomSource(0), channel_scale=1 / 16)
+        ckpt = Checkpoint(version=1, arch="m99", epoch=1, params=graph.params,
+                          state=graph.state, config={"num_classes": 10, "channel_scale": 1 / 16})
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built for an unknown architecture")
+
+        monkeypatch.setattr(training, "build", no_build)
+        with pytest.raises(CheckpointFormatError, match="unknown architecture 'm99'"):
+            model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("epochs", 0, "epochs"),
+        ("batch_size", 1, "batch_size"),
+        ("l2_coeff", -1e-4, "l2_coeff"),
+    ])
+    def test_train_config_refuses_out_of_range(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(arch="m3", **{field: value})
 
     @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, float("nan")])
     def test_train_config_refuses_channel_scale(self, scale):
