@@ -14,8 +14,10 @@ Variants, applied as unit constructor arguments:
   m11-stride1   first convolution with stride 1 instead of 4
 
 The units are the whole description of a network: each one builds its own
-parameters, the one place that names them, runs its forward pass and traces
-its output shape. param_names() returns what build registered, in order.
+parameters, the one place that names them, and runs its forward pass.
+param_names() returns what build registered, in order. Output shapes and
+the weight-layer count are read from what runs: shape_trace forwards a
+zero-clip batch, and the count is the graph's kernels and weight matrices.
 
 All weights are Glorot-uniform initialized; conv fans are
 (rf * in_ch, rf * out_ch). Layers followed by BN carry no bias.
@@ -76,19 +78,6 @@ def valid_architectures() -> list:
     return sorted(_ARCHITECTURES)
 
 
-def architecture(name: str, num_classes: int = 10, channel_scale: float = 1.0) -> list:
-    """Resolve an architecture name into its unit list.
-
-    channel_scale shrinks every conv/res width uniformly (used for the
-    reduced-width smoke and trainability harnesses); 1.0 is the published
-    width.
-    """
-    if name not in _ARCHITECTURES:
-        raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
-    column, variant = _ARCHITECTURES[name]
-    return _units(column, num_classes, channel_scale, **variant)
-
-
 def _units(column, num_classes, channel_scale,
            widen=1.0, first_rf=80, first_stride=4, with_bn=True, fc=False) -> list:
     first, stages, pool_last = _COLUMNS[column]
@@ -107,7 +96,7 @@ def _units(column, num_classes, channel_scale,
                 units.append(_ResBlockUnit(conv_idx, ch(width), with_bn))
             else:
                 units.append(_ConvUnit(conv_idx, 3, 1, ch(width), with_bn))
-            conv_idx += units[-1].weight_layers
+            conv_idx += 2 if residual else 1
     if pool_last:
         units.append(_MaxPoolUnit(len(stages) + 1, units[-1]))
     units.append(_GlobalAvgPoolUnit())
@@ -166,11 +155,10 @@ def _relu(y, tape):
 
 
 class _Unit:
-    """A unit without parameters or weight layers: build passes the channels
-    through. A unit with parameters registers each one in build with
-    `_param`, and param_names() returns them in that order."""
+    """A unit without parameters: build passes the channels through. A unit
+    with parameters registers each one in build with `_param`, and
+    param_names() returns them in that order."""
 
-    weight_layers = 0
     _names = ()
 
     def build(self, in_ch, rng, graph):
@@ -234,10 +222,6 @@ class _ConvUnit(_Unit):
             return self.conv(x, graph, tape)
         return self.conv_bn(x, graph, mode, tape, relu=True)
 
-    def trace(self, T, C):
-        return ops.same_pad_1d(T, self.rf, self.stride)[0], self.out_ch
-
-    weight_layers = 1
     pooled = False  # with BN: the maxpool after it runs its batch norm and ReLU
 
 
@@ -284,13 +268,8 @@ class _ResBlockUnit(_Unit):
         _record(tape, fan_out, stash)
         return _relu(h, tape)
 
-    def trace(self, T, C):
-        return T, self.out_ch
-
     def param_names(self):
         return self._convs[0].param_names() + self._convs[1].param_names()
-
-    weight_layers = 2
 
 
 class _MaxPoolUnit(_Unit):
@@ -307,9 +286,6 @@ class _MaxPoolUnit(_Unit):
         _record(tape, ops.maxpool1d_backward, cache)
         return y
 
-    def trace(self, T, C):
-        return -(-T // ops.POOL), C
-
 
 class _GlobalAvgPoolUnit(_Unit):
     label = "global_avg_pool"
@@ -318,9 +294,6 @@ class _GlobalAvgPoolUnit(_Unit):
         y, T = ops.global_avg_pool(x)
         _record(tape, lambda g, T: ops.global_avg_pool_backward(g[:, None, :], T), T)
         return y[:, 0, :]  # flatten [B,1,C] -> [B,C] for the head
-
-    def trace(self, T, C):
-        return 1, C
 
 
 class _FCUnit(_Unit):
@@ -344,11 +317,6 @@ class _FCUnit(_Unit):
         _record(tape, ops.dropout_backward, cache)
         return y
 
-    def trace(self, T, C):
-        return 1, FC_WIDTH
-
-    weight_layers = 1
-
 
 class _DenseUnit(_Unit):
     label = "dense"
@@ -367,11 +335,6 @@ class _DenseUnit(_Unit):
         y, cache = ops.affine_forward(x, graph.params["dense.w"], graph.params["dense.b"])
         _record(tape, ops.affine_backward, cache, "dense.w", "dense.b")
         return y
-
-    def trace(self, T, C):
-        return 1, self.num_classes
-
-    weight_layers = 1
 
 
 class ModelGraph:
@@ -397,25 +360,39 @@ class ModelGraph:
         mode) the op tape for the backward pass."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
+        tape = ops.OpTape() if mode == "train" else None
+        h = self._input(x)
+        for u in self.units:
+            h = u.forward(h, self, mode, tape, rng)
+        return ForwardResult(probs=ops.softmax_probs(h), logits=h, tape=tape)
+
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """x in the graph's dtype, once its shape is a [B,T,1] waveform no
+        shorter than the first receptive field."""
         if x.ndim != 3 or x.shape[2] != 1:
             raise ValueError(f"expected input [B,T,1], got {x.shape}")
         first_rf = self.units[0].rf
         if x.shape[1] < first_rf:
             raise ValueError(f"input time length {x.shape[1]} < first receptive field {first_rf}")
-        tape = ops.OpTape() if mode == "train" else None
-        h = x.astype(self.dtype, copy=False)
-        for u in self.units:
-            h = u.forward(h, self, mode, tape, rng)
-        return ForwardResult(probs=ops.softmax_probs(h), logits=h, tape=tape)
+        return x.astype(self.dtype, copy=False)
 
     def weight_layer_count(self) -> int:
-        return sum(u.weight_layers for u in self.units)
+        """Conv kernels plus FC and dense weight matrices."""
+        return sum(n.endswith((".kernel", ".w")) for n in self.params)
 
 
 def build(name: str, num_classes: int = 10, rng: RandomSource | None = None,
           dtype=TRAIN_DTYPE, channel_scale: float = 1.0) -> ModelGraph:
-    """Construct a freshly initialized network by name."""
-    return ModelGraph(architecture(name, num_classes, channel_scale), rng=rng, dtype=dtype)
+    """Construct a freshly initialized network by name.
+
+    channel_scale shrinks every conv/res width uniformly (used for the
+    reduced-width smoke and trainability harnesses); 1.0 is the published
+    width.
+    """
+    if name not in _ARCHITECTURES:
+        raise ValueError(f"unknown architecture {name!r}; valid: {valid_architectures()}")
+    column, variant = _ARCHITECTURES[name]
+    return ModelGraph(_units(column, num_classes, channel_scale, **variant), rng=rng, dtype=dtype)
 
 
 def count_parameters(graph: ModelGraph) -> int:
@@ -437,17 +414,13 @@ def rounded_millions(count: int) -> str:
 
 
 def shape_trace(name_or_graph, input_T: int) -> list:
-    """Symbolic forward over shapes only: [(layer label, (T, C)), ...]."""
-    if isinstance(name_or_graph, ModelGraph):
-        units = name_or_graph.units
-    else:
-        units = architecture(name_or_graph)
-    first_rf = units[0].rf
-    if input_T < first_rf:
-        raise ValueError(f"input length {input_T} < first receptive field {first_rf}")
+    """[(layer label, (T, C)), ...]: each unit's output shape, read from its
+    infer-mode forward on a batch of zero clips; a 2-D head output counts
+    as T=1. A name is built first, at published width."""
+    graph = name_or_graph if isinstance(name_or_graph, ModelGraph) else build(name_or_graph)
+    h = graph._input(np.zeros((0, input_T, 1)))
     rows = [("input", (input_T, 1))]
-    T, C = input_T, 1
-    for u in units:
-        T, C = u.trace(T, C)
-        rows.append((u.label, (T, C)))
+    for u in graph.units:
+        h = u.forward(h, graph, "infer", None, None)
+        rows.append((u.label, (1, h.shape[1]) if h.ndim == 2 else h.shape[1:]))
     return rows

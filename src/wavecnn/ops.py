@@ -69,7 +69,7 @@ from .tensor import check_finite
 # already a full GEMM, and the per-tap paths measured as fast or faster.
 _IM2COL_MAX_CIN = 8
 
-POOL = 4  # maxpool window and stride
+_POOL = 4  # maxpool window and stride
 _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 _DROPOUT_RATE = 0.3
@@ -103,7 +103,7 @@ class BatchNormState:
     running_var: np.ndarray
 
 
-def same_pad_1d(T: int, rf: int, stride: int) -> tuple:
+def _same_pad_1d(T: int, rf: int, stride: int) -> tuple:
     """Zero-pad sizes so a strided conv maps time T -> ceil(T/stride).
 
     The pad splits as evenly as possible with the extra sample at the end.
@@ -131,7 +131,7 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
     (rf, k_in, Cout), stride = p.kernel.shape, p.stride
     if Cin != k_in:
         raise ValueError(f"conv1d: input has {Cin} channels, kernel expects {k_in}")
-    out_T, left, right = same_pad_1d(T, rf, stride)
+    out_T, left, right = _same_pad_1d(T, rf, stride)
     xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
 
     if x.dtype == np.float64:
@@ -210,17 +210,17 @@ def conv1d_backward(grad_out: np.ndarray, cache):
 
 
 def maxpool1d_forward(x: np.ndarray, mode: str, low=False):
-    """Maximum over time windows of POOL, ceil semantics for the last one;
+    """Maximum over time windows of _POOL, ceil semantics for the last one;
     the min instead in the channels where the bool `low` is set. Train
     mode caches (idx, T), idx being each window's first extreme slot as
-    uint8 (POOL is 4); infer mode computes no slots and caches None."""
+    uint8 (_POOL is 4); infer mode computes no slots and caches None."""
     B, T, C = x.shape
-    out_T = -(-T // POOL)
-    pad = out_T * POOL - T
+    out_T = -(-T // _POOL)
+    pad = out_T * _POOL - T
     if pad:
         fill = np.where(low, np.inf, -np.inf).astype(x.dtype)
         x = np.concatenate([x, np.broadcast_to(fill, (B, pad, C))], axis=1)
-    xr = x.reshape(B, out_T, POOL, C)
+    xr = x.reshape(B, out_T, _POOL, C)
     y = xr.max(axis=2)
     if np.any(low):
         # Two plain reductions: a channel gather would copy the low channels.
@@ -231,7 +231,7 @@ def maxpool1d_forward(x: np.ndarray, mode: str, low=False):
     # miss the extreme, which keeps the first-index rule on ties.
     before = xr[:, :, 0, :] != y
     idx = before.astype(np.uint8)
-    for w in range(1, POOL - 1):
+    for w in range(1, _POOL - 1):
         before &= xr[:, :, w, :] != y
         idx += before
     return y, (idx, T)
@@ -241,10 +241,10 @@ def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     """Route each window's gradient to its (first) argmax position."""
     idx, T = cache
     B, out_T, C = grad_out.shape
-    g = np.zeros((B, out_T, POOL, C), dtype=grad_out.dtype)
+    g = np.zeros((B, out_T, _POOL, C), dtype=grad_out.dtype)
     np.put_along_axis(g, idx[:, :, None, :], grad_out[:, :, None, :], axis=2)
     # Contiguous, so that the conv backward that reads it next copies nothing.
-    return np.ascontiguousarray(g.reshape(B, out_T * POOL, C)[:, :T, :])
+    return np.ascontiguousarray(g.reshape(B, out_T * _POOL, C)[:, :T, :])
 
 
 def relu_forward(x: np.ndarray):

@@ -14,6 +14,8 @@ count of the tensors before it, and no bytes follow the last one.
 
 The manifest records version, architecture, epoch, config snapshot, RNG
 state, Adam scalars, and one entry per tensor (name, kind, shape, offset).
+With Adam scalars present, the adam_m and adam_v entries each name exactly
+the param entries, with the same shapes.
 """
 
 from __future__ import annotations
@@ -297,6 +299,15 @@ def load_checkpoint(path) -> Checkpoint:
             entries[kind, name] = shape
         if end != payload_bytes:
             raise CheckpointFormatError(f"{path}: {payload_bytes - end} bytes follow the last tensor")
+        if meta is not None:
+            params = {name: shape for (kind, name), shape in entries.items() if kind == "param"}
+            for moment in ("adam_m", "adam_v"):
+                shapes = {name: shape for (kind, name), shape in entries.items() if kind == moment}
+                odd = sorted(shapes.items() ^ params.items())
+                if odd:
+                    raise CheckpointFormatError(
+                        f"{path}: {moment} and param entries differ at {odd[0][0]!r}"
+                    )
         for (kind, name), shape in entries.items():
             arr = np.empty(shape, dtype="<f4")
             if f.readinto(arr) != arr.nbytes:
@@ -416,6 +427,24 @@ def _make_checkpoint(config: TrainConfig, graph: ModelGraph, adam: AdamState,
     )
 
 
+def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
+    """A resume continues the checkpoint's run or is refused: it needs the
+    Adam and RNG state, an epoch left to run, and the same config in every
+    field but the run length, the output paths and the stop rule."""
+    if ckpt.adam is None or ckpt.rng_state is None:
+        raise CheckpointMismatchError("checkpoint has no Adam or RNG state to resume from")
+    if ckpt.epoch >= config.epochs:
+        raise ValueError(f"checkpoint is at epoch {ckpt.epoch}, so epochs "
+                         f"{config.epochs} leaves no epoch to run")
+    free = {"epochs", "checkpoint_path", "log_path", "checkpoint_every", "stop_at_train_acc"}
+    changed = [
+        f"checkpoint {k} {ckpt.config.get(k)!r} != config {k} {v!r}"
+        for k, v in asdict(config).items() if k not in free and ckpt.config.get(k) != v
+    ]
+    if changed:
+        raise CheckpointMismatchError("; ".join(changed))
+
+
 def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -> TrainResult:
     """Run the epoch loop and return the final checkpoint plus metrics.
 
@@ -423,17 +452,18 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
     plus L2 penalty, reverse-mode backward, Adam step; then test-fold
     evaluation in infer mode against the BN running statistics.
     """
-    if resume_from is not None and resume_from.epoch >= config.epochs:
-        raise ValueError(f"checkpoint is at epoch {resume_from.epoch}, so epochs "
-                         f"{config.epochs} leaves no epoch to run")
+    if resume_from is not None:
+        _check_resume(config, resume_from)
     train_entries, test_entries = split_entries(dataset.entries, config.test_fold)
     val_entries = []
     if config.val_fold is not None:
         train_entries, val_entries = split_entries(train_entries, config.val_fold)
         if not val_entries:
             raise ValueError(f"val_fold {config.val_fold} names no training clip")
-    if not train_entries:
-        raise ValueError("training split is empty")
+    if len(train_entries) < 2:
+        # make_batches drops only a lone final row, so 2 clips make a batch
+        raise ValueError(f"training split is empty after batch assembly "
+                         f"({len(train_entries)} clip(s); a batch needs 2)")
 
     root = RandomSource(config.seed)
     graph = build(
@@ -443,18 +473,13 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         channel_scale=config.channel_scale,
     )
     train_rng = root.derive(_STREAM_TRAIN_OPS)
-    start_epoch, adam = 0, None
-    if resume_from is not None:
-        if resume_from.arch != config.arch:
-            raise CheckpointMismatchError(
-                f"checkpoint arch {resume_from.arch!r} != config arch {config.arch!r}"
-            )
+    if resume_from is None:
+        start_epoch, adam = 0, AdamState(graph.params, config.alpha)
+    else:
         restore_model(resume_from, graph)
-        if resume_from.rng_state is not None:
-            train_rng.set_state(resume_from.rng_state)
+        train_rng.set_state(resume_from.rng_state)
         start_epoch, adam = resume_from.epoch, resume_from.adam
-    adam = adam or AdamState(graph.params, config.alpha)
-    adam.alpha = config.alpha
+        adam.alpha = config.alpha
 
     test_x, test_y = stack_clips(dataset, test_entries) if test_entries else (None, None)
     val_x, val_y = stack_clips(dataset, val_entries) if val_entries else (None, None)
@@ -497,8 +522,6 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
             correct += int((np.argmax(probs, axis=1) == batch.labels).sum())
             seen += n
             batch_id += 1
-        if seen == 0:
-            raise ValueError("training split is empty after batch assembly")
 
         train_loss = loss_sum / seen
         train_acc = correct / seen

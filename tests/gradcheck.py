@@ -272,9 +272,9 @@ def conv_unit_pool_trial(rng):
             "conv1.bn.beta": rng.standard_normal(Cout),
         })
         raw = conv.conv(x, graph, None)
-        pad = -raw.shape[1] % ops.POOL
+        pad = -raw.shape[1] % ops._POOL
         windows = np.pad(raw, ((0, 0), (0, pad), (0, 0)), constant_values=np.nan)
-        gaps = np.diff(np.sort(windows.reshape(B, -1, ops.POOL, Cout), axis=2), axis=2)
+        gaps = np.diff(np.sort(windows.reshape(B, -1, ops._POOL, Cout), axis=2), axis=2)
         pre = ops.maxpool1d_forward(conv.conv_bn(x, graph, "train", None, relu=False), "infer")[0]
         if np.min(gaps, where=~np.isnan(gaps), initial=np.inf) >= 1e-3 and np.abs(pre).min() >= 1e-3:
             break

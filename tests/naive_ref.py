@@ -6,7 +6,7 @@ independent of the library's vectorized paths; tests compare both routes.
 
 import numpy as np
 
-from wavecnn.ops import same_pad_1d
+from wavecnn.ops import _same_pad_1d
 
 
 def conv1d_naive(x, kernel, bias=None, stride=1):
@@ -14,7 +14,7 @@ def conv1d_naive(x, kernel, bias=None, stride=1):
     order with the bias added last."""
     B, T, Cin = x.shape
     rf, _, Cout = kernel.shape
-    out_T, left, right = same_pad_1d(T, rf, stride)
+    out_T, left, right = _same_pad_1d(T, rf, stride)
     xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
     y = np.zeros((B, out_T, Cout), dtype=x.dtype)
     for b in range(B):
@@ -37,7 +37,7 @@ def conv1d_backward_naive(x, kernel, grad_out, stride=1):
     grad_x is its transpose, scattered onto the padded input and cropped."""
     B, T, Cin = x.shape
     rf = kernel.shape[0]
-    out_T, left, right = same_pad_1d(T, rf, stride)
+    out_T, left, right = _same_pad_1d(T, rf, stride)
     xp = np.pad(x.astype(np.float64), ((0, 0), (left, right), (0, 0)))
     k = kernel.astype(np.float64)
     g = grad_out.astype(np.float64)

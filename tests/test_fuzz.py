@@ -113,7 +113,7 @@ def mutated_checkpoint(draw, base):
     n = struct.unpack_from("<I", base, len(CHECKPOINT_MAGIC))[0]
     manifest, payload = json.loads(base[head : head + n]), bytearray(base[head + n :])
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["set", "drop", "payload-byte", "payload-cut",
+        kind = draw(st.sampled_from(["set", "drop", "rename", "payload-byte", "payload-cut",
                                      "payload-grow"]))
         if kind in ("set", "drop"):
             node = draw(st.sampled_from(_containers(manifest)))
@@ -125,6 +125,12 @@ def mutated_checkpoint(draw, base):
                 node[key] = draw(_JSON_VALUES)
             else:
                 del node[key]
+        elif kind == "rename":  # a name from another entry, maybe another kind's
+            tensors = manifest.get("tensors")
+            named = isinstance(tensors, list) and [t for t in tensors
+                                                   if isinstance(t, dict) and "name" in t]
+            if named:
+                draw(st.sampled_from(named))["name"] = draw(st.sampled_from(named))["name"]
         elif kind == "payload-byte" and payload:
             payload[draw(st.integers(0, len(payload) - 1))] = draw(st.integers(0, 255))
         elif kind == "payload-cut":
@@ -145,8 +151,12 @@ def test_load_checkpoint_loads_or_raises_a_checkpoint_error(tmp_path_factory):
     def property_(blob):
         path.write_bytes(blob)
         try:
-            load_checkpoint(path)
+            ckpt = load_checkpoint(path)
         except CheckpointError:
-            pass
+            return
+        if ckpt.adam is not None:
+            shapes = {name: p.shape for name, p in ckpt.params.items()}
+            for moments in (ckpt.adam.m, ckpt.adam.v):
+                assert {name: m.shape for name, m in moments.items()} == shapes
 
     property_()

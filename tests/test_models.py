@@ -7,7 +7,6 @@ import pytest
 
 from wavecnn import build, count_parameters, models, ops, shape_trace
 from wavecnn.models import (
-    architecture,
     parameter_breakdown,
     rounded_millions,
     valid_architectures,
@@ -175,6 +174,19 @@ class TestShapeTrace:
             shape_trace("m18", 50)
 
     @pytest.mark.parametrize("name", valid_architectures())
+    def test_zero_clip_trace_stays_cheap(self, name):
+        """The trace forwards zero clips at published width, so its memory
+        is per-layer setup only; an op doing per-clip work at B=0 shows."""
+        graph = build(name, rng=RandomSource(0))
+        tracemalloc.start()
+        try:
+            shape_trace(graph, 32000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("name", valid_architectures())
     def test_trace_matches_unit_outputs(self, name):
         """Each unit's infer-mode output has the (T, C) of its shape_trace
         row; a 2-D head output counts as T=1."""
@@ -234,9 +246,9 @@ class TestVariants:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown architecture"):
-            architecture("m7")
+            build("m7")
         with pytest.raises(ValueError, match="unknown architecture"):
-            architecture("m11-big")
+            build("m11-big")
 
     def test_valid_architectures_buildable(self):
         for name in valid_architectures():

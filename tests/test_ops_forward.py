@@ -403,7 +403,7 @@ class TestPooledBatchNorm:
         s, s_ref = state(), state()
         ref, _ = _pooled_reference(x, s_ref, mode)
         y, cache = ops.batchnorm_forward(x, s, mode, relu=True, pool=True)
-        assert y.dtype == ref.dtype and y.shape == (2, -(-T // ops.POOL), 6)
+        assert y.dtype == ref.dtype and y.shape == (2, -(-T // ops._POOL), 6)
         np.testing.assert_array_equal(y, ref)
         np.testing.assert_array_equal(s.running_mean, s_ref.running_mean)
         np.testing.assert_array_equal(s.running_var, s_ref.running_var)
@@ -418,8 +418,8 @@ class TestPooledBatchNorm:
         rng = np.random.default_rng(T + 1)
         x, state = _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
         full = ops.batchnorm_forward(x, state(), "train")[0]
-        windows = np.pad(full, ((0, 0), (0, -T % ops.POOL), (0, 0)), constant_values=-np.inf)
-        windows = windows.reshape(2, -1, ops.POOL, 6)
+        windows = np.pad(full, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
+        windows = windows.reshape(2, -1, ops._POOL, 6)
         assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
         ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
         y, cache = ops.batchnorm_forward(x, state(), "train", relu=True, pool=True)
@@ -443,7 +443,7 @@ class TestPooledBatchNorm:
         rx, rg, rb = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
         np.testing.assert_array_equal(gx, rx)
         np.testing.assert_array_equal(gb, rb)
-        x_max = x[:, :, 2].reshape(2, -1, ops.POOL).max(axis=2)
+        x_max = x[:, :, 2].reshape(2, -1, ops._POOL).max(axis=2)
         mu, inv = x[:, :, 2].mean(), 1 / np.sqrt(x[:, :, 2].var() + ops._BN_EPS)
         mask = y[:, :, 2] > 0
         assert mask.all(), "beta > 0 passes every window of the gamma-0 channel"

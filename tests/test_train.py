@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -135,6 +136,21 @@ class TestTrainLoop:
         """A lone clip is dropped as a short batch, so no epoch can run."""
         with pytest.raises(ValueError, match="empty after batch assembly"):
             train(mini_config(epochs=1), mini_dataset(n=1))
+
+    def test_one_clip_run_refused_before_build(self, monkeypatch):
+        """One training clip makes no batch; the run is refused before the
+        model is built and the test fold is stacked."""
+        data = mini_dataset(n=2)
+        e = data.entries[1]
+        data.entries[1] = e.__class__(e.clip_id, e.path, e.label, 10, e.duration)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("work done for a run that should be refused")
+
+        monkeypatch.setattr(training, "build", not_called)
+        monkeypatch.setattr(training, "stack_clips", not_called)
+        with pytest.raises(ValueError, match=r"empty after batch assembly \(1 clip"):
+            train(mini_config(epochs=1), data)
 
     def test_divergence_names_epoch_and_batch(self):
         with np.errstate(all="ignore"):  # the blow-up itself is the point
@@ -306,6 +322,53 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError, match="checkpoint arch 'm3' != config arch 'm5'"):
             train(mini_config(arch="m5", epochs=2), mini_dataset(),
                   resume_from=load_checkpoint(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2), ("batch_size", 2), ("alpha", 1e-2), ("l2_coeff", 0.0),
+        ("channel_scale", 1 / 8), ("test_fold", 9),
+    ])
+    def test_resume_with_another_setting_refused(self, tmp_path, monkeypatch, field, value):
+        """Each of these changes the trajectory, so the resume is refused,
+        naming the field, before the model is built."""
+        path = tmp_path / "run.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        old = getattr(mini_config(), field)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built for a resume that should be refused")
+
+        monkeypatch.setattr(training, "build", no_build)
+        message = f"checkpoint {field} {old!r} != config {field} {value!r}"
+        with pytest.raises(CheckpointMismatchError, match=re.escape(message)):
+            train(mini_config(epochs=2, **{field: value}), mini_dataset(),
+                  resume_from=load_checkpoint(path))
+
+    def test_resume_names_every_changed_setting(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        with pytest.raises(CheckpointMismatchError,
+                           match="checkpoint batch_size 4 != config batch_size 2; "
+                                 "checkpoint seed 3 != config seed 5"):
+            train(mini_config(epochs=2, batch_size=2, seed=5), mini_dataset(),
+                  resume_from=load_checkpoint(path))
+
+    def test_resume_may_change_run_length_paths_and_stop_rule(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        config = mini_config(epochs=2, checkpoint_path=str(tmp_path / "next.ckpt"),
+                             log_path=str(tmp_path / "log.csv"), checkpoint_every=1,
+                             stop_at_train_acc=1.1)
+        resumed = train(config, mini_dataset(), resume_from=load_checkpoint(path))
+        assert [r.epoch for r in resumed.history] == [2]
+
+    @pytest.mark.parametrize("missing", ["adam", "rng_state"])
+    def test_resume_without_optimizer_or_rng_state_refused(self, tmp_path, missing):
+        path = tmp_path / "run.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        ckpt = load_checkpoint(path)
+        setattr(ckpt, missing, None)
+        with pytest.raises(CheckpointMismatchError, match="no Adam or RNG state"):
+            train(mini_config(epochs=2), mini_dataset(), resume_from=ckpt)
 
     def test_version_mismatch(self, tmp_path):
         result = train(mini_config(epochs=1), mini_dataset())
@@ -502,6 +565,27 @@ class TestCheckpointManifest:
         edit(manifest)
         self._write(path, manifest, data[head + n :])
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_moment_missing_a_param_refused(self, tmp_path, moment):
+        params = {"w": np.arange(3, dtype=np.float32), "dense.b": np.zeros(2, np.float32)}
+        adam = AdamState(params)
+        del getattr(adam, moment)["dense.b"]
+        path = tmp_path / "seven.ckpt"
+        save_checkpoint(Checkpoint(version=1, arch="m3", epoch=1, params=params, state={},
+                                   config={}, adam=adam), path)
+        with pytest.raises(CheckpointFormatError, match=f"adam_{moment} and param entries differ at 'dense.b'"):
+            load_checkpoint(path)
+
+    def test_moment_with_another_shape_refused(self, tmp_path):
+        params = {"w": np.arange(3, dtype=np.float32)}
+        adam = AdamState(params)
+        adam.v["w"] = np.zeros(4, np.float32)
+        path = tmp_path / "shape.ckpt"
+        save_checkpoint(Checkpoint(version=1, arch="m3", epoch=1, params=params, state={},
+                                   config={}, adam=adam), path)
+        with pytest.raises(CheckpointFormatError, match="adam_v and param entries differ at 'w'"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
