@@ -1,8 +1,10 @@
 """Forward and reverse-mode backward rules for every layer type.
 
-All ops are pure functions over [batch, time, channels] arrays. Each forward
-returns (output, cache); the matching backward consumes the cache and the
-output gradient and returns exact adjoints.
+Ops are functions over [batch, time, channels] arrays that leave their
+inputs unchanged, with one exception: batchnorm_forward(..., donate=True)
+takes ownership of x, and its backward builds grad_x in x's buffer. Each
+forward returns (output, cache); the matching backward consumes the cache
+and the output gradient and returns exact adjoints.
 
 Precision follows the input dtype. Training runs in float32
 (tensor.TRAIN_DTYPE) and numerical gradient checks in float64, since finite
@@ -237,14 +239,26 @@ def maxpool1d_forward(x: np.ndarray, mode: str, low=False):
     return y, (idx, T)
 
 
+def _scatter_to_slots(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """Write one clip's pooled values [out_T, C] into out [T, C] at each
+    window's slot idx [out_T, C], as maxpool1d_forward caches it; the last
+    window may be ragged. np.put on flat offsets measured faster than
+    np.put_along_axis on rows."""
+    out_T, C = idx.shape
+    flat = np.arange(0, out_T * _POOL, _POOL)[:, None] + idx
+    flat *= C
+    flat += np.arange(C)
+    np.put(out, flat, values)
+
+
 def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     """Route each window's gradient to its (first) argmax position."""
     idx, T = cache
-    B, out_T, C = grad_out.shape
-    g = np.zeros((B, out_T, _POOL, C), dtype=grad_out.dtype)
-    np.put_along_axis(g, idx[:, :, None, :], grad_out[:, :, None, :], axis=2)
-    # Contiguous, so that the conv backward that reads it next copies nothing.
-    return np.ascontiguousarray(g.reshape(B, out_T * _POOL, C)[:, :T, :])
+    B, _, C = grad_out.shape
+    grad_x = np.zeros((B, T, C), dtype=grad_out.dtype)
+    for gx, i, g in zip(grad_x, idx, grad_out):
+        _scatter_to_slots(gx, i, g)
+    return grad_x
 
 
 def relu_forward(x: np.ndarray):
@@ -256,7 +270,7 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
-                      relu: bool = False, pool: bool = False):
+                      relu: bool = False, pool: bool = False, donate: bool = False):
     """Normalize per channel; train mode pools stats over (batch, time).
 
     The statistics and the per-channel scale/shift are float64; the output
@@ -264,7 +278,9 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
     max(y, 0) is applied in place as an epilogue; pool maxpools y (module
     docstring). Train mode updates running stats in place:
     running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
-    Infer mode returns no cache (None): it has no backward.
+    Infer mode returns no cache (None): it has no backward. With donate,
+    the caller hands x over: the backward may overwrite it (it builds
+    grad_x there), so nothing else may read x after the forward.
     """
     C = x.shape[-1]
     if C != s.gamma.shape[0]:
@@ -292,7 +308,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
         np.maximum(y, 0, out=y)
     if mode == "infer":
         return y, None
-    return y, (x2, xs, slots, mu, inv, s.gamma, y > 0 if relu else None)
+    return y, (x, xs, slots, mu, inv, s.gamma, y > 0 if relu else None, donate)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
@@ -301,10 +317,21 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
     the sums of g and g * x. After a ReLU epilogue, g is the output gradient
     masked to where the output is positive, and g * a is formed in place
-    on it. With pool, sums and g * a are pooled-size; g * a is then scattered.
+    on it. The x * b + c terms go in one clip at a time, with no
+    full-size temporary:
+    - unpooled: grad_x is the g * a array; each clip adds x * b, formed in
+      x's buffer if donated (else in a clip-sized temporary), then c;
+    - pooled: g and the sums are pooled-size. Each clip writes x * b, then
+      adds c + 0, into x's buffer if donated (else into a fresh array);
+      then each window's extreme slot takes (g * a + xs * b) + c, xs being
+      the pooled x, which is x at that slot. The + 0 turns a -0 shift into
+      +0, so a value off the slots is (0 + x * b) + c bit for bit, as if
+      g * a had been scattered into zeros.
+    Without donation x is left unchanged.
     """
-    x2, xs, slots, mu, inv, gamma, mask = cache
-    n, C = x2.shape
+    x, xs, slots, mu, inv, gamma, mask, donate = cache
+    C = x.shape[-1]
+    n = x.size // C
     dt = grad_out.dtype
     if mask is not None:
         grad_out = grad_out * mask
@@ -314,20 +341,28 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     grad_gamma = inv * (sum_gx - mu * sum_g)
     a = gamma * inv
     if mask is None:
-        grad_x = grad_out * a.astype(dt)
+        ga = grad_out * a.astype(dt)
     else:
-        grad_x = grad_out
-        grad_x *= a.astype(dt)
-    if slots is not None:
-        grad_x = maxpool1d_backward(grad_x, slots)
-    # Batch statistics depend on x, so their adjoints fold back in, one
-    # clip at a time: no full-size x * b temporary.
+        ga = grad_out
+        ga *= a.astype(dt)
+    # Batch statistics depend on x, so their adjoints fold back in.
     b = -a * inv * grad_gamma / n
     c = (-a * sum_g / n - b * mu).astype(dt)
     b = b.astype(dt)
-    for gi, xi in zip(grad_x, x2.reshape(grad_x.shape)):
-        gi += xi * b
-        gi += c
+    if slots is None:
+        for gi, xi in zip(ga, x):
+            gi += np.multiply(xi, b, out=xi if donate else None)
+            gi += c
+        grad_x = ga
+    else:
+        grad_x = x if donate else np.empty(x.shape, dtype=dt)
+        c0 = c + 0
+        for gx, xi, gi, si, idx in zip(grad_x, x, ga, xs, slots[0]):
+            np.multiply(xi, b, out=gx)
+            gx += c0
+            gi += si * b
+            gi += c
+            _scatter_to_slots(gx, idx, gi)
     return grad_x, grad_gamma.astype(dt), sum_g.astype(dt)
 
 

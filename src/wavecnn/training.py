@@ -15,7 +15,8 @@ count of the tensors before it, and no bytes follow the last one.
 The manifest records version, architecture, epoch, config snapshot, RNG
 state, Adam scalars, and one entry per tensor (name, kind, shape, offset).
 With Adam scalars present, the adam_m and adam_v entries each name exactly
-the param entries, with the same shapes.
+the param entries, with the same shapes. A config snapshot that names an
+architecture names the manifest's.
 """
 
 from __future__ import annotations
@@ -279,6 +280,12 @@ def load_checkpoint(path) -> Checkpoint:
         bad = _bad_fields(manifest)
         if bad:
             raise CheckpointFormatError(f"{path}: manifest lacks or garbles {bad}")
+        arch = manifest["arch"]
+        config_arch = manifest.get("config", {}).get("arch", arch)
+        if config_arch != arch:
+            raise CheckpointFormatError(
+                f"{path}: manifest arch {arch!r:.40} != config arch {config_arch!r:.40}"
+            )
         meta = manifest.get("adam")
 
         # Every entry is checked before any tensor is allocated.
@@ -323,7 +330,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     return Checkpoint(
         version=manifest["version"],
-        arch=manifest["arch"],
+        arch=arch,
         epoch=manifest["epoch"],
         params=sections["param"],
         state=sections["state"],

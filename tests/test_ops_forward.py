@@ -274,6 +274,24 @@ class TestMaxPool:
         np.testing.assert_array_equal(gx.ravel(), [0, 1, 0, 0, 0, 1])
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [125, 2001])
+    def test_backward_equals_padded_put_along(self, T, dtype):
+        """The per-clip scatter equals scattering into a zero-filled
+        [B, out_T, _POOL, C] array and cutting it to T, ragged last window
+        included; channel 1 pools the min."""
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal((3, T, 5)).astype(dtype)
+        _, cache = ops.maxpool1d_forward(x, "train", np.arange(5) == 1)
+        g = rng.standard_normal((3, -(-T // ops._POOL), 5)).astype(dtype)
+        B, out_T, C = g.shape
+        padded = np.zeros((B, out_T, ops._POOL, C), dtype)
+        np.put_along_axis(padded, cache[0][:, :, None, :], g[:, :, None, :], axis=2)
+        want = padded.reshape(B, out_T * ops._POOL, C)[:, :T]
+        got = ops.maxpool1d_backward(g, cache)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_infer_keeps_nothing(self):
         """Infer mode returns the train-mode output bitwise, and no cache."""
         x = np.random.default_rng(12).standard_normal((3, 103, 4), dtype=np.float32)
@@ -479,6 +497,50 @@ class TestPooledBatchNorm:
             assert np.all(np.isfinite(y)) and y[0, 0].min() > 1e38
             with pytest.raises(NonFiniteError, match="batchnorm"):
                 ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train", relu=True)
+
+
+class TestBatchNormDonation:
+    """With donate, the backward may build grad_x in the buffer of x; its
+    results are byte-equal to the undonated backward's, which leaves x as
+    it was."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [125, 128, 2001])
+    @pytest.mark.parametrize("pool", [False, True])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_donated_backward_equals_undonated(self, relu, pool, T, dtype):
+        rng = np.random.default_rng(T + 1)
+        x, state = _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
+        # Channel 0 is dead (g all zero there), with gamma > 0 and a
+        # negative mean: its b and c are -0.0, so x * b is -0.0 where x > 0.
+        x[..., 0] -= x[..., 0].mean() + 0.5
+        assert (x[..., 0] > 0).any() and x[..., 0].mean() < 0
+        x_before = x.copy()
+        _, kept = ops.batchnorm_forward(x, state(), "train", relu, pool)
+        given = x.copy()
+        y, donated = ops.batchnorm_forward(given, state(), "train", relu, pool, donate=True)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        g[..., 0] = 0
+        want = ops.batchnorm_backward(g, kept)
+        got = ops.batchnorm_backward(g, donated)
+        assert x.tobytes() == x_before.tobytes()
+        # Pooled, grad_x is x's buffer; unpooled, it is the g * a array.
+        assert np.shares_memory(got[0], given) == pool
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if pool:
+            # Byte-equal to batch norm then maxpool, whose backward adds
+            # x * b and c onto the scattered zeros: signed zeros included.
+            # The BN outputs have no ties within a window.
+            pre = ops.batchnorm_forward(x, state(), "train")[0]
+            windows = np.pad(pre, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
+            windows = windows.reshape(2, -1, ops._POOL, 6)
+            assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
+            full, bn_cache = ops.batchnorm_forward(x, state(), "train", relu)
+            _, pool_cache = ops.maxpool1d_forward(full, "train")
+            ref = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+            for a, b in zip(got, ref, strict=True):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestGlobalAvgPool:

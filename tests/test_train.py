@@ -588,6 +588,16 @@ class TestCheckpointManifest:
         with pytest.raises(CheckpointFormatError, match="adam_v and param entries differ at 'w'"):
             load_checkpoint(path)
 
+    def test_config_naming_another_arch_refused(self, tmp_path):
+        """The manifest's arch builds the model and config["arch"] is what a
+        resume compares, so a checkpoint whose two disagree is refused."""
+        params = {"w": np.arange(3, dtype=np.float32)}
+        path = tmp_path / "two-archs.ckpt"
+        save_checkpoint(Checkpoint(version=1, arch="m3", epoch=1, params=params, state={},
+                                   config={"arch": "m5"}), path)
+        with pytest.raises(CheckpointFormatError, match="manifest arch 'm3' != config arch 'm5'"):
+            load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         params = {"w": np.arange(3, dtype=np.float32)}
         path = tmp_path / "long.ckpt"
