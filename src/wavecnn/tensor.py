@@ -39,6 +39,8 @@ def atomic_write(path):
     """Binary file handle on `<path>.tmp`, moved over `path` once the block
     completes. If the block raises, the temporary file is removed and
     `path` keeps its previous contents, so a reader never sees half a file.
+    Nothing is fsynced, so that holds across a killed process but not
+    across a power loss or an operating-system crash.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
