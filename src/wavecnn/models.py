@@ -138,14 +138,14 @@ def _bn(y, k, graph, mode, tape, relu, pool=False):
     """Batch norm over the `{k}.bn.*` params and state, with the ReLU as
     its epilogue and the maxpool before its scale/shift if asked. y is
     always a fresh conv or affine output that only the BN cache keeps, so
-    it is donated: the backward builds grad_x in its buffer."""
+    the backward may build grad_x in its buffer."""
     s = ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
     )
-    y, cache = ops.batchnorm_forward(y, s, mode, relu, pool, donate=True)
+    y, cache = ops.batchnorm_forward(y, s, mode, relu, pool)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 

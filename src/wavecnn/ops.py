@@ -1,10 +1,10 @@
 """Forward and reverse-mode backward rules for every layer type.
 
 Ops are functions over [batch, time, channels] arrays that leave their
-inputs unchanged, with one exception: batchnorm_forward(..., donate=True)
-takes ownership of x, and its backward builds grad_x in x's buffer. Each
-forward returns (output, cache); the matching backward consumes the cache
-and the output gradient and returns exact adjoints.
+inputs unchanged, with one exception: train-mode batchnorm_forward takes
+ownership of x, and its backward builds grad_x in x's buffer. Each forward
+returns (output, cache); the matching backward consumes the cache and the
+output gradient and returns exact adjoints.
 
 Precision follows the input dtype. Training runs in float32
 (tensor.TRAIN_DTYPE) and numerical gradient checks in float64, since finite
@@ -270,7 +270,7 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
-                      relu: bool = False, pool: bool = False, donate: bool = False):
+                      relu: bool = False, pool: bool = False):
     """Normalize per channel; train mode pools stats over (batch, time).
 
     The statistics and the per-channel scale/shift are float64; the output
@@ -278,9 +278,9 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
     max(y, 0) is applied in place as an epilogue; pool maxpools y (module
     docstring). Train mode updates running stats in place:
     running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
-    Infer mode returns no cache (None): it has no backward. With donate,
-    the caller hands x over: the backward may overwrite it (it builds
-    grad_x there), so nothing else may read x after the forward.
+    Infer mode returns no cache (None): it has no backward. Train mode
+    takes x over: the backward builds grad_x in its buffer, so a caller
+    that reads x after the backward passes a copy.
     """
     C = x.shape[-1]
     if C != s.gamma.shape[0]:
@@ -308,7 +308,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
         np.maximum(y, 0, out=y)
     if mode == "infer":
         return y, None
-    return y, (x, xs, slots, mu, inv, s.gamma, y > 0 if relu else None, donate)
+    return y, (x, xs, slots, mu, inv, s.gamma, y > 0 if relu else None)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
@@ -316,20 +316,16 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
 
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
     the sums of g and g * x. After a ReLU epilogue, g is the output gradient
-    masked to where the output is positive, and g * a is formed in place
-    on it. The x * b + c terms go in one clip at a time, with no
-    full-size temporary:
-    - unpooled: grad_x is the g * a array; each clip adds x * b, formed in
-      x's buffer if donated (else in a clip-sized temporary), then c;
-    - pooled: g and the sums are pooled-size. Each clip writes x * b, then
-      adds c + 0, into x's buffer if donated (else into a fresh array);
-      then each window's extreme slot takes (g * a + xs * b) + c, xs being
-      the pooled x, which is x at that slot. The + 0 turns a -0 shift into
-      +0, so a value off the slots is (0 + x * b) + c bit for bit, as if
-      g * a had been scattered into zeros.
-    Without donation x is left unchanged.
+    masked to where the output is positive. grad_x is built in x's buffer,
+    one clip at a time, with no full-size temporary:
+    - unpooled: each clip's x becomes x * b, then adds g * a, then c;
+    - pooled: g and the sums are pooled-size. Each clip's x becomes x * b,
+      then adds c + 0; then each window's extreme slot takes
+      (g * a + xs * b) + c, xs being the pooled x, which is x at that slot.
+      The + 0 turns a -0 shift into +0, so a value off the slots is
+      (0 + x * b) + c bit for bit, as if g * a had been scattered into zeros.
     """
-    x, xs, slots, mu, inv, gamma, mask, donate = cache
+    x, xs, slots, mu, inv, gamma, mask = cache
     C = x.shape[-1]
     n = x.size // C
     dt = grad_out.dtype
@@ -339,31 +335,26 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     sum_g = g2.sum(axis=0, dtype=np.float64)
     sum_gx = np.einsum("ij,ij->j", g2, xs.reshape(g2.shape), dtype=np.float64)
     grad_gamma = inv * (sum_gx - mu * sum_g)
-    a = gamma * inv
-    if mask is None:
-        ga = grad_out * a.astype(dt)
-    else:
-        ga = grad_out
-        ga *= a.astype(dt)
     # Batch statistics depend on x, so their adjoints fold back in.
+    a = gamma * inv
     b = -a * inv * grad_gamma / n
     c = (-a * sum_g / n - b * mu).astype(dt)
-    b = b.astype(dt)
+    a, b = a.astype(dt), b.astype(dt)
     if slots is None:
-        for gi, xi in zip(ga, x):
-            gi += np.multiply(xi, b, out=xi if donate else None)
-            gi += c
-        grad_x = ga
+        for xi, gi in zip(x, grad_out):
+            xi *= b
+            xi += gi * a
+            xi += c
     else:
-        grad_x = x if donate else np.empty(x.shape, dtype=dt)
         c0 = c + 0
-        for gx, xi, gi, si, idx in zip(grad_x, x, ga, xs, slots[0]):
-            np.multiply(xi, b, out=gx)
-            gx += c0
+        for xi, gi, si, idx in zip(x, grad_out, xs, slots[0]):
+            xi *= b
+            xi += c0
+            gi = gi * a
             gi += si * b
             gi += c
-            _scatter_to_slots(gx, idx, gi)
-    return grad_x, grad_gamma.astype(dt), sum_g.astype(dt)
+            _scatter_to_slots(xi, idx, gi)
+    return x, grad_gamma.astype(dt), sum_g.astype(dt)
 
 
 def global_avg_pool(x: np.ndarray):

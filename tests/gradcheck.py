@@ -85,7 +85,8 @@ def batchnorm_trial(rng, shape=None):
             running_mean=np.zeros(C), running_var=np.ones(C),
         )
 
-    y, cache = ops.batchnorm_forward(x, state(), "train")
+    # The backward builds gx in the buffer it is given; x is read below.
+    y, cache = ops.batchnorm_forward(x.copy(), state(), "train")
     R = _proj(rng, y.shape)
     gx, gg, gb = ops.batchnorm_backward(R, cache)
 

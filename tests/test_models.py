@@ -13,7 +13,6 @@ from wavecnn.models import (
 )
 from wavecnn.ops import softmax_xent
 from wavecnn.tensor import RandomSource
-from wavecnn.training import add_l2_gradients
 
 
 def closed_form_count(column, num_classes=10, with_bn=True, fc=False):
@@ -472,48 +471,6 @@ def test_pool_after_tail_matches_published_order(name, dtype):
         np.testing.assert_array_equal(graph.state[k], ref.state[k])
     np.testing.assert_array_equal(graph.forward(x).logits,
                                   _published_order_forward(ref, x, "infer", None))
-
-
-def _step_bytes(graph, x):
-    """Bytes of one train step (with L2) and one infer pass: logits, the
-    input gradient, every parameter gradient, running stats, infer logits."""
-    res = graph.forward(x, mode="train", rng=RandomSource(2))
-    _, _, dlogits = softmax_xent(res.logits, np.arange(len(x)) % 10)
-    grads = {}
-    gx = res.tape.backward(dlogits, grads)
-    add_l2_gradients(graph.params, grads, 1e-4)
-    arrays = [res.logits, gx, *(grads[k] for k in sorted(grads)),
-              *(graph.state[k] for k in sorted(graph.state)), graph.forward(x).logits]
-    return [a.tobytes() for a in arrays]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name", valid_architectures())
-def test_donated_batch_norm_changes_no_byte(name, dtype, monkeypatch):
-    """_bn donates each conv or affine output to its batch norm, whose
-    backward then builds grad_x in that buffer. A step is byte-equal to the
-    same step without donation. BN gammas are drawn with both signs, and
-    T = 2000 puts a ragged window (125 -> 32) after a BN conv or a block."""
-    def graph():
-        g = build(name, rng=RandomSource(0), dtype=dtype, channel_scale=1 / 16)
-        draw = np.random.default_rng(3)
-        for k, v in g.params.items():
-            if k.endswith(".bn.gamma"):
-                v[...] = draw.uniform(-2.0, 2.0, v.shape)
-        return g
-
-    x = RandomSource(1).normal((3, 2000, 1)).astype(dtype)
-    donated = _step_bytes(graph(), x)
-    forward, asked = ops.batchnorm_forward, []
-
-    def kept(*args, donate):
-        asked.append(donate)
-        return forward(*args, donate=False)
-
-    monkeypatch.setattr(ops, "batchnorm_forward", kept)
-    assert _step_bytes(graph(), x) == donated
-    # Every batch norm was asked to donate; the no-BN variants have none.
-    assert all(asked) and bool(asked) == ("no-bn" not in name)
 
 
 def test_train_step_peak_memory():

@@ -387,8 +387,9 @@ class TestBatchNorm:
 
 
 def _pooled_reference(x, s, mode):
-    """Batch norm with its ReLU, then maxpool: the published order."""
-    y, bn_cache = ops.batchnorm_forward(x, s, mode, relu=True)
+    """Batch norm with its ReLU, then maxpool: the published order. Batch
+    norm gets a copy of x, which its backward would overwrite."""
+    y, bn_cache = ops.batchnorm_forward(x.copy(), s, mode, relu=True)
     y, pool_cache = ops.maxpool1d_forward(y, mode)
     return y, (bn_cache, pool_cache)
 
@@ -440,7 +441,7 @@ class TestPooledBatchNorm:
         windows = windows.reshape(2, -1, ops._POOL, 6)
         assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
         ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
-        y, cache = ops.batchnorm_forward(x, state(), "train", relu=True, pool=True)
+        y, cache = ops.batchnorm_forward(x.copy(), state(), "train", relu=True, pool=True)
         g = rng.standard_normal(y.shape).astype(dtype)
         want = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
         got = ops.batchnorm_backward(g, cache)
@@ -455,7 +456,7 @@ class TestPooledBatchNorm:
         rng = np.random.default_rng(18)
         x, state = _pooled_case(rng, 128, np.float64)
         ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
-        y, cache = ops.batchnorm_forward(x, state(), "train", relu=True, pool=True)
+        y, cache = ops.batchnorm_forward(x.copy(), state(), "train", relu=True, pool=True)
         g = rng.standard_normal(y.shape)
         gx, gg, gb = ops.batchnorm_backward(g, cache)
         rx, rg, rb = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
@@ -499,48 +500,38 @@ class TestPooledBatchNorm:
                 ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train", relu=True)
 
 
-class TestBatchNormDonation:
-    """With donate, the backward may build grad_x in the buffer of x; its
-    results are byte-equal to the undonated backward's, which leaves x as
-    it was."""
+class TestBatchNormOwnsInput:
+    """Train-mode batch norm takes x over, and its backward builds grad_x
+    in x's buffer."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("T", [125, 128, 2001])
-    @pytest.mark.parametrize("pool", [False, True])
     @pytest.mark.parametrize("relu", [False, True])
-    def test_donated_backward_equals_undonated(self, relu, pool, T, dtype):
+    def test_pooled_backward_equals_bn_then_maxpool_bytewise(self, relu, T, dtype):
+        """Byte-equal to batch norm then maxpool, whose backward adds x * b
+        and c onto the scattered zeros: signed zeros included. The BN
+        outputs have no ties within a window."""
         rng = np.random.default_rng(T + 1)
         x, state = _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
         # Channel 0 is dead (g all zero there), with gamma > 0 and a
         # negative mean: its b and c are -0.0, so x * b is -0.0 where x > 0.
         x[..., 0] -= x[..., 0].mean() + 0.5
         assert (x[..., 0] > 0).any() and x[..., 0].mean() < 0
-        x_before = x.copy()
-        _, kept = ops.batchnorm_forward(x, state(), "train", relu, pool)
+        pre = ops.batchnorm_forward(x, state(), "train")[0]
+        windows = np.pad(pre, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
+        windows = windows.reshape(2, -1, ops._POOL, 6)
+        assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
         given = x.copy()
-        y, donated = ops.batchnorm_forward(given, state(), "train", relu, pool, donate=True)
+        y, cache = ops.batchnorm_forward(given, state(), "train", relu, pool=True)
         g = rng.standard_normal(y.shape).astype(dtype)
         g[..., 0] = 0
-        want = ops.batchnorm_backward(g, kept)
-        got = ops.batchnorm_backward(g, donated)
-        assert x.tobytes() == x_before.tobytes()
-        # Pooled, grad_x is x's buffer; unpooled, it is the g * a array.
-        assert np.shares_memory(got[0], given) == pool
+        got = ops.batchnorm_backward(g, cache)
+        assert got[0] is given
+        full, bn_cache = ops.batchnorm_forward(x.copy(), state(), "train", relu)
+        _, pool_cache = ops.maxpool1d_forward(full, "train")
+        want = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        if pool:
-            # Byte-equal to batch norm then maxpool, whose backward adds
-            # x * b and c onto the scattered zeros: signed zeros included.
-            # The BN outputs have no ties within a window.
-            pre = ops.batchnorm_forward(x, state(), "train")[0]
-            windows = np.pad(pre, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
-            windows = windows.reshape(2, -1, ops._POOL, 6)
-            assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
-            full, bn_cache = ops.batchnorm_forward(x, state(), "train", relu)
-            _, pool_cache = ops.maxpool1d_forward(full, "train")
-            ref = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
-            for a, b in zip(got, ref, strict=True):
-                assert a.tobytes() == b.tobytes()
 
 
 class TestGlobalAvgPool:
