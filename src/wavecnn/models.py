@@ -27,12 +27,7 @@ all through `_record`: the one place a backward step goes onto the tape.
 Each parameter gradient has one writer, the record of the op that uses it;
 the residual shortcut, the one fan-out, adds its gradient in place.
 
-A ReLU that follows batch norm is the BN op's epilogue, one op on the tape
-(conv units, FC units and a residual block's first conv). A standalone ReLU
-op remains only where no BN precedes it: after the residual shortcut add
-and in the no-BN variants' conv units. A maxpool after a BN conv runs the
-conv's BN and ReLU, pooling first; any other maxpool is plain (ops.py states
-the pool order's contract and which ops check for non-finite values).
+Every ReLU is one in-place `_relu` record (ops.py states the pool order).
 """
 
 from __future__ import annotations
@@ -134,23 +129,23 @@ def _record(tape, backward, cache, *names):
     tape.record(back)
 
 
-def _bn(y, k, graph, mode, tape, relu, pool=False):
-    """Batch norm over the `{k}.bn.*` params and state, with the ReLU as
-    its epilogue and the maxpool before its scale/shift if asked. y is
-    always a fresh conv or affine output that only the BN cache keeps, so
-    the backward may build grad_x in its buffer."""
+def _bn(y, k, graph, mode, tape, pool=False):
+    """Batch norm over the `{k}.bn.*` params and state, pooling before the
+    scale/shift if asked. y is a fresh conv or affine output that only the
+    BN cache keeps, so the backward may build grad_x in its buffer."""
     s = ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
     )
-    y, cache = ops.batchnorm_forward(y, s, mode, relu, pool)
+    y, cache = ops.batchnorm_forward(y, s, mode, pool)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
 
 def _relu(y, tape):
+    """ReLU in place: y is a fresh output (BN, conv + bias, shortcut sum)."""
     y, mask = ops.relu_forward(y)
     _record(tape, ops.relu_backward, mask)
     return y
@@ -216,7 +211,7 @@ class _ConvUnit(_Unit):
         """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
         y = self.conv(x, graph, tape)
         if self.with_bn:
-            return _bn(y, self.label, graph, mode, tape, relu)
+            y = _bn(y, self.label, graph, mode, tape)
         return _relu(y, tape) if relu else y
 
     def forward(self, x, graph, mode, tape, rng):
@@ -283,7 +278,7 @@ class _MaxPoolUnit(_Unit):
 
     def forward(self, x, graph, mode, tape, rng):
         if self._bn_key is not None:
-            return _bn(x, self._bn_key, graph, mode, tape, relu=True, pool=True)
+            return _relu(_bn(x, self._bn_key, graph, mode, tape, pool=True), tape)
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
         return y
@@ -314,7 +309,7 @@ class _FCUnit(_Unit):
         k = self.label
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
         _record(tape, ops.affine_backward, cache, f"{k}.w")
-        y = _bn(y, k, graph, mode, tape, relu=True)
+        y = _relu(_bn(y, k, graph, mode, tape), tape)
         y, cache = ops.dropout(y, mode, rng)
         _record(tape, ops.dropout_backward, cache)
         return y

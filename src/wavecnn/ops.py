@@ -1,10 +1,11 @@
 """Forward and reverse-mode backward rules for every layer type.
 
 Ops are functions over [batch, time, channels] arrays that leave their
-inputs unchanged, with one exception: train-mode batchnorm_forward takes
-ownership of x, and its backward builds grad_x in x's buffer. Each forward
-returns (output, cache); the matching backward consumes the cache and the
-output gradient and returns exact adjoints.
+inputs unchanged, with two exceptions that take x over: train-mode
+batchnorm_forward, whose backward builds grad_x in x's buffer, and
+relu_forward, which writes its output into x. Each forward returns
+(output, cache); the matching backward consumes the cache and the output
+gradient and returns exact adjoints.
 
 Precision follows the input dtype. Training runs in float32
 (tensor.TRAIN_DTYPE) and numerical gradient checks in float64, since finite
@@ -16,19 +17,18 @@ float32, and its convolution GEMMs accumulate in float32.
 Per-channel reductions are the exception: batch-norm statistics and
 gradient sums and the conv bias gradient are float64 on both paths, and
 batch norm applies its statistics as one float64-derived scale/shift per
-channel. A ReLU that follows batch norm runs as the BN op's in-place
-epilogue.
+channel.
 
 A maxpool after batch norm runs inside the BN op. Maxpool commutes with
 per-channel non-decreasing maps and float rounding is monotone, so the op
 pools x after the statistics (the min where the float64 gamma * inv < 0),
-then applies scale/shift, check and ReLU at quarter size: bitwise BN + ReLU,
-then maxpool. The check sees pooled values: NaN and +inf still raise, but
-a -inf from scale * x + shift that loses its window passes, and the ReLU
-zeroes it. The gradient goes to the first extreme slot of x, the BN
-output's first argmax unless rounding ties distinct x. With gamma == 0 all
-slots tie, and grad_gamma takes x at the raw argmax, not the first slot;
-both are valid subgradients.
+then applies scale/shift and check at quarter size: bitwise BN, then
+maxpool, and a ReLU after it commutes with the maxpool too. The check sees
+pooled values: NaN and +inf still raise, but a -inf from scale * x + shift
+that loses its window passes, where the ReLU would zero it. The gradient
+goes to the first extreme slot of x, the BN output's first argmax unless
+rounding ties distinct x. With gamma == 0 all slots tie, and grad_gamma
+takes x at the raw argmax, not the first slot; both are valid subgradients.
 
 Finiteness: an op that can turn finite inputs into NaN or +-inf checks what
 it makes: conv, batch norm, average pooling, affine, dropout, and the
@@ -262,21 +262,21 @@ def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
 
 
 def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0), x > 0
+    """max(x, 0), written into x; returns (x, mask of x > 0)."""
+    np.maximum(x, 0, out=x)
+    return x, x > 0
 
 
 def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return grad_out * mask
 
 
-def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
-                      relu: bool = False, pool: bool = False):
+def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False):
     """Normalize per channel; train mode pools stats over (batch, time).
 
     The statistics and the per-channel scale/shift are float64; the output
-    y = x * scale + shift is formed in x's dtype in two passes. With relu,
-    max(y, 0) is applied in place as an epilogue; pool maxpools y (module
-    docstring). Train mode updates running stats in place:
+    y = x * scale + shift is formed in x's dtype in two passes; pool
+    maxpools y (module docstring). Train mode updates running stats in place:
     running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
     Infer mode returns no cache (None): it has no backward. Train mode
     takes x over: the backward builds grad_x in its buffer, so a caller
@@ -304,20 +304,17 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str,
     y = xs * scale.astype(x.dtype)
     y += (s.beta - mu * scale).astype(x.dtype)
     check_finite("batchnorm", y)
-    if relu:
-        np.maximum(y, 0, out=y)
     if mode == "infer":
         return y, None
-    return y, (x, xs, slots, mu, inv, s.gamma, y > 0 if relu else None)
+    return y, (x, xs, slots, mu, inv, s.gamma)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
     """Adjoints (grad_x, grad_gamma, grad_beta) of train-mode batchnorm_forward.
 
     grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
-    the sums of g and g * x. After a ReLU epilogue, g is the output gradient
-    masked to where the output is positive. grad_x is built in x's buffer,
-    one clip at a time, with no full-size temporary:
+    the sums of g and g * x. grad_x is built in x's buffer, one clip at a
+    time, with no full-size temporary:
     - unpooled: each clip's x becomes x * b, then adds g * a, then c;
     - pooled: g and the sums are pooled-size. Each clip's x becomes x * b,
       then adds c + 0; then each window's extreme slot takes
@@ -325,12 +322,10 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
       The + 0 turns a -0 shift into +0, so a value off the slots is
       (0 + x * b) + c bit for bit, as if g * a had been scattered into zeros.
     """
-    x, xs, slots, mu, inv, gamma, mask = cache
+    x, xs, slots, mu, inv, gamma = cache
     C = x.shape[-1]
     n = x.size // C
     dt = grad_out.dtype
-    if mask is not None:
-        grad_out = grad_out * mask
     g2 = grad_out.reshape(-1, C)
     sum_g = g2.sum(axis=0, dtype=np.float64)
     sum_gx = np.einsum("ij,ij->j", g2, xs.reshape(g2.shape), dtype=np.float64)

@@ -16,7 +16,8 @@ The manifest records version, architecture, epoch, config snapshot, RNG
 state, Adam scalars, and one entry per tensor (name, kind, shape, offset).
 With Adam scalars present, the adam_m and adam_v entries each name exactly
 the param entries, with the same shapes. A config snapshot that names an
-architecture names the manifest's.
+architecture or a step size (alpha) names the manifest's. Every tensor
+value is finite.
 """
 
 from __future__ import annotations
@@ -280,13 +281,15 @@ def load_checkpoint(path) -> Checkpoint:
         bad = _bad_fields(manifest)
         if bad:
             raise CheckpointFormatError(f"{path}: manifest lacks or garbles {bad}")
-        arch = manifest["arch"]
-        config_arch = manifest.get("config", {}).get("arch", arch)
-        if config_arch != arch:
+        arch, meta, config = manifest["arch"], manifest.get("adam"), manifest.get("config", {})
+        if config.get("arch", arch) != arch:
             raise CheckpointFormatError(
-                f"{path}: manifest arch {arch!r:.40} != config arch {config_arch!r:.40}"
+                f"{path}: manifest arch {arch!r:.40} != config arch {config['arch']!r:.40}"
             )
-        meta = manifest.get("adam")
+        if meta is not None and config.get("alpha", meta["alpha"]) != meta["alpha"]:
+            raise CheckpointFormatError(
+                f"{path}: adam.alpha {meta['alpha']!r} != config alpha {config['alpha']!r:.40}"
+            )
 
         # Every entry is checked before any tensor is allocated.
         payload_bytes = size - head - n
@@ -319,6 +322,8 @@ def load_checkpoint(path) -> Checkpoint:
             arr = np.empty(shape, dtype="<f4")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointTruncatedError(f"{path}: tensor {name} ends early")
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise CheckpointFormatError(f"{path}: {kind} tensor {name!r} holds a non-finite value")
             sections[kind][name] = arr
 
     adam = None
@@ -334,7 +339,7 @@ def load_checkpoint(path) -> Checkpoint:
         epoch=manifest["epoch"],
         params=sections["param"],
         state=sections["state"],
-        config=manifest.get("config", {}),
+        config=config,
         adam=adam,
         rng_state=manifest.get("rng_state"),
     )
@@ -436,8 +441,9 @@ def _make_checkpoint(config: TrainConfig, graph: ModelGraph, adam: AdamState,
 
 def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
     """A resume continues the checkpoint's run or is refused: it needs the
-    Adam and RNG state, an epoch left to run, and the same config in every
-    field but the run length, the output paths and the stop rule."""
+    Adam and RNG state, an epoch left to run, the same config in every
+    field but the run length, the output paths and the stop rule, and Adam's
+    step size equal to the config's alpha."""
     if ckpt.adam is None or ckpt.rng_state is None:
         raise CheckpointMismatchError("checkpoint has no Adam or RNG state to resume from")
     if ckpt.epoch >= config.epochs:
@@ -448,6 +454,8 @@ def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
         f"checkpoint {k} {ckpt.config.get(k)!r} != config {k} {v!r}"
         for k, v in asdict(config).items() if k not in free and ckpt.config.get(k) != v
     ]
+    if ckpt.adam.alpha != config.alpha:
+        changed.append(f"checkpoint adam.alpha {ckpt.adam.alpha!r} != config alpha {config.alpha!r}")
     if changed:
         raise CheckpointMismatchError("; ".join(changed))
 
@@ -486,7 +494,6 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         restore_model(resume_from, graph)
         train_rng.set_state(resume_from.rng_state)
         start_epoch, adam = resume_from.epoch, resume_from.adam
-        adam.alpha = config.alpha
 
     test_x, test_y = stack_clips(dataset, test_entries) if test_entries else (None, None)
     val_x, val_y = stack_clips(dataset, val_entries) if val_entries else (None, None)

@@ -140,12 +140,12 @@ def dense_xent_trial(rng, dims=None):
 def relu_trial(rng):
     x = rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(2, 10)), int(rng.integers(1, 4))))
     x = np.where(np.abs(x) < 1e-3, 0.5, x)  # keep clear of the kink
-    y, mask = ops.relu_forward(x)
+    y, mask = ops.relu_forward(x.copy())
     R = _proj(rng, y.shape)
     gx = ops.relu_backward(R, mask)
 
     def run(xv):
-        out, _ = ops.relu_forward(xv)
+        out, _ = ops.relu_forward(xv.copy())
         return float((out * R).sum())
 
     return relative_error(gx, numerical_gradient(run, x, H))

@@ -4,23 +4,31 @@ allowed; anything else (a bare KeyError, a NaN clip) is a failure. The
 runs are seeded from the test itself, so every run tries the same inputs."""
 
 import json
+import math
 import struct
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wavecnn import ops
 from wavecnn.audio import CLIP_SAMPLES, WavError, preprocess
 from wavecnn.training import (
     CHECKPOINT_MAGIC,
     AdamState,
     Checkpoint,
     CheckpointError,
+    adam_step,
+    add_l2_gradients,
+    l2_penalty,
     load_checkpoint,
+    model_from_checkpoint,
     save_checkpoint,
+    train,
 )
 from wavecnn.tensor import RandomSource
 
 from test_audio import extensible, wav_bytes
+from test_train import mini_config, mini_dataset
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -107,14 +115,16 @@ def _containers(node):
     return found
 
 
+_MUTATIONS = ["set", "drop", "rename", "payload-byte", "payload-cut", "payload-grow"]
+
+
 @st.composite
-def mutated_checkpoint(draw, base):
+def mutated_checkpoint(draw, base, mutations=_MUTATIONS):
     head = len(CHECKPOINT_MAGIC) + 4
     n = struct.unpack_from("<I", base, len(CHECKPOINT_MAGIC))[0]
     manifest, payload = json.loads(base[head : head + n]), bytearray(base[head + n :])
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["set", "drop", "rename", "payload-byte", "payload-cut",
-                                     "payload-grow"]))
+        kind = draw(st.sampled_from(mutations))
         if kind in ("set", "drop"):
             node = draw(st.sampled_from(_containers(manifest)))
             if not node:
@@ -133,6 +143,10 @@ def mutated_checkpoint(draw, base):
                 draw(st.sampled_from(named))["name"] = draw(st.sampled_from(named))["name"]
         elif kind == "payload-byte" and payload:
             payload[draw(st.integers(0, len(payload) - 1))] = draw(st.integers(0, 255))
+        elif kind == "payload-float" and len(payload) >= 4:  # one whole tensor value
+            offset = 4 * draw(st.integers(0, len(payload) // 4 - 1))
+            value = draw(st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(-4, 4, width=32))
+            struct.pack_into("<f", payload, offset, value)
         elif kind == "payload-cut":
             del payload[draw(st.integers(0, len(payload))):]
         elif kind == "payload-grow":
@@ -158,5 +172,43 @@ def test_load_checkpoint_loads_or_raises_a_checkpoint_error(tmp_path_factory):
             shapes = {name: p.shape for name, p in ckpt.params.items()}
             for moments in (ckpt.adam.m, ckpt.adam.v):
                 assert {name: m.shape for name, m in moments.items()} == shapes
+
+    property_()
+
+
+def test_accepted_checkpoint_restores_and_trains(tmp_path_factory):
+    """Accepted means runnable. Each mutant of a real m3 checkpoint (1/16
+    width, one epoch) is refused with a CheckpointError by load_checkpoint
+    or model_from_checkpoint, or it restores and runs one train step
+    (B=2, T=400) to a finite loss.
+
+    A payload write puts one whole float32 value into a tensor: NaN, +-inf,
+    or a finite value in [-4, 4]. A finite weight large enough to overflow
+    the float32 forward belongs to a diverged run, not a malformed file;
+    the loader does not judge magnitudes."""
+    path = tmp_path_factory.mktemp("fuzz") / "m3.ckpt"
+    train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+    base = path.read_bytes()
+    x, labels = RandomSource(1).normal((2, 400, 1)), np.array([0, 1])
+    mutations = ["set", "drop", "rename", "payload-float", "payload-float", "payload-cut",
+                 "payload-grow"]
+
+    @FUZZ
+    @given(mutated_checkpoint(base, mutations))
+    def property_(blob):
+        path.write_bytes(blob)
+        try:
+            ckpt = load_checkpoint(path)
+            graph = model_from_checkpoint(ckpt)
+        except CheckpointError:
+            return
+        res = graph.forward(x, mode="train", rng=RandomSource(2))
+        loss, _, grad_logits = ops.softmax_xent(res.logits, labels)
+        loss += l2_penalty(graph.params, 1e-4)
+        grads = {}
+        res.tape.backward(grad_logits, grads)
+        add_l2_gradients(graph.params, grads, 1e-4)
+        adam_step(graph.params, grads, ckpt.adam or AdamState(graph.params))
+        assert math.isfinite(loss)
 
     property_()

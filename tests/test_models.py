@@ -388,10 +388,10 @@ class TestForward:
 # after batch norm is the BN op's epilogue, not a record of its own, and a
 # maxpool after a BN conv runs inside that BN op.
 _TAPE_RECORDS = {
-    "m11": 22, "m11-fc": 28, "m11-lrf": 22, "m11-no-bn": 26, "m11-srf": 22,
-    "m11-stride1": 22, "m18": 36, "m18-fc": 42, "m18-lrf": 36, "m18-no-bn": 40,
-    "m18-srf": 36, "m3": 6, "m3-big": 6, "m3-fc": 12, "m3-no-bn": 8,
-    "m34-no-bn": 104, "m34-res": 119, "m5": 10, "m5-big": 10, "m5-fc": 16,
+    "m11": 32, "m11-fc": 40, "m11-lrf": 32, "m11-no-bn": 26, "m11-srf": 32,
+    "m11-stride1": 32, "m18": 53, "m18-fc": 61, "m18-lrf": 53, "m18-no-bn": 40,
+    "m18-srf": 53, "m3": 8, "m3-big": 8, "m3-fc": 16, "m3-no-bn": 8,
+    "m34-no-bn": 104, "m34-res": 136, "m5": 14, "m5-big": 14, "m5-fc": 22,
     "m5-no-bn": 14,
 }
 

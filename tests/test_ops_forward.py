@@ -369,13 +369,12 @@ class TestBatchNorm:
             ops.batchnorm_forward(np.zeros((2, 8, 2)), _bn_state(2), "trian")
 
 
-    @pytest.mark.parametrize("relu", [False, True])
-    def test_backward_peak_memory(self, relu):
+    def test_backward_peak_memory(self):
         """The backward forms grad_x in one output-sized array: its x * b
         term goes in one clip at a time, with no full-size temporary."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal((8, 2000, 64), dtype=np.float32)
-        _, cache = ops.batchnorm_forward(x, _bn_state(64, np.float32), "train", relu)
+        _, cache = ops.batchnorm_forward(x, _bn_state(64, np.float32), "train")
         g = rng.standard_normal(x.shape, dtype=np.float32)
         tracemalloc.start()
         try:
@@ -386,10 +385,22 @@ class TestBatchNorm:
         assert peak <= 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
+def _bn_relu(x, s, mode, pool=False):
+    """Batch norm, then the ReLU op: (y, (BN cache, ReLU mask))."""
+    y, cache = ops.batchnorm_forward(x, s, mode, pool)
+    y, mask = ops.relu_forward(y)
+    return y, (cache, mask)
+
+
+def _bn_relu_backward(g, caches):
+    cache, mask = caches
+    return ops.batchnorm_backward(ops.relu_backward(g, mask), cache)
+
+
 def _pooled_reference(x, s, mode):
-    """Batch norm with its ReLU, then maxpool: the published order. Batch
-    norm gets a copy of x, which its backward would overwrite."""
-    y, bn_cache = ops.batchnorm_forward(x.copy(), s, mode, relu=True)
+    """Batch norm, ReLU, then maxpool: the published order. Batch norm
+    gets a copy of x, which its backward would overwrite."""
+    y, bn_cache = _bn_relu(x.copy(), s, mode)
     y, pool_cache = ops.maxpool1d_forward(y, mode)
     return y, (bn_cache, pool_cache)
 
@@ -411,8 +422,8 @@ def _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.0, 2.1, -1.9, 0.4)):
 
 
 class TestPooledBatchNorm:
-    """batchnorm_forward(..., relu=True, pool=True) against batch norm with
-    its ReLU followed by maxpool."""
+    """batchnorm_forward(..., pool=True) and the ReLU op against batch norm,
+    ReLU, then maxpool."""
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -421,7 +432,7 @@ class TestPooledBatchNorm:
         x, state = _pooled_case(np.random.default_rng(T), T, dtype)
         s, s_ref = state(), state()
         ref, _ = _pooled_reference(x, s_ref, mode)
-        y, cache = ops.batchnorm_forward(x, s, mode, relu=True, pool=True)
+        y, (cache, _) = _bn_relu(x, s, mode, pool=True)
         assert y.dtype == ref.dtype and y.shape == (2, -(-T // ops._POOL), 6)
         np.testing.assert_array_equal(y, ref)
         np.testing.assert_array_equal(s.running_mean, s_ref.running_mean)
@@ -441,10 +452,10 @@ class TestPooledBatchNorm:
         windows = windows.reshape(2, -1, ops._POOL, 6)
         assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
         ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
-        y, cache = ops.batchnorm_forward(x.copy(), state(), "train", relu=True, pool=True)
+        y, cache = _bn_relu(x.copy(), state(), "train", pool=True)
         g = rng.standard_normal(y.shape).astype(dtype)
-        want = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
-        got = ops.batchnorm_backward(g, cache)
+        want = _bn_relu_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+        got = _bn_relu_backward(g, cache)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -456,10 +467,10 @@ class TestPooledBatchNorm:
         rng = np.random.default_rng(18)
         x, state = _pooled_case(rng, 128, np.float64)
         ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
-        y, cache = ops.batchnorm_forward(x.copy(), state(), "train", relu=True, pool=True)
+        y, cache = _bn_relu(x.copy(), state(), "train", pool=True)
         g = rng.standard_normal(y.shape)
-        gx, gg, gb = ops.batchnorm_backward(g, cache)
-        rx, rg, rb = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+        gx, gg, gb = _bn_relu_backward(g, cache)
+        rx, rg, rb = _bn_relu_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
         np.testing.assert_array_equal(gx, rx)
         np.testing.assert_array_equal(gb, rb)
         x_max = x[:, :, 2].reshape(2, -1, ops._POOL).max(axis=2)
@@ -474,7 +485,7 @@ class TestPooledBatchNorm:
         x, state = _pooled_case(np.random.default_rng(17), 128, np.float32)
         x[1, 50, 3] = np.nan
         with pytest.raises(NonFiniteError, match="batchnorm"):
-            ops.batchnorm_forward(x, state(), mode, relu=True, pool=True)
+            ops.batchnorm_forward(x, state(), mode, pool=True)
 
     def test_overflow_to_pos_inf_raises(self):
         """A pre-ReLU +inf wins its window, so it is always seen."""
@@ -482,7 +493,7 @@ class TestPooledBatchNorm:
         x[0, :, 0] = [3, -1, -1, -1]
         s = _bn_state(1, np.float32, gamma=np.array([2.45e38], np.float32))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="batchnorm"):
-            ops.batchnorm_forward(x, s, "train", relu=True, pool=True)
+            ops.batchnorm_forward(x, s, "train", pool=True)
 
     def test_pooled_away_neg_inf_does_not_raise(self):
         """A pre-ReLU -inf that loses its window is not seen: the ReLU maps
@@ -493,11 +504,10 @@ class TestPooledBatchNorm:
         x[0, :, 1] = [3, -1, -1, -1]
         gamma = np.array([2.45e38, -2.45e38], np.float32)
         with np.errstate(over="ignore"):
-            y, _ = ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train",
-                                         relu=True, pool=True)
+            y, _ = _bn_relu(x, _bn_state(2, np.float32, gamma), "train", pool=True)
             assert np.all(np.isfinite(y)) and y[0, 0].min() > 1e38
             with pytest.raises(NonFiniteError, match="batchnorm"):
-                ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train", relu=True)
+                ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train")
 
 
 class TestBatchNormOwnsInput:
@@ -521,15 +531,17 @@ class TestBatchNormOwnsInput:
         windows = np.pad(pre, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
         windows = windows.reshape(2, -1, ops._POOL, 6)
         assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
+        fwd, bwd = ((_bn_relu, _bn_relu_backward) if relu
+                    else (ops.batchnorm_forward, ops.batchnorm_backward))
         given = x.copy()
-        y, cache = ops.batchnorm_forward(given, state(), "train", relu, pool=True)
+        y, cache = fwd(given, state(), "train", pool=True)
         g = rng.standard_normal(y.shape).astype(dtype)
         g[..., 0] = 0
-        got = ops.batchnorm_backward(g, cache)
+        got = bwd(g, cache)
         assert got[0] is given
-        full, bn_cache = ops.batchnorm_forward(x.copy(), state(), "train", relu)
+        full, bn_cache = fwd(x.copy(), state(), "train")
         _, pool_cache = ops.maxpool1d_forward(full, "train")
-        want = ops.batchnorm_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+        want = bwd(ops.maxpool1d_backward(g, pool_cache), bn_cache)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

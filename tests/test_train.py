@@ -361,6 +361,17 @@ class TestCheckpoint:
         resumed = train(config, mini_dataset(), resume_from=load_checkpoint(path))
         assert [r.epoch for r in resumed.history] == [2]
 
+    def test_resume_with_another_adam_step_size_refused(self, tmp_path):
+        """Adam's step size comes from the config: a checkpoint whose Adam
+        state holds another one is refused, not overwritten."""
+        path = tmp_path / "run.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        ckpt = load_checkpoint(path)
+        ckpt.adam.alpha = 0.5
+        with pytest.raises(CheckpointMismatchError,
+                           match="checkpoint adam.alpha 0.5 != config alpha 0.001"):
+            train(mini_config(epochs=2), mini_dataset(), resume_from=ckpt)
+
     @pytest.mark.parametrize("missing", ["adam", "rng_state"])
     def test_resume_without_optimizer_or_rng_state_refused(self, tmp_path, missing):
         path = tmp_path / "run.ckpt"
@@ -596,6 +607,39 @@ class TestCheckpointManifest:
         save_checkpoint(Checkpoint(version=1, arch="m3", epoch=1, params=params, state={},
                                    config={"arch": "m5"}), path)
         with pytest.raises(CheckpointFormatError, match="manifest arch 'm3' != config arch 'm5'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["param", "state", "adam_m", "adam_v"])
+    def test_non_finite_tensor_refused(self, tmp_path, kind, value):
+        """A checkpoint with one NaN or +-inf value is refused at load,
+        naming the kind and name of the tensor that holds it."""
+        params = {"w": np.arange(3, dtype=np.float32), "dense.b": np.zeros(2, np.float32)}
+        ckpt = Checkpoint(version=1, arch="m3", epoch=1, params=params,
+                          state={"s": np.ones(2, np.float32)}, config={}, adam=AdamState(params))
+        section = {"param": params, "state": ckpt.state, "adam_m": ckpt.adam.m,
+                   "adam_v": ckpt.adam.v}[kind]
+        name = "s" if kind == "state" else "dense.b"
+        section[name][1] = value
+        path = tmp_path / "non-finite.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointFormatError,
+                           match=re.escape(f"{kind} tensor {name!r} holds a non-finite value")):
+            load_checkpoint(path)
+
+    def test_config_naming_another_step_size_refused(self, tmp_path):
+        """A resume would run at one of the two step sizes, so a checkpoint
+        whose Adam alpha and config alpha disagree is refused."""
+        path = tmp_path / "run.ckpt"
+        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+        data = path.read_bytes()
+        head = len(CHECKPOINT_MAGIC) + 4
+        n = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))[0]
+        manifest = json.loads(data[head : head + n])
+        assert manifest["config"]["alpha"] == manifest["adam"]["alpha"] == 0.001
+        manifest["adam"]["alpha"] = 0.5
+        self._write(path, manifest, data[head + n :])
+        with pytest.raises(CheckpointFormatError, match="adam.alpha 0.5 != config alpha 0.001"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
