@@ -35,7 +35,7 @@ import numpy as np
 from . import ops
 from .audio import make_batches, split_entries, stack_clips
 from .models import ModelGraph, build, valid_architectures
-from .tensor import NonFiniteError, RandomSource, atomic_write
+from .tensor import NonFiniteError, RandomSource, atomic_write, check_finite
 
 logger = logging.getLogger(__name__)
 
@@ -322,8 +322,10 @@ def load_checkpoint(path) -> Checkpoint:
             arr = np.empty(shape, dtype="<f4")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointTruncatedError(f"{path}: tensor {name} ends early")
-            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-                raise CheckpointFormatError(f"{path}: {kind} tensor {name!r} holds a non-finite value")
+            try:
+                check_finite(f"{kind} tensor {name!r}", arr)
+            except NonFiniteError as exc:
+                raise CheckpointFormatError(f"{path}: {exc}") from exc
             sections[kind][name] = arr
 
     adam = None

@@ -624,7 +624,7 @@ class TestCheckpointManifest:
         path = tmp_path / "non-finite.ckpt"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointFormatError,
-                           match=re.escape(f"{kind} tensor {name!r} holds a non-finite value")):
+                           match=re.escape(f"{kind} tensor {name!r}: non-finite values")):
             load_checkpoint(path)
 
     def test_config_naming_another_step_size_refused(self, tmp_path):
