@@ -3,7 +3,8 @@
 Ops are functions over [batch, time, channels] arrays that leave their
 inputs unchanged, with two exceptions that take x over: train-mode
 batchnorm_forward, whose backward builds grad_x in x's buffer, and
-relu_forward, which writes its output into x. Each forward returns
+relu_forward, which writes its output into x. (The conv backward builds
+grad_x in the padded copy of x that its forward made, never in x.) Each forward returns
 (output, cache); the matching backward consumes the cache and the output
 gradient and returns exact adjoints.
 
@@ -40,16 +41,19 @@ path by the input channel count, against one threshold, _IM2COL_MAX_CIN. A
 per-tap product has inner dimension Cin, so with deep inputs each of the rf
 taps is already a full GEMM. The deep forward sums rf GEMMs on strided views
 of the padded input: the first tap writes the output, and each later tap
-goes through one reused output-sized buffer. The deep backward reuses one
-(B, out_T, Cin) buffer for every tap: it holds the tap's input rows for the
-grad_kernel GEMM, then that tap's share of grad_x. Neither direction builds
-an im2col or a transposed copy. With thin inputs (the waveform stem has
-Cin 1) a per-tap product is a memory-bound pass over the whole output, so
-both directions go one clip at a time, through one buffer of the clip's
-im2col rows [out_T, rf*Cin] that every clip reuses: im2col memory does not
-grow with the batch. The forward writes one GEMM per clip into the output;
-the backward does one GEMM for grad_kernel and one for the im2col gradient,
-which an rf-step strided col2im adds back onto grad_x.
+goes clip by clip through one reused clip-sized buffer. The deep backward
+reuses one (B, out_T, Cin) buffer for every tap: it holds the tap's input
+rows for the grad_kernel GEMMs, then that tap's share of grad_x. Neither
+direction builds an im2col or a transposed copy. With thin inputs (the
+waveform stem has Cin 1) a per-tap product is a memory-bound pass over the
+whole output, so both directions go one clip at a time, through one buffer
+of the clip's im2col rows [out_T, rf*Cin] that every clip reuses: im2col
+memory does not grow with the batch. The forward writes one GEMM per clip
+into the output; the backward does one GEMM for grad_kernel and one for the
+im2col gradient, which an rf-step strided col2im adds back onto grad_x.
+On both paths the backward builds grad_x in the padded input the forward
+made and cached, once the grad_kernel GEMMs have read it, so it allocates
+no input-sized array of its own.
 
 OpTape holds the backward closures of one train-mode forward. It is walked
 once; each record, and the cache its closure captured, is released as soon
@@ -150,15 +154,17 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
         for b, cols in _clip_cols(xp, rf, stride, out_T):
             np.matmul(cols, k2, out=y[b])
     else:
-        # One GEMM per tap on strided views of xp; taps after the first
-        # go through one reused buffer.
+        # One GEMM per tap on strided views of xp. The first tap writes y;
+        # each later one goes clip by clip through one clip-sized buffer
+        # (from y.shape[1:]: shape_trace runs B=0).
         k = p.kernel.astype(x.dtype, copy=False)
         span = stride * out_T
         y = np.matmul(xp[:, 0:span:stride], k[0])
-        buf = np.empty_like(y)
-        for r in range(1, rf):
-            np.matmul(xp[:, r : r + span : stride], k[r], out=buf)
-            y += buf
+        buf = np.empty(y.shape[1:], dtype=y.dtype)
+        for b in range(B):
+            for r in range(1, rf):
+                np.matmul(xp[b, r : r + span : stride], k[r], out=buf)
+                y[b] += buf
     if p.bias is not None:
         y += p.bias
 
@@ -167,7 +173,14 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
 
 
 def conv1d_backward(grad_out: np.ndarray, cache):
-    """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias)."""
+    """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias).
+
+    grad_x is built in the padded input xp that the forward made and
+    cached: each input row is zeroed once the grad_kernel GEMMs have read
+    it, then every tap's share of grad_x is added in tap order. So the
+    backward allocates no input-sized array of its own, and a cache serves
+    one backward. grad_out must have the input's dtype.
+    """
     xp, x_shape, p, out_T, left = cache
     B, T, Cin = x_shape
     (rf, _, Cout), stride = p.kernel.shape, p.stride
@@ -175,9 +188,10 @@ def conv1d_backward(grad_out: np.ndarray, cache):
         raise ValueError(
             f"conv1d backward: grad shape {grad_out.shape} != {(B, out_T, Cout)}"
         )
+    if grad_out.dtype != xp.dtype:
+        raise ValueError(f"conv1d backward: grad dtype {grad_out.dtype} != input dtype {xp.dtype}")
     dt = grad_out.dtype
     k = p.kernel.astype(dt, copy=False)
-    grad_xp = np.zeros(xp.shape, dtype=dt)
     if Cin < _IM2COL_MAX_CIN:
         k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
@@ -186,23 +200,28 @@ def conv1d_backward(grad_out: np.ndarray, cache):
             g = grad_out[b]
             gk2 += cols.T @ g
             np.matmul(g, k2.T, out=gcols.reshape(out_T, Cin * rf))
+            # cols holds clip b's rows, so its padded input becomes grad_x.
+            xp[b] = 0
             for r in range(rf):
-                grad_xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
+                xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
         grad_kernel = gk2.reshape(Cin, rf, Cout).transpose(1, 0, 2)
     else:
         # One (B, out_T, Cin) buffer serves every tap: it holds the tap's
-        # input rows for the grad_kernel GEMM, then that tap's grad_x share.
+        # input rows for the grad_kernel GEMMs, which all run before xp is
+        # zeroed, then each tap's grad_x share.
         grad_kernel = np.empty(k.shape, dtype=dt)
         g2 = grad_out.reshape(-1, Cout)
         buf = np.empty((B, out_T, Cin), dtype=dt)
         buf2 = buf.reshape(-1, Cin)
-        for r in range(rf):
-            rows = slice(r, r + stride * out_T, stride)
+        taps = [slice(r, r + stride * out_T, stride) for r in range(rf)]
+        for r, rows in enumerate(taps):
             buf[...] = xp[:, rows]
             np.matmul(buf2.T, g2, out=grad_kernel[r])
+        xp[...] = 0
+        for r, rows in enumerate(taps):
             np.matmul(grad_out, k[r].T, out=buf)
-            grad_xp[:, rows] += buf
-    grad_x = grad_xp[:, left : left + T, :]
+            xp[:, rows] += buf
+    grad_x = xp[:, left : left + T, :]
     grad_kernel = grad_kernel.astype(p.kernel.dtype, copy=False)
 
     grad_bias = None

@@ -349,21 +349,27 @@ def load_checkpoint(path) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint, graph: ModelGraph) -> None:
     """Copy checkpoint tensors into the graph, validating names and shapes;
-    the first offending tensor is named in the error."""
-    for name, target in list(graph.params.items()) + list(graph.state.items()):
-        source = ckpt.params.get(name)
-        if source is None:
-            source = ckpt.state.get(name)
-        if source is None:
-            raise CheckpointMismatchError(f"checkpoint is missing tensor {name!r}")
-        if source.shape != target.shape:
+    the first offending tensor is named in the error. A graph param is
+    looked up only among the checkpoint's params and a state tensor only in
+    its state; a running variance with a negative entry is refused."""
+    for section, sources, targets in (("params", ckpt.params, graph.params),
+                                      ("state", ckpt.state, graph.state)):
+        for name, target in targets.items():
+            source = sources.get(name)
+            if source is None:
+                raise CheckpointMismatchError(f"checkpoint is missing tensor {name!r} from its {section}")
+            if source.shape != target.shape:
+                raise CheckpointMismatchError(
+                    f"tensor {name!r}: checkpoint shape {source.shape} != graph shape {target.shape}"
+                )
+            if name.endswith(".running_var") and (source < 0).any():
+                raise CheckpointMismatchError(f"tensor {name!r} has a negative running variance")
+            target[...] = source.astype(target.dtype, copy=False)
+        extra = set(sources) - set(targets)
+        if extra:
             raise CheckpointMismatchError(
-                f"tensor {name!r}: checkpoint shape {source.shape} != graph shape {target.shape}"
+                f"checkpoint has unknown tensor {sorted(extra)[0]!r} in its {section}"
             )
-        target[...] = source.astype(target.dtype, copy=False)
-    extra = (set(ckpt.params) | set(ckpt.state)) - set(graph.params) - set(graph.state)
-    if extra:
-        raise CheckpointMismatchError(f"checkpoint has unknown tensor {sorted(extra)[0]!r}")
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ModelGraph:

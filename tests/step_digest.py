@@ -1,0 +1,83 @@
+"""One sha256 over a train step of every architecture.
+
+For each case (architecture, dtype, clip length) the script builds the
+network at 1/16 width in that dtype, draws every batch-norm gamma in
+[-2, 2] so that negative scales and their min-pooling run too, and runs one
+B=3 train step: forward, backward and the L2 gradients. It then runs an
+inference on the updated running statistics. The hash covers the logits,
+the input gradient, every parameter gradient after L2, the running
+statistics, the infer logits and the tape length of each case, in case
+order.
+
+A change that must leave training bitwise equal prints the same hash as
+its parent. Run it on both trees and compare:
+
+    PYTHONPATH=src python tests/step_digest.py
+
+pytest does not collect this file (its name does not start with test_);
+tests/test_step_digest.py runs it on a few small cases.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from wavecnn.models import build
+from wavecnn.ops import softmax_xent
+from wavecnn.tensor import RandomSource
+from wavecnn.training import add_l2_gradients
+
+# Listed by hand, not read from valid_architectures(), so an architecture
+# added later changes the case list only where this tuple is edited.
+ARCHITECTURES = (
+    "m11", "m11-fc", "m11-lrf", "m11-no-bn", "m11-srf", "m11-stride1",
+    "m18", "m18-fc", "m18-lrf", "m18-no-bn", "m18-srf",
+    "m3", "m3-big", "m3-fc", "m3-no-bn",
+    "m34-no-bn", "m34-res",
+    "m5", "m5-big", "m5-fc", "m5-no-bn",
+)
+DTYPES = (np.float32, np.float64)
+LENGTHS = (3200, 2000)
+
+BATCH = 3
+CHANNEL_SCALE = 1 / 16
+L2_COEFF = 1e-4
+
+
+def _step(h, arch: str, dtype, T: int) -> None:
+    """Hash one case's train step and inference into h."""
+    graph = build(arch, rng=RandomSource(0), dtype=dtype, channel_scale=CHANNEL_SCALE)
+    gammas = RandomSource(1)
+    for name, p in graph.params.items():
+        if name.endswith(".gamma"):
+            p[...] = gammas.uniform(-2.0, 2.0, p.shape, dtype=dtype)
+    x = RandomSource(2).normal((BATCH, T, 1), dtype=dtype)
+    labels = np.arange(BATCH) % graph.num_classes
+
+    res = graph.forward(x, mode="train", rng=RandomSource(3))
+    _, _, dlogits = softmax_xent(res.logits, labels)
+    grads: dict = {}
+    grad_x = res.tape.backward(dlogits, grads)
+    add_l2_gradients(graph.params, grads, L2_COEFF)
+    infer = graph.forward(x).logits
+
+    h.update(f"{arch}/{np.dtype(dtype).name}/{T}/{len(res.tape)}".encode())
+    for arr in (res.logits, grad_x, *(grads[k] for k in sorted(grads)),
+                *(graph.state[k] for k in sorted(graph.state)), infer):
+        h.update(np.ascontiguousarray(arr).tobytes())
+
+
+def digest(archs=ARCHITECTURES, dtypes=DTYPES, lengths=LENGTHS) -> str:
+    """sha256 hex digest over every (arch, dtype, length) case, in order."""
+    h = hashlib.sha256()
+    for arch in archs:
+        for dtype in dtypes:
+            for T in lengths:
+                _step(h, arch, dtype, T)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

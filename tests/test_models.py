@@ -474,10 +474,11 @@ def test_pool_after_tail_matches_published_order(name, dtype):
 
 
 def test_train_step_peak_memory():
-    """Backward releases each record once run, and the stem's batch norm
+    """Backward releases each record once run, the stem's batch norm
     pools before its scale/shift and builds grad_x in the conv output it
-    cached, so an m3 step (forward and backward) holds no more than a few
-    copies of the stem output at once."""
+    cached, and conv2 builds grad_x in its padded input and adds its taps
+    through one clip-sized buffer, so an m3 step (forward and backward)
+    holds no more than a few copies of the stem output at once."""
     graph = build("m3", rng=RandomSource(0), channel_scale=1 / 4)
     x = RandomSource(1).normal((4, 32000, 1)).astype(np.float32)
     stem_bytes = 4 * 8000 * 64 * 4  # [B, T/4, 256/4] float32
@@ -489,7 +490,7 @@ def test_train_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.7 * stem_bytes, f"peak {peak / stem_bytes:.2f}x the stem output"
+    assert peak <= 2.4 * stem_bytes, f"peak {peak / stem_bytes:.2f}x the stem output"
 
 
 def test_tape_structure_covers_every_name():

@@ -431,6 +431,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError, match="unknown tensor 'conv9.bn.running_mean'"):
             restore_model(ckpt, graph)
 
+    def test_negative_running_variance_is_refused(self, tmp_path):
+        """Inference would take the square root of a negative variance; the
+        restore refuses the file first and names the tensor."""
+        ckpt = train(mini_config(epochs=1), mini_dataset()).checkpoint
+        ckpt.state["conv1.bn.running_var"][0] = -4.0
+        path = tmp_path / "negative_var.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointMismatchError, match="'conv1.bn.running_var'.*negative"):
+            model_from_checkpoint(load_checkpoint(path))
+
+    def test_params_and_state_do_not_stand_in_for_each_other(self, tmp_path):
+        """A checkpoint that swaps a param and a same-shaped state tensor
+        between its sections, with Adam moments named like its params,
+        loads; the resume refuses it and names the param, where a lookup
+        across sections would restore it and fail in adam_step."""
+        ckpt = train(mini_config(epochs=1), mini_dataset()).checkpoint
+        gamma, mean = "conv1.bn.gamma", "conv1.bn.running_mean"
+        ckpt.params[mean] = ckpt.params.pop(gamma)
+        ckpt.state[gamma] = ckpt.state.pop(mean)
+        for moments in (ckpt.adam.m, ckpt.adam.v):
+            moments[mean] = moments.pop(gamma)
+        path = tmp_path / "swapped.ckpt"
+        save_checkpoint(ckpt, path)
+        swapped = load_checkpoint(path)
+        with pytest.raises(CheckpointMismatchError, match="'conv1.bn.gamma' from its params"):
+            train(mini_config(epochs=2), mini_dataset(), resume_from=swapped)
+
     def test_model_from_checkpoint_rebuilds(self, tmp_path):
         result = train(mini_config(epochs=1), mini_dataset())
         path = tmp_path / "m3.ckpt"
