@@ -4,9 +4,9 @@ Ops are functions over [batch, time, channels] arrays that leave their
 inputs unchanged, with two exceptions that take x over: train-mode
 batchnorm_forward, whose backward builds grad_x in x's buffer, and
 relu_forward, which writes its output into x. (The conv backward builds
-grad_x in the padded copy of x that its forward made, never in x.) Each forward returns
-(output, cache); the matching backward consumes the cache and the output
-gradient and returns exact adjoints.
+grad_x in the padded copy of x that its forward made, never in x.) Each
+forward returns (output, cache); the matching backward consumes the cache
+and the output gradient and returns exact adjoints.
 
 Precision follows the input dtype. Training runs in float32
 (tensor.TRAIN_DTYPE) and numerical gradient checks in float64, since finite
