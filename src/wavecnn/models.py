@@ -129,17 +129,18 @@ def _record(tape, backward, cache, *names):
     tape.record(back)
 
 
-def _bn(y, k, graph, mode, tape, pool=False):
+def _bn(y, k, graph, mode, tape, pool=False, keep_x=True):
     """Batch norm over the `{k}.bn.*` params and state, pooling before the
     scale/shift if asked. y is a fresh conv or affine output that only the
-    BN cache keeps, so the backward may build grad_x in its buffer."""
+    BN cache keeps, so the backward may build grad_x in its buffer; with
+    keep_x False the cache drops y (ops.batchnorm_forward)."""
     s = ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
     )
-    y, cache = ops.batchnorm_forward(y, s, mode, pool)
+    y, cache = ops.batchnorm_forward(y, s, mode, pool, keep_x)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
@@ -277,8 +278,12 @@ class _MaxPoolUnit(_Unit):
             prev.pooled, self._bn_key = True, prev.label
 
     def forward(self, x, graph, mode, tape, rng):
-        if self._bn_key is not None:
-            return _relu(_bn(x, self._bn_key, graph, mode, tape, pool=True), tape)
+        k = self._bn_key
+        if k is not None:
+            # A thin conv's backward rebuilds its output clip by clip, so the
+            # batch norm need not keep it.
+            keep_x = not ops.conv1d_thin(graph.params[f"{k}.kernel"])
+            return _relu(_bn(x, k, graph, mode, tape, pool=True, keep_x=keep_x), tape)
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
         return y

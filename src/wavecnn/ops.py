@@ -36,24 +36,35 @@ it makes: conv, batch norm, average pooling, affine, dropout, and the
 residual shortcut add (in models.py, through ops.check_finite). ReLU,
 maxpool and softmax cannot, and make no check.
 
-The float32 convolution forward and the backward (both dtypes) pick their
-path by the input channel count, against one threshold, _IM2COL_MAX_CIN. A
-per-tap product has inner dimension Cin, so with deep inputs each of the rf
-taps is already a full GEMM. The deep forward sums rf GEMMs on strided views
-of the padded input: the first tap writes the output, and each later tap
-goes clip by clip through one reused clip-sized buffer. The deep backward
-reuses one (B, out_T, Cin) buffer for every tap: it holds the tap's input
-rows for the grad_kernel GEMMs, then that tap's share of grad_x. Neither
-direction builds an im2col or a transposed copy. With thin inputs (the
-waveform stem has Cin 1) a per-tap product is a memory-bound pass over the
-whole output, so both directions go one clip at a time, through one buffer
-of the clip's im2col rows [out_T, rf*Cin] that every clip reuses: im2col
-memory does not grow with the batch. The forward writes one GEMM per clip
-into the output; the backward does one GEMM for grad_kernel and one for the
-im2col gradient, which an rf-step strided col2im adds back onto grad_x.
-On both paths the backward builds grad_x in the padded input the forward
-made and cached, once the grad_kernel GEMMs have read it, so it allocates
-no input-sized array of its own.
+The convolution picks its path by the input channel count, against one
+threshold, _IM2COL_MAX_CIN (the float64 forward of a deep conv stays the
+naive loop). A per-tap product has inner dimension Cin, so with deep inputs
+each of the rf taps is already a full GEMM. The deep forward sums rf GEMMs
+on strided views of the padded input: the first tap writes the output, and
+each later tap goes clip by clip through one reused clip-sized buffer. The
+deep backward reuses one (B, out_T, Cin) buffer for every tap: it holds the
+tap's input rows for the grad_kernel GEMMs, then that tap's share of grad_x.
+Neither direction builds an im2col or a transposed copy. With thin inputs
+(the waveform stem has Cin 1) a per-tap product is a memory-bound pass over
+the whole output, so both directions go one clip at a time, through one
+buffer of the clip's im2col rows [out_T, rf*Cin] that every clip reuses:
+im2col memory does not grow with the batch. The forward writes each clip's
+output (one GEMM in float32, the naive loop in float64); the backward does
+one GEMM for grad_kernel and one for the im2col gradient, into the same
+buffer, which an rf-step strided col2im adds back onto grad_x. On both paths
+the backward builds grad_x in the padded input the forward made and cached,
+once the grad_kernel GEMMs have read it, so it allocates no input-sized
+array of its own.
+
+The stem output is the largest activation of every network, and a pooled
+batch norm needs it only for its backward. So when such a batch norm
+follows a thin conv (conv1d_thin), it keeps no copy (keep_x=False): its
+backward returns the compact _SlotGrad (per-channel scale and shift, the
+pooled slot values and the slot index) in place of grad_x, and the thin
+conv's backward rebuilds each clip's output with the forward's own
+arithmetic, turns it into that clip's gradient and goes on. The rebuild
+costs one more per-clip GEMM on the thin input (Chen et al. 2016, "Training
+Deep Nets with Sublinear Memory Cost", recompute instead of store).
 
 OpTape holds the backward closures of one train-mode forward. It is walked
 once; each record, and the cache its closure captured, is released as soon
@@ -63,6 +74,7 @@ len() of a tape counts the ops recorded, before and after the walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +141,39 @@ def _clip_cols(xp: np.ndarray, rf: int, stride: int, out_T: int):
         yield b, cols.reshape(out_T, -1)
 
 
+def _naive_conv(xp: np.ndarray, kernel: np.ndarray, stride: int, y: np.ndarray) -> None:
+    """Add every (tap, in_channel) product of the padded input xp [..., T, Cin]
+    into y [..., out_T, Cout], one pair per pass: the naive triple loop's
+    accumulation order, so y starts from zeros to match it bitwise."""
+    rf, Cin, _ = kernel.shape
+    span = stride * y.shape[-2]
+    for r in range(rf):
+        xs = xp[..., r : r + span : stride, :]
+        for c in range(Cin):
+            y += xs[..., c : c + 1] * kernel[r, c]
+
+
+def _thin_clip(xp_b, cols, kernel, k2, stride, out) -> None:
+    """One clip's output of a thin conv (Cin < _IM2COL_MAX_CIN, no bias)
+    into out [out_T, Cout], from the clip's padded input xp_b and its im2col
+    rows cols: the naive loop in float64, one GEMM on cols otherwise. The
+    forward and the backward's rebuild both call this, so they agree bit
+    for bit."""
+    if out.dtype == np.float64:
+        out[...] = 0
+        _naive_conv(xp_b, kernel, stride, out)
+    else:
+        np.matmul(cols, k2, out=out)
+
+
+def conv1d_thin(kernel: np.ndarray) -> bool:
+    """Whether a conv with this kernel [rf, Cin, Cout] runs clip by clip
+    (Cin < _IM2COL_MAX_CIN). Its backward then takes a pooled batch norm's
+    compact gradient (batchnorm_forward with keep_x=False) and rebuilds
+    each clip's output itself."""
+    return kernel.shape[1] < _IM2COL_MAX_CIN
+
+
 def conv1d_forward(x: np.ndarray, p: ConvParams):
     """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding."""
     B, T, Cin = x.shape
@@ -140,19 +185,14 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
     out_T, left, right = _same_pad_1d(T, rf, stride)
     xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
 
-    if x.dtype == np.float64:
-        y = np.zeros((B, out_T, Cout), dtype=np.float64)
-        # One (r, c) product per pass: accumulation order matches the naive
-        # triple-loop reference bitwise.
-        for r in range(rf):
-            xs = xp[:, r : r + stride * out_T : stride, :]
-            for c in range(Cin):
-                y += xs[:, :, c : c + 1] * p.kernel[r, c][None, None, :]
-    elif Cin < _IM2COL_MAX_CIN:
+    if conv1d_thin(p.kernel):
         k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
         y = np.empty((B, out_T, Cout), dtype=x.dtype)
         for b, cols in _clip_cols(xp, rf, stride, out_T):
-            np.matmul(cols, k2, out=y[b])
+            _thin_clip(xp[b], cols, p.kernel, k2, stride, y[b])
+    elif x.dtype == np.float64:
+        y = np.zeros((B, out_T, Cout), dtype=np.float64)
+        _naive_conv(xp, p.kernel, stride, y)
     else:
         # One GEMM per tap on strided views of xp. The first tap writes y;
         # each later one goes clip by clip through one clip-sized buffer
@@ -172,7 +212,7 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
     return check_finite("conv1d", y), cache
 
 
-def conv1d_backward(grad_out: np.ndarray, cache):
+def conv1d_backward(grad_out, cache):
     """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias).
 
     grad_x is built in the padded input xp that the forward made and
@@ -180,6 +220,12 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     it, then every tap's share of grad_x is added in tap order. So the
     backward allocates no input-sized array of its own, and a cache serves
     one backward. grad_out must have the input's dtype.
+
+    A thin conv without bias also takes a pooled batch norm's compact
+    gradient (_SlotGrad) for grad_out. Each clip then rebuilds its output
+    into one clip-sized buffer, as the forward made it (_thin_clip), turns
+    it into that clip's gradient (_SlotGrad.apply) and goes on as with a
+    full gradient, so no output-sized array is ever built.
     """
     xp, x_shape, p, out_T, left = cache
     B, T, Cin = x_shape
@@ -190,17 +236,26 @@ def conv1d_backward(grad_out: np.ndarray, cache):
         )
     if grad_out.dtype != xp.dtype:
         raise ValueError(f"conv1d backward: grad dtype {grad_out.dtype} != input dtype {xp.dtype}")
+    rebuild = isinstance(grad_out, _SlotGrad)
+    if rebuild and (p.bias is not None or not conv1d_thin(p.kernel)):
+        raise ValueError("conv1d backward: a compact gradient needs a thin conv without bias")
     dt = grad_out.dtype
     k = p.kernel.astype(dt, copy=False)
-    if Cin < _IM2COL_MAX_CIN:
+    if conv1d_thin(p.kernel):
         k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
-        gcols = np.empty((out_T, Cin, rf), dtype=dt)
+        g = np.empty((out_T, Cout), dtype=dt) if rebuild else None
         for b, cols in _clip_cols(xp, rf, stride, out_T):
-            g = grad_out[b]
+            if rebuild:
+                _thin_clip(xp[b], cols, p.kernel, k2, stride, g)
+                grad_out.apply(b, g)
+            else:
+                g = grad_out[b]
             gk2 += cols.T @ g
-            np.matmul(g, k2.T, out=gcols.reshape(out_T, Cin * rf))
-            # cols holds clip b's rows, so its padded input becomes grad_x.
+            # cols holds clip b's rows, so its padded input becomes grad_x,
+            # and cols itself the im2col gradient that col2im adds there.
+            np.matmul(g, k2.T, out=cols)
+            gcols = cols.reshape(out_T, Cin, rf)
             xp[b] = 0
             for r in range(rf):
                 xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
@@ -258,16 +313,22 @@ def maxpool1d_forward(x: np.ndarray, mode: str, low=False):
     return y, (idx, T)
 
 
-def _scatter_to_slots(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """Write one clip's pooled values [out_T, C] into out [T, C] at each
-    window's slot idx [out_T, C], as maxpool1d_forward caches it; the last
-    window may be ragged. np.put on flat offsets measured faster than
+def _slot_scatter(idx: np.ndarray):
+    """scatter(b, out, values) writes clip b's pooled values [out_T, C] into
+    out [T, C] at each window's slot idx[b], idx [B, out_T, C] being what
+    maxpool1d_forward caches; the last window may be ragged. The flat
+    offsets of the window starts are built once, and each clip's offsets go
+    into one reused buffer. np.put on flat offsets measured faster than
     np.put_along_axis on rows."""
-    out_T, C = idx.shape
-    flat = np.arange(0, out_T * _POOL, _POOL)[:, None] + idx
-    flat *= C
-    flat += np.arange(C)
-    np.put(out, flat, values)
+    _, out_T, C = idx.shape
+    base = np.arange(0, out_T * _POOL * C, _POOL * C)[:, None] + np.arange(C)
+    flat = np.empty((out_T, C), dtype=np.int64)
+
+    def scatter(b, out, values):
+        np.multiply(idx[b], C, out=flat, dtype=np.int64)
+        np.add(flat, base, out=flat)
+        np.put(out, flat, values)
+    return scatter
 
 
 def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
@@ -275,8 +336,9 @@ def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     idx, T = cache
     B, _, C = grad_out.shape
     grad_x = np.zeros((B, T, C), dtype=grad_out.dtype)
-    for gx, i, g in zip(grad_x, idx, grad_out):
-        _scatter_to_slots(gx, i, g)
+    scatter = _slot_scatter(idx)
+    for b in range(B):
+        scatter(b, grad_x[b], grad_out[b])
     return grad_x
 
 
@@ -290,7 +352,30 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return grad_out * mask
 
 
-def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False):
+class _SlotGrad:
+    """A pooled batch norm's grad_x in compact form, without x.
+
+    Clip b's gradient is x[b] * scale + shift, after which each window's
+    extreme slot takes values[b] (batchnorm_backward). apply(b, out) turns
+    clip b of x, held in out, into that gradient. shape, dtype, size and
+    itemsize are x's, so the object stands in for the array it describes
+    (conv1d_backward's checks read them).
+    """
+
+    def __init__(self, scale, shift, values, idx, shape):
+        self.scale, self.shift, self.values, self.shape = scale, shift, values, shape
+        self.dtype, self.itemsize = values.dtype, values.itemsize
+        self.size = math.prod(shape)
+        self._scatter = _slot_scatter(idx)
+
+    def apply(self, b: int, out: np.ndarray) -> None:
+        out *= self.scale
+        out += self.shift
+        self._scatter(b, out, self.values[b])
+
+
+def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False,
+                      keep_x: bool = True):
     """Normalize per channel; train mode pools stats over (batch, time).
 
     The statistics and the per-channel scale/shift are float64; the output
@@ -299,7 +384,10 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = 
     running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
     Infer mode returns no cache (None): it has no backward. Train mode
     takes x over: the backward builds grad_x in its buffer, so a caller
-    that reads x after the backward passes a copy.
+    that reads x after the backward passes a copy. With pool and keep_x
+    False the cache holds no x, and the backward returns a _SlotGrad in its
+    place, for a thin conv's backward to apply clip by clip (conv1d_thin).
+    Unpooled, keep_x does nothing: the statistics' backward reads x itself.
     """
     C = x.shape[-1]
     if C != s.gamma.shape[0]:
@@ -325,25 +413,29 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = 
     check_finite("batchnorm", y)
     if mode == "infer":
         return y, None
-    return y, (x, xs, slots, mu, inv, s.gamma)
+    return y, (x if keep_x else None, x.shape, xs, slots, mu, inv, s.gamma)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
     """Adjoints (grad_x, grad_gamma, grad_beta) of train-mode batchnorm_forward.
 
-    grad_x = g * a + x * b + c with per-channel a, b, c built in float64 from
-    the sums of g and g * x. grad_x is built in x's buffer, one clip at a
-    time, with no full-size temporary:
-    - unpooled: each clip's x becomes x * b, then adds g * a, then c;
-    - pooled: g and the sums are pooled-size. Each clip's x becomes x * b,
-      then adds c + 0; then each window's extreme slot takes
-      (g * a + xs * b) + c, xs being the pooled x, which is x at that slot.
-      The + 0 turns a -0 shift into +0, so a value off the slots is
-      (0 + x * b) + c bit for bit, as if g * a had been scattered into zeros.
+    grad_x = x * b + g * a + c with per-channel a, b, c built in float64
+    from the sums of g and g * x, formed one clip at a time in that order
+    (addition commutes, so it is g * a + x * b + c bit for bit) with no
+    full-size temporary:
+    - unpooled: in x's buffer;
+    - pooled: g and the sums are pooled-size, and each window's extreme slot
+      takes xs * b + g * a + c, formed in xs, the pooled x, which is x at
+      that slot. The rest of a clip is x * b + (c + 0). The + 0 turns a -0
+      shift into +0, so a value off the slots is (0 + x * b) + c bit for
+      bit, as if g * a had been scattered into zeros. With x cached, each
+      clip of x's buffer becomes its gradient; without, grad_x is the
+      _SlotGrad that does so, and the thin conv before the batch norm
+      applies it to each clip of the output it rebuilds.
     """
-    x, xs, slots, mu, inv, gamma = cache
-    C = x.shape[-1]
-    n = x.size // C
+    x, shape, xs, slots, mu, inv, gamma = cache
+    C = shape[-1]
+    n = math.prod(shape) // C
     dt = grad_out.dtype
     g2 = grad_out.reshape(-1, C)
     sum_g = g2.sum(axis=0, dtype=np.float64)
@@ -354,21 +446,18 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     b = -a * inv * grad_gamma / n
     c = (-a * sum_g / n - b * mu).astype(dt)
     a, b = a.astype(dt), b.astype(dt)
-    if slots is None:
-        for xi, gi in zip(x, grad_out):
-            xi *= b
-            xi += gi * a
-            xi += c
-    else:
-        c0 = c + 0
-        for xi, gi, si, idx in zip(x, grad_out, xs, slots[0]):
-            xi *= b
-            xi += c0
-            gi = gi * a
-            gi += si * b
-            gi += c
-            _scatter_to_slots(xi, idx, gi)
-    return x, grad_gamma.astype(dt), sum_g.astype(dt)
+    for si, gi in zip(xs, grad_out):  # unpooled, xs is x
+        si *= b
+        si += gi * a
+        si += c
+    grad_x = xs
+    if slots is not None:
+        grad_x = _SlotGrad(b, c + 0, xs, slots[0], shape)
+        if x is not None:
+            for i, xi in enumerate(x):
+                grad_x.apply(i, xi)
+            grad_x = x
+    return grad_x, grad_gamma.astype(dt), sum_g.astype(dt)
 
 
 def global_avg_pool(x: np.ndarray):

@@ -14,12 +14,17 @@ its parent. Run it on both trees and compare:
 
     PYTHONPATH=src python tests/step_digest.py
 
+With --cases it first prints one hash per case, named, so a mismatch
+shows which (arch, dtype, length) case differs; its last line is the
+total, as printed without the flag.
+
 pytest does not collect this file (its name does not start with test_);
 tests/test_step_digest.py runs it on a few small cases.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 
 import numpy as np
@@ -46,8 +51,8 @@ CHANNEL_SCALE = 1 / 16
 L2_COEFF = 1e-4
 
 
-def _step(h, arch: str, dtype, T: int) -> None:
-    """Hash one case's train step and inference into h."""
+def _step(arch: str, dtype, T: int):
+    """Yield the bytes of one case's train step and inference."""
     graph = build(arch, rng=RandomSource(0), dtype=dtype, channel_scale=CHANNEL_SCALE)
     gammas = RandomSource(1)
     for name, p in graph.params.items():
@@ -63,21 +68,42 @@ def _step(h, arch: str, dtype, T: int) -> None:
     add_l2_gradients(graph.params, grads, L2_COEFF)
     infer = graph.forward(x).logits
 
-    h.update(f"{arch}/{np.dtype(dtype).name}/{T}/{len(res.tape)}".encode())
+    yield f"{arch}/{np.dtype(dtype).name}/{T}/{len(res.tape)}".encode()
     for arr in (res.logits, grad_x, *(grads[k] for k in sorted(grads)),
                 *(graph.state[k] for k in sorted(graph.state)), infer):
-        h.update(np.ascontiguousarray(arr).tobytes())
+        yield np.ascontiguousarray(arr).tobytes()
 
 
-def digest(archs=ARCHITECTURES, dtypes=DTYPES, lengths=LENGTHS) -> str:
-    """sha256 hex digest over every (arch, dtype, length) case, in order."""
-    h = hashlib.sha256()
+def case_digests(archs=ARCHITECTURES, dtypes=DTYPES, lengths=LENGTHS):
+    """Yield (case name, sha256 hex digest of the case) for every
+    (arch, dtype, length) case in order, then ("total", the sha256 over
+    every case's bytes in that order)."""
+    total = hashlib.sha256()
     for arch in archs:
         for dtype in dtypes:
             for T in lengths:
-                _step(h, arch, dtype, T)
-    return h.hexdigest()
+                h = hashlib.sha256()
+                for chunk in _step(arch, dtype, T):
+                    h.update(chunk)
+                    total.update(chunk)
+                yield f"{arch}/{np.dtype(dtype).name}/{T}", h.hexdigest()
+    yield "total", total.hexdigest()
+
+
+def main(argv=None, **cases) -> None:
+    """Print the total digest; with --cases, first one line per case,
+    `<digest> <arch>/<dtype>/<T>`, so a mismatch names its case. cases
+    narrows the case lists (case_digests' arguments)."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--cases", action="store_true",
+                        help="print each case's digest before the total")
+    args = parser.parse_args(argv)
+    for name, hexdigest in case_digests(**cases):
+        if name == "total":
+            print(hexdigest)
+        elif args.cases:
+            print(hexdigest, name)
 
 
 if __name__ == "__main__":
-    print(digest())
+    main()

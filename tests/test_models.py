@@ -473,15 +473,13 @@ def test_pool_after_tail_matches_published_order(name, dtype):
                                   _published_order_forward(ref, x, "infer", None))
 
 
-def test_train_step_peak_memory():
-    """Backward releases each record once run, the stem's batch norm
-    pools before its scale/shift and builds grad_x in the conv output it
-    cached, and conv2 builds grad_x in its padded input and adds its taps
-    through one clip-sized buffer, so an m3 step (forward and backward)
-    holds no more than a few copies of the stem output at once."""
-    graph = build("m3", rng=RandomSource(0), channel_scale=1 / 4)
+def _step_peak_over_stem(name):
+    """Tracemalloc peak of one train step (forward and backward) at 1/4
+    width and B=4, over the bytes of the stem conv's float32 output."""
+    graph = build(name, rng=RandomSource(0), channel_scale=1 / 4)
     x = RandomSource(1).normal((4, 32000, 1)).astype(np.float32)
-    stem_bytes = 4 * 8000 * 64 * 4  # [B, T/4, 256/4] float32
+    stem_T, stem_ch = shape_trace(graph, 32000)[1][1]
+    stem_bytes = 4 * stem_T * stem_ch * 4
     tracemalloc.start()
     try:
         res = graph.forward(x, mode="train", rng=RandomSource(2))
@@ -490,7 +488,28 @@ def test_train_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * stem_bytes, f"peak {peak / stem_bytes:.2f}x the stem output"
+    return peak / stem_bytes
+
+
+def test_train_step_peak_memory():
+    """Backward releases each record once run; the stem's batch norm
+    pools before its scale/shift and keeps no copy of the stem output,
+    which the stem conv's backward rebuilds one clip at a time; conv2
+    builds grad_x in its padded input and adds its taps through one
+    clip-sized buffer. So an m3 step holds under two copies of the stem
+    output at once: 1.69x measured, pinned at 1.8x (2.25x while the batch
+    norm kept the stem output)."""
+    ratio = _step_peak_over_stem("m3")
+    assert ratio <= 1.8, f"peak {ratio:.2f}x the stem output"
+
+
+def test_stride1_stem_train_step_peak_memory():
+    """m11-stride1's stride-1 stem output is 4x longer than m3's; its step
+    peak is the stem's forward, with the clip's rf-80 im2col rows beside
+    it: 2.71x measured, pinned at 2.9x (3.71x while the batch norm kept the
+    stem output and the stem backward held a second im2col buffer)."""
+    ratio = _step_peak_over_stem("m11-stride1")
+    assert ratio <= 2.9, f"peak {ratio:.2f}x the stem output"
 
 
 def test_tape_structure_covers_every_name():

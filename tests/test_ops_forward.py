@@ -623,6 +623,102 @@ class TestBatchNormOwnsInput:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+class TestConvRebuildsPooledBatchNormInput:
+    """A pooled batch norm after a thin conv keeps no copy of the conv
+    output (keep_x=False): its backward returns the compact _SlotGrad, and
+    the conv's backward rebuilds each clip's output and applies it there."""
+
+    @staticmethod
+    def _route(x, k, stride, state, g, keep_x):
+        """conv, pooled batch norm, then both backwards: (BN output, BN
+        state, BN grad_x as returned, grad_x, grad_kernel, grad_gamma,
+        grad_beta)."""
+        y, conv_cache = ops.conv1d_forward(x, ConvParams(k, stride=stride))
+        s = state()
+        out, bn_cache = ops.batchnorm_forward(y, s, "train", pool=True, keep_x=keep_x)
+        gy, gg, gb = ops.batchnorm_backward(g.copy(), bn_cache)
+        gx, gk, _ = ops.conv1d_backward(gy, conv_cache)
+        return out, s, gy, gx, gk, gg, gb
+
+    # (T, Cin, rf, stride): conv outputs of 2001 and 101 rows, whose last
+    # pool window is ragged, at the stem's Cin 1 and just below the
+    # threshold.
+    CASES = [(2001, 1, 8, 1), (2001, 3, 80, 1), (403, 1, 80, 4),
+             (403, ops._IM2COL_MAX_CIN - 1, 8, 4)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T,Cin,rf,stride", CASES)
+    def test_compact_gradient_equals_full_gradient_bytewise(self, T, Cin, rf, stride, dtype):
+        """grad_x, grad_kernel and the BN grads equal, byte for byte, the
+        route that keeps the conv output and builds its full-size gradient
+        there. Gammas take both signs, so some channels pool the min."""
+        rng = np.random.default_rng(T + Cin + rf)
+        x = rng.standard_normal((3, T, Cin)).astype(dtype)
+        k = rng.standard_normal((rf, Cin, 6)).astype(dtype)
+        _, state = _pooled_case(rng, 8, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
+        out_T = -(-T // stride)
+        assert out_T % ops._POOL, "the last pool window must be ragged"
+        g = rng.standard_normal((3, -(-out_T // ops._POOL), 6)).astype(dtype)
+        full = self._route(x, k, stride, state, g, keep_x=True)
+        compact = self._route(x, k, stride, state, g, keep_x=False)
+        assert isinstance(full[2], np.ndarray)
+        gy = compact[2]
+        assert isinstance(gy, ops._SlotGrad)
+        assert (gy.shape, gy.dtype, gy.size) == (full[2].shape, full[2].dtype, full[2].size)
+        _same_bytes(compact[0], full[0])
+        for got, want in zip(compact[3:], full[3:], strict=True):
+            _same_bytes(got, want)
+        for name in ("running_mean", "running_var"):
+            _same_bytes(getattr(compact[1], name), getattr(full[1], name))
+
+    def test_only_a_thin_conv_without_bias_takes_it(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 40, ops._IM2COL_MAX_CIN))
+        _, state = _pooled_case(rng, 8, np.float64)
+        for Cin, bias in ((ops._IM2COL_MAX_CIN, None), (1, np.zeros(6))):
+            y, cache = ops.conv1d_forward(x[..., :Cin], ConvParams(
+                rng.standard_normal((3, Cin, 6)), bias, stride=1))
+            _, bn_cache = ops.batchnorm_forward(y, state(), "train", pool=True, keep_x=False)
+            gy = ops.batchnorm_backward(rng.standard_normal((2, 10, 6)), bn_cache)[0]
+            with pytest.raises(ValueError, match="compact gradient"):
+                ops.conv1d_backward(gy, cache)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("Cin", [1, ops._IM2COL_MAX_CIN - 1, ops._IM2COL_MAX_CIN, 16])
+def test_pooled_batch_norm_keeps_a_deep_conv_output_only(Cin, dtype, monkeypatch):
+    """Through the model's conv and maxpool units: the pooled batch norm
+    after a conv with Cin < _IM2COL_MAX_CIN caches no array of the conv
+    output's size, and one after a deeper conv still caches that output.
+    Either way the tape yields every gradient. Gradcheck's
+    `conv_unit_bn_relu_pool` trial (float64, Cin 2-3) runs the first case:
+    its finite differences check the compact route."""
+    caches = []
+    bn_forward = ops.batchnorm_forward
+
+    def keep_cache(*args):
+        y, cache = bn_forward(*args)
+        caches.append(cache)
+        return y, cache
+
+    monkeypatch.setattr(ops, "batchnorm_forward", keep_cache)
+    conv = models._ConvUnit(1, 8, 2, 6, with_bn=True)
+    pool = models._MaxPoolUnit(1, conv)
+    graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(dtype))
+    conv.build(Cin, RandomSource(0), graph)
+    x = RandomSource(1).normal((3, 50, Cin)).astype(dtype)
+    tape = ops.OpTape()
+    y = pool.forward(conv.forward(x, graph, "train", tape, None), graph, "train", tape, None)
+    conv_size = 3 * 25 * 6
+    (cache,) = caches
+    sizes = [a.size for a in cache if isinstance(a, np.ndarray)]
+    assert (conv_size in sizes) == (Cin >= ops._IM2COL_MAX_CIN), sizes
+    grads = {}
+    gx = tape.backward(np.ones_like(y), grads)
+    assert gx.shape == x.shape and gx.dtype == x.dtype
+    assert set(grads) == set(conv.param_names())
+
+
 class TestGlobalAvgPool:
     def test_published_shape(self):
         y, _ = ops.global_avg_pool(np.zeros((1, 32, 512)))
