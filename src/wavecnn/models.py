@@ -33,6 +33,7 @@ Every ReLU is one in-place `_relu` record (ops.py states the pool order).
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -129,18 +130,21 @@ def _record(tape, backward, cache, *names):
     tape.record(back)
 
 
-def _bn(y, k, graph, mode, tape, pool=False, keep_x=True):
-    """Batch norm over the `{k}.bn.*` params and state, pooling before the
-    scale/shift if asked. y is a fresh conv or affine output that only the
-    BN cache keeps, so the backward may build grad_x in its buffer; with
-    keep_x False the cache drops y (ops.batchnorm_forward)."""
-    s = ops.BatchNormState(
+def _bn_state(graph, k) -> ops.BatchNormState:
+    """The `{k}.bn.*` params and running statistics."""
+    return ops.BatchNormState(
         gamma=graph.params[f"{k}.bn.gamma"],
         beta=graph.params[f"{k}.bn.beta"],
         running_mean=graph.state[f"{k}.bn.running_mean"],
         running_var=graph.state[f"{k}.bn.running_var"],
     )
-    y, cache = ops.batchnorm_forward(y, s, mode, pool, keep_x)
+
+
+def _bn(y, k, graph, mode, tape, pool=False):
+    """Batch norm over the `{k}.bn.*` params and state, pooling before the
+    scale/shift if asked. y is a fresh conv or affine output that only the
+    BN cache keeps, so the backward may build grad_x in its buffer."""
+    y, cache = ops.batchnorm_forward(y, _bn_state(graph, k), mode, pool)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
@@ -195,15 +199,18 @@ class _ConvUnit(_Unit):
             self._param(graph, f"{k}.bias", np.zeros(self.out_ch, dtype=graph.dtype))
         return self.out_ch
 
-    def conv(self, x, graph, tape):
-        """The convolution, with its bias when no batch norm follows."""
+    def _params(self, graph) -> ops.ConvParams:
         k = self.label
-        p = ops.ConvParams(
+        return ops.ConvParams(
             kernel=graph.params[f"{k}.kernel"],
             bias=None if self.with_bn else graph.params[f"{k}.bias"],
             stride=self.stride,
         )
-        y, cache = ops.conv1d_forward(x, p)
+
+    def conv(self, x, graph, tape):
+        """The convolution, with its bias when no batch norm follows."""
+        k = self.label
+        y, cache = ops.conv1d_forward(x, self._params(graph))
         # Without a bias the bias gradient is None, which is not stored.
         _record(tape, ops.conv1d_backward, cache, f"{k}.kernel", f"{k}.bias")
         return y
@@ -215,12 +222,30 @@ class _ConvUnit(_Unit):
             y = _bn(y, self.label, graph, mode, tape)
         return _relu(y, tape) if relu else y
 
-    def forward(self, x, graph, mode, tape, rng):
-        if self.pooled:
-            return self.conv(x, graph, tape)
-        return self.conv_bn(x, graph, mode, tape, relu=True)
+    def streams(self, graph) -> bool:
+        """Whether this conv runs in one streamed pass with its batch norm
+        and the maxpool after it: a thin conv (ops.conv1d_thin)."""
+        return self.pooled and ops.conv1d_thin(graph.params[f"{self.label}.kernel"])
 
-    pooled = False  # with BN: the maxpool after it runs its batch norm and ReLU
+    def forward(self, x, graph, mode, tape, rng):
+        if not self.pooled:
+            return self.conv_bn(x, graph, mode, tape, relu=True)
+        if not self.streams(graph):
+            return self.conv(x, graph, tape)
+        # The conv, its batch norm and the maxpool, recorded as conv and _bn
+        # would record them. The maxpool unit applies the ReLU: it gets the
+        # pooled output under the conv output's shape, which shape_trace reads.
+        k = self.label
+        y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(
+            x, self._params(graph), _bn_state(graph, k), mode)
+        _record(tape, ops.conv1d_backward, conv_cache, f"{k}.kernel")
+        _record(tape, ops.batchnorm_backward, bn_cache, f"{k}.bn.gamma", f"{k}.bn.beta")
+        shape = (x.shape[0], -(-x.shape[1] // self.stride), self.out_ch)
+        return SimpleNamespace(pooled=y, shape=shape, ndim=3)
+
+    # With BN: the maxpool after it runs its batch norm, or gets it run
+    # (streams), and its ReLU.
+    pooled = False
 
 
 class _ResBlockUnit(_Unit):
@@ -273,20 +298,19 @@ class _ResBlockUnit(_Unit):
 class _MaxPoolUnit(_Unit):
     def __init__(self, idx, prev):
         self.label = f"maxpool{idx}"
-        self._bn_key = None
+        self._conv = None
         if isinstance(prev, _ConvUnit) and prev.with_bn:
-            prev.pooled, self._bn_key = True, prev.label
+            prev.pooled, self._conv = True, prev
 
     def forward(self, x, graph, mode, tape, rng):
-        k = self._bn_key
-        if k is not None:
-            # A thin conv's backward rebuilds its output clip by clip, so the
-            # batch norm need not keep it.
-            keep_x = not ops.conv1d_thin(graph.params[f"{k}.kernel"])
-            return _relu(_bn(x, k, graph, mode, tape, pool=True, keep_x=keep_x), tape)
-        y, cache = ops.maxpool1d_forward(x, mode)
-        _record(tape, ops.maxpool1d_backward, cache)
-        return y
+        conv = self._conv
+        if conv is None:
+            y, cache = ops.maxpool1d_forward(x, mode)
+            _record(tape, ops.maxpool1d_backward, cache)
+            return y
+        if conv.streams(graph):
+            return _relu(x.pooled, tape)
+        return _relu(_bn(x, conv.label, graph, mode, tape, pool=True), tape)
 
 
 class _GlobalAvgPoolUnit(_Unit):

@@ -22,9 +22,10 @@ channel.
 
 A maxpool after batch norm runs inside the BN op. Maxpool commutes with
 per-channel non-decreasing maps and float rounding is monotone, so the op
-pools x after the statistics (the min where the float64 gamma * inv < 0),
-then applies scale/shift and check at quarter size: bitwise BN, then
-maxpool, and a ReLU after it commutes with the maxpool too. The check sees
+pools x (the min where gamma < 0, which is where the float64 scale
+gamma * inv < 0, as inv > 0), then applies scale/shift and check at
+quarter size: bitwise BN, then maxpool, and a ReLU after it commutes with
+the maxpool too. The check sees
 pooled values: NaN and +inf still raise, but a -inf from scale * x + shift
 that loses its window passes, where the ReLU would zero it. The gradient
 goes to the first extreme slot of x, the BN output's first argmax unless
@@ -57,14 +58,21 @@ once the grad_kernel GEMMs have read it, so it allocates no input-sized
 array of its own.
 
 The stem output is the largest activation of every network, and a pooled
-batch norm needs it only for its backward. So when such a batch norm
-follows a thin conv (conv1d_thin), it keeps no copy (keep_x=False): its
-backward returns the compact _SlotGrad (per-channel scale and shift, the
-pooled slot values and the slot index) in place of grad_x, and the thin
-conv's backward rebuilds each clip's output with the forward's own
-arithmetic, turns it into that clip's gradient and goes on. The rebuild
-costs one more per-clip GEMM on the thin input (Chen et al. 2016, "Training
-Deep Nets with Sublinear Memory Cost", recompute instead of store).
+batch norm reads it only for its statistics and window extremes. So a thin
+conv without bias before a pooled batch norm (at published width only the
+stem) runs streamed with it in conv1d_bn_pool_forward, which the model's
+conv unit calls in both modes; the whole output is never built. Each clip's
+output goes into one reused buffer, is checked and pooled, and in train
+mode is added into the float64 statistics in row blocks, carrying the
+totals: the bits of conv1d_forward, then batchnorm_forward with pool. The
+batch norm's cache holds the pooled values, the slot index and the
+statistics, so its backward returns the compact _SlotGrad (per-channel
+scale and shift, the pooled slot values and the slot index) in place of
+grad_x. The thin conv's backward rebuilds each clip's output with the
+forward's own arithmetic (_thin_clip), turns it into that clip's gradient
+and goes on. The rebuild costs one more per-clip GEMM on the thin input
+(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost",
+recompute instead of store).
 
 OpTape holds the backward closures of one train-mode forward. It is walked
 once; each record, and the cache its closure captured, is released as soon
@@ -88,6 +96,7 @@ from .tensor import check_finite
 _IM2COL_MAX_CIN = 8
 
 _POOL = 4  # maxpool window and stride
+_SUM_ROWS = 512  # rows per float64 block of conv1d_bn_pool_forward's statistics
 _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 _DROPOUT_RATE = 0.3
@@ -157,7 +166,7 @@ def _thin_clip(xp_b, cols, kernel, k2, stride, out) -> None:
     """One clip's output of a thin conv (Cin < _IM2COL_MAX_CIN, no bias)
     into out [out_T, Cout], from the clip's padded input xp_b and its im2col
     rows cols: the naive loop in float64, one GEMM on cols otherwise. The
-    forward and the backward's rebuild both call this, so they agree bit
+    forwards and the backward's rebuild all call this, so they agree bit
     for bit."""
     if out.dtype == np.float64:
         out[...] = 0
@@ -168,25 +177,36 @@ def _thin_clip(xp_b, cols, kernel, k2, stride, out) -> None:
 
 def conv1d_thin(kernel: np.ndarray) -> bool:
     """Whether a conv with this kernel [rf, Cin, Cout] runs clip by clip
-    (Cin < _IM2COL_MAX_CIN). Its backward then takes a pooled batch norm's
-    compact gradient (batchnorm_forward with keep_x=False) and rebuilds
-    each clip's output itself."""
+    (Cin < _IM2COL_MAX_CIN). Without bias and before a pooled batch norm it
+    then runs streamed with that batch norm (conv1d_bn_pool_forward)."""
     return kernel.shape[1] < _IM2COL_MAX_CIN
+
+
+def _padded_input(x: np.ndarray, p: ConvParams):
+    """Check x [B,T,Cin] against p; return (x zero-padded in time, out_T, left pad)."""
+    _, T, Cin = x.shape
+    if T < 1:
+        raise ValueError("conv1d: empty time axis")
+    rf, k_in, _ = p.kernel.shape
+    if Cin != k_in:
+        raise ValueError(f"conv1d: input has {Cin} channels, kernel expects {k_in}")
+    out_T, left, right = _same_pad_1d(T, rf, p.stride)
+    return np.pad(x, ((0, 0), (left, right), (0, 0))), out_T, left
+
+
+def _thin_kernel(kernel: np.ndarray, dtype) -> np.ndarray:
+    """kernel [rf, Cin, Cout] as the [Cin*rf, Cout] matrix of im2col rows."""
+    rf, Cin, Cout = kernel.shape
+    return kernel.astype(dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
 
 
 def conv1d_forward(x: np.ndarray, p: ConvParams):
     """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding."""
-    B, T, Cin = x.shape
-    if T < 1:
-        raise ValueError("conv1d: empty time axis")
-    (rf, k_in, Cout), stride = p.kernel.shape, p.stride
-    if Cin != k_in:
-        raise ValueError(f"conv1d: input has {Cin} channels, kernel expects {k_in}")
-    out_T, left, right = _same_pad_1d(T, rf, stride)
-    xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
-
+    xp, out_T, left = _padded_input(x, p)
+    B, _, Cin = x.shape
+    (rf, _, Cout), stride = p.kernel.shape, p.stride
     if conv1d_thin(p.kernel):
-        k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
+        k2 = _thin_kernel(p.kernel, x.dtype)
         y = np.empty((B, out_T, Cout), dtype=x.dtype)
         for b, cols in _clip_cols(xp, rf, stride, out_T):
             _thin_clip(xp[b], cols, p.kernel, k2, stride, y[b])
@@ -242,7 +262,7 @@ def conv1d_backward(grad_out, cache):
     dt = grad_out.dtype
     k = p.kernel.astype(dt, copy=False)
     if conv1d_thin(p.kernel):
-        k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
+        k2 = _thin_kernel(k, dt)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
         g = np.empty((out_T, Cout), dtype=dt) if rebuild else None
         for b, cols in _clip_cols(xp, rf, stride, out_T):
@@ -374,46 +394,120 @@ class _SlotGrad:
         self._scatter(b, out, self.values[b])
 
 
-def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False,
-                      keep_x: bool = True):
-    """Normalize per channel; train mode pools stats over (batch, time).
+def _bn_check(shape, s: BatchNormState, mode: str) -> None:
+    """Refuse a batch norm input of this shape [B, ..., C] under s and mode."""
+    if shape[-1] != s.gamma.shape[0]:
+        raise ValueError(f"batchnorm: {shape[-1]} channels vs state {s.gamma.shape[0]}")
+    if mode not in ("train", "infer"):
+        raise ValueError(f"unknown batchnorm mode {mode!r}")
+    if mode == "train" and shape[0] < 2:
+        raise ValueError("batchnorm train mode requires batch size >= 2")
 
-    The statistics and the per-channel scale/shift are float64; the output
-    y = x * scale + shift is formed in x's dtype in two passes; pool
-    maxpools y (module docstring). Train mode updates running stats in place:
-    running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch.
-    Infer mode returns no cache (None): it has no backward. Train mode
-    takes x over: the backward builds grad_x in its buffer, so a caller
-    that reads x after the backward passes a copy. With pool and keep_x
-    False the cache holds no x, and the backward returns a _SlotGrad in its
-    place, for a thin conv's backward to apply clip by clip (conv1d_thin).
-    Unpooled, keep_x does nothing: the statistics' backward reads x itself.
-    """
-    C = x.shape[-1]
-    if C != s.gamma.shape[0]:
-        raise ValueError(f"batchnorm: {C} channels vs state {s.gamma.shape[0]}")
-    x2 = x.reshape(-1, C)
+
+def _bn_moments(s: BatchNormState, mode: str, sums=None, n: int = 0):
+    """The statistics half of batch norm: float64 (mu, inv), inv being
+    1 / sqrt(var + eps). Train mode takes the float64 per-channel sum and
+    sum of squares of n rows and updates the running statistics in place:
+    running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch. Infer
+    mode reads them."""
     if mode == "train":
-        if x.shape[0] < 2:
-            raise ValueError("batchnorm train mode requires batch size >= 2")
-        mu = x2.mean(axis=0, dtype=np.float64)
-        var = np.maximum(np.einsum("ij,ij->j", x2, x2, dtype=np.float64) / len(x2) - mu * mu, 0.0)
+        mu = sums[0] / n
+        var = np.maximum(sums[1] / n - mu * mu, 0.0)
         s.running_mean[...] = (1 - _BN_MOMENTUM) * s.running_mean + _BN_MOMENTUM * mu
         s.running_var[...] = (1 - _BN_MOMENTUM) * s.running_var + _BN_MOMENTUM * var
-    elif mode == "infer":
+    else:
         mu = s.running_mean.astype(np.float64)
         var = s.running_var.astype(np.float64)
-    else:
-        raise ValueError(f"unknown batchnorm mode {mode!r}")
-    inv = 1.0 / np.sqrt(var + _BN_EPS)
+    return mu, 1.0 / np.sqrt(var + _BN_EPS)
+
+
+def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv) -> np.ndarray:
+    """The normalization half: xs * scale + shift, formed in xs's dtype in
+    two passes from the float64 scale = gamma * inv and shift = beta -
+    mu * scale, then checked."""
     scale = s.gamma * inv
-    xs, slots = maxpool1d_forward(x, mode, scale < 0) if pool else (x, None)
-    y = xs * scale.astype(x.dtype)
-    y += (s.beta - mu * scale).astype(x.dtype)
-    check_finite("batchnorm", y)
+    y = xs * scale.astype(xs.dtype)
+    y += (s.beta - mu * scale).astype(xs.dtype)
+    return check_finite("batchnorm", y)
+
+
+def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False):
+    """Normalize per channel; train mode pools stats over (batch, time).
+
+    The statistics (_bn_moments) and the per-channel scale/shift are
+    float64; pool maxpools the output (module docstring) before the scale
+    and shift (_bn_normalize). Infer mode returns no cache (None): it has no
+    backward. Train mode takes x over: the backward builds grad_x in its
+    buffer, so a caller that reads x after the backward passes a copy.
+    """
+    _bn_check(x.shape, s, mode)
+    sums = None
+    if mode == "train":
+        x2 = x.reshape(-1, x.shape[-1])
+        sums = x2.sum(axis=0, dtype=np.float64), np.einsum("ij,ij->j", x2, x2, dtype=np.float64)
+    mu, inv = _bn_moments(s, mode, sums, math.prod(x.shape[:-1]))
+    xs, slots = maxpool1d_forward(x, mode, s.gamma < 0) if pool else (x, None)
+    y = _bn_normalize(xs, s, mu, inv)
     if mode == "infer":
         return y, None
-    return y, (x if keep_x else None, x.shape, xs, slots, mu, inv, s.gamma)
+    return y, (x, x.shape, xs, slots, mu, inv, s.gamma)
+
+
+def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode: str):
+    """A thin conv without bias, then its pooled batch norm: the results of
+    conv1d_forward and batchnorm_forward(..., pool=True), bit for bit, from
+    one pass over the clips that never builds the whole conv output.
+    Returns (y, the conv's cache, the batch norm's cache); infer mode's
+    batch norm cache is None. That cache holds no conv output, so the
+    backward returns the compact _SlotGrad, which conv1d_backward applies
+    to each clip of the output it rebuilds.
+
+    Each clip's output goes into one buffer that every clip reuses
+    (_thin_clip, as conv1d_forward makes it), is checked, and is pooled to
+    its window extremes and slot index: the min where gamma < 0, the sign
+    of the scale, known before the statistics. In train mode its rows then
+    go into float64 sums in blocks of _SUM_ROWS: each block's first row
+    takes the totals so far, and the block is summed over axis 0, which
+    adds rows in order. So the sums are the whole output's axis-0 sums bit
+    for bit (tests/test_platform.py). numpy sums a lone channel pairwise,
+    so the float64 blocks get a second, zero column: a 1-channel conv adds
+    its rows in order too, and its statistics are channel 0's of any wider
+    one with that kernel column.
+    """
+    xp, out_T, left = _padded_input(x, p)
+    (rf, _, C), stride = p.kernel.shape, p.stride
+    if p.bias is not None or not conv1d_thin(p.kernel):
+        raise ValueError("conv1d_bn_pool_forward: needs a thin conv without bias")
+    _bn_check((x.shape[0], C), s, mode)
+    k2, low = _thin_kernel(p.kernel, x.dtype), s.gamma < 0
+    clip = np.empty((out_T if len(x) else 0, C), dtype=x.dtype)  # shape_trace runs B=0
+    xs = np.empty((x.shape[0], -(-out_T // _POOL), C), dtype=x.dtype)
+    idx = wide = None
+    if mode == "train":
+        idx = np.empty(xs.shape, dtype=np.uint8)
+        wide = np.zeros((2, min(_SUM_ROWS, out_T), max(C, 2)))  # a block and its squares
+    sums = np.zeros((2, max(C, 2)))
+    for b, cols in _clip_cols(xp, rf, stride, out_T):
+        _thin_clip(xp[b], cols, p.kernel, k2, stride, clip)
+        check_finite("conv1d", clip)
+        ys, slots = maxpool1d_forward(clip[None], mode, low)
+        xs[b] = ys[0]
+        if idx is None:
+            continue
+        idx[b] = slots[0][0]
+        for r0 in range(0, out_T, _SUM_ROWS):
+            v, sq = wide[:, : min(_SUM_ROWS, out_T - r0)]
+            v[:, :C] = clip[r0 : r0 + len(v)]
+            np.multiply(v, v, out=sq)
+            v[0] += sums[0]
+            sq[0] += sums[1]
+            sums[0], sums[1] = v.sum(axis=0), sq.sum(axis=0)
+    mu, inv = _bn_moments(s, mode, sums[:, :C], x.shape[0] * out_T)
+    y = _bn_normalize(xs, s, mu, inv)
+    conv_cache = (xp, x.shape, p, out_T, left)
+    if idx is None:
+        return y, conv_cache, None
+    return y, conv_cache, (None, (x.shape[0], out_T, C), xs, (idx, out_T), mu, inv, s.gamma)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):

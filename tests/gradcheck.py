@@ -253,9 +253,10 @@ def conv_unit_pool_trial(rng):
     each other (which covers its two largest and two smallest), where a
     +-h step could move the extreme to another slot, or while a pooled
     pre-ReLU value lies within 1e-3 of the kink. Cin starts at 2, as in the
-    conv unit trial. Cin < ops._IM2COL_MAX_CIN, so the batch norm keeps no
-    copy of the conv output, and the conv's backward rebuilds it clip by
-    clip to apply the batch norm's compact gradient.
+    conv unit trial. Cin < ops._IM2COL_MAX_CIN, so the conv runs streamed
+    with its batch norm and the pool (ops.conv1d_bn_pool_forward), and its
+    backward rebuilds the conv output clip by clip to apply the batch
+    norm's compact gradient.
     """
     while True:
         B = int(rng.integers(2, 4))

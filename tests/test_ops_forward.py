@@ -623,85 +623,132 @@ class TestBatchNormOwnsInput:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-class TestConvRebuildsPooledBatchNormInput:
-    """A pooled batch norm after a thin conv keeps no copy of the conv
-    output (keep_x=False): its backward returns the compact _SlotGrad, and
-    the conv's backward rebuilds each clip's output and applies it there."""
+class TestStreamedConvBatchNormPool:
+    """conv1d_bn_pool_forward, the streamed thin conv and pooled batch norm,
+    against the two-op route: conv1d_forward, then batchnorm_forward with
+    pool. Its batch norm keeps no conv output, so its backward returns the
+    compact _SlotGrad, and the conv's backward rebuilds each clip's output
+    and applies it there."""
 
     @staticmethod
-    def _route(x, k, stride, state, g, keep_x):
-        """conv, pooled batch norm, then both backwards: (BN output, BN
-        state, BN grad_x as returned, grad_x, grad_kernel, grad_gamma,
-        grad_beta)."""
-        y, conv_cache = ops.conv1d_forward(x, ConvParams(k, stride=stride))
-        s = state()
-        out, bn_cache = ops.batchnorm_forward(y, s, "train", pool=True, keep_x=keep_x)
+    def _run(x, k, stride, state, g, mode, streamed):
+        """Forward and, in train mode, both backwards: (BN output, BN state,
+        slot index, BN grad_x as returned, grad_x, grad_kernel, grad_gamma,
+        grad_beta); the last five are None in infer mode."""
+        p, s = ConvParams(k, stride=stride), state()
+        if streamed:
+            out, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(x, p, s, mode)
+        else:
+            y, conv_cache = ops.conv1d_forward(x, p)
+            out, bn_cache = ops.batchnorm_forward(y, s, mode, pool=True)
+        if mode == "infer":
+            assert bn_cache is None
+            return out, s, None, None, None, None, None, None
         gy, gg, gb = ops.batchnorm_backward(g.copy(), bn_cache)
         gx, gk, _ = ops.conv1d_backward(gy, conv_cache)
-        return out, s, gy, gx, gk, gg, gb
+        return out, s, bn_cache[3][0], gy, gx, gk, gg, gb
 
-    # (T, Cin, rf, stride): conv outputs of 2001 and 101 rows, whose last
-    # pool window is ragged, at the stem's Cin 1 and just below the
-    # threshold.
-    CASES = [(2001, 1, 8, 1), (2001, 3, 80, 1), (403, 1, 80, 4),
-             (403, ops._IM2COL_MAX_CIN - 1, 8, 4)]
+    # (T, Cin, rf, stride): rf 8, 80 and 320 at strides 1 and 4, at the
+    # stem's Cin 1 and up to just below the threshold. Every conv output
+    # but the 400-row one ends in a ragged pool window, and the 2001-row
+    # ones span several blocks of the float64 sums.
+    CASES = [(2001, 1, 8, 1), (2001, 3, 80, 1), (403, 1, 80, 4), (1600, 1, 80, 4),
+             (1283, 2, 320, 4), (403, ops._IM2COL_MAX_CIN - 1, 8, 4)]
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("T,Cin,rf,stride", CASES)
-    def test_compact_gradient_equals_full_gradient_bytewise(self, T, Cin, rf, stride, dtype):
-        """grad_x, grad_kernel and the BN grads equal, byte for byte, the
-        route that keeps the conv output and builds its full-size gradient
-        there. Gammas take both signs, so some channels pool the min."""
+    def test_equals_conv_then_pooled_batch_norm_bytewise(self, T, Cin, rf, stride, dtype, mode):
+        """The pooled output, the slot index, the running statistics and,
+        in train mode, grad_x, grad_kernel and the BN grads equal the
+        two-op route's byte for byte. Gammas take both signs, so some
+        channels pool the min."""
         rng = np.random.default_rng(T + Cin + rf)
         x = rng.standard_normal((3, T, Cin)).astype(dtype)
         k = rng.standard_normal((rf, Cin, 6)).astype(dtype)
         _, state = _pooled_case(rng, 8, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
         out_T = -(-T // stride)
-        assert out_T % ops._POOL, "the last pool window must be ragged"
+        assert (out_T % ops._POOL == 0) == (out_T == 400)
         g = rng.standard_normal((3, -(-out_T // ops._POOL), 6)).astype(dtype)
-        full = self._route(x, k, stride, state, g, keep_x=True)
-        compact = self._route(x, k, stride, state, g, keep_x=False)
-        assert isinstance(full[2], np.ndarray)
-        gy = compact[2]
-        assert isinstance(gy, ops._SlotGrad)
-        assert (gy.shape, gy.dtype, gy.size) == (full[2].shape, full[2].dtype, full[2].size)
-        _same_bytes(compact[0], full[0])
-        for got, want in zip(compact[3:], full[3:], strict=True):
-            _same_bytes(got, want)
+        streamed = self._run(x, k, stride, state, g, mode, streamed=True)
+        two_op = self._run(x, k, stride, state, g, mode, streamed=False)
         for name in ("running_mean", "running_var"):
-            _same_bytes(getattr(compact[1], name), getattr(full[1], name))
+            _same_bytes(getattr(streamed[1], name), getattr(two_op[1], name))
+        _same_bytes(streamed[0], two_op[0])
+        if mode == "infer":
+            return
+        gy = streamed[3]
+        assert isinstance(gy, ops._SlotGrad) and isinstance(two_op[3], np.ndarray)
+        assert (gy.shape, gy.dtype, gy.size) == (two_op[3].shape, two_op[3].dtype, two_op[3].size)
+        for got, want in zip(streamed[2:3] + streamed[4:], two_op[2:3] + two_op[4:], strict=True):
+            _same_bytes(got, want)
 
-    def test_only_a_thin_conv_without_bias_takes_it(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_channel_adds_rows_in_order(self, dtype):
+        """numpy sums a lone channel pairwise and a wider array row by row.
+        The streamed statistics add rows in order at every width, so a
+        1-channel conv gives the pooled output, slot index and statistics
+        (float64, and the running ones) of its output doubled into a
+        2-channel batch norm, bit for bit, and in float64 not those of a
+        1-channel batch norm."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 2001, 1)).astype(dtype)
+        p = ConvParams(rng.standard_normal((8, 1, 1)).astype(dtype))
+        gamma, beta = np.array([-1.3, -1.3], dtype), np.array([0.2, 0.2], dtype)
+        s = _bn_state(1, dtype, gamma[:1].copy(), beta[:1].copy())
+        out, _, bn_cache = ops.conv1d_bn_pool_forward(x, p, s, "train")
+        y, _ = ops.conv1d_forward(x, p)
+        s2 = _bn_state(2, dtype, gamma.copy(), beta.copy())
+        out2, cache2 = ops.batchnorm_forward(np.concatenate([y, y], axis=-1), s2, "train", pool=True)
+        for got, want in ((out, out2), (bn_cache[3][0], cache2[3][0]),
+                          (bn_cache[4], cache2[4]), (bn_cache[5], cache2[5]),
+                          (s.running_mean, s2.running_mean), (s.running_var, s2.running_var)):
+            _same_bytes(got, want[..., :1])
+        if dtype == np.float64:  # these float32 values sum exactly in float64, in any order
+            _, cache1 = ops.batchnorm_forward(y, _bn_state(1, dtype, gamma[:1].copy()), "train")
+            assert (cache1[4], cache1[5]) != (bn_cache[4], bn_cache[5])
+
+    def test_refuses_a_deep_conv_or_a_bias(self):
+        """Only a thin conv without bias streams, and only its backward
+        takes the compact gradient."""
         rng = np.random.default_rng(21)
         x = rng.standard_normal((2, 40, ops._IM2COL_MAX_CIN))
         _, state = _pooled_case(rng, 8, np.float64)
+        _, _, bn_cache = ops.conv1d_bn_pool_forward(
+            x[..., :1], ConvParams(rng.standard_normal((3, 1, 6))), state(), "train")
+        gy = ops.batchnorm_backward(rng.standard_normal((2, 10, 6)), bn_cache)[0]
         for Cin, bias in ((ops._IM2COL_MAX_CIN, None), (1, np.zeros(6))):
-            y, cache = ops.conv1d_forward(x[..., :Cin], ConvParams(
-                rng.standard_normal((3, Cin, 6)), bias, stride=1))
-            _, bn_cache = ops.batchnorm_forward(y, state(), "train", pool=True, keep_x=False)
-            gy = ops.batchnorm_backward(rng.standard_normal((2, 10, 6)), bn_cache)[0]
+            p = ConvParams(rng.standard_normal((3, Cin, 6)), bias, stride=1)
+            with pytest.raises(ValueError, match="thin conv without bias"):
+                ops.conv1d_bn_pool_forward(x[..., :Cin], p, state(), "train")
+            _, cache = ops.conv1d_forward(x[..., :Cin], p)
             with pytest.raises(ValueError, match="compact gradient"):
                 ops.conv1d_backward(gy, cache)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("Cin", [1, ops._IM2COL_MAX_CIN - 1, ops._IM2COL_MAX_CIN, 16])
-def test_pooled_batch_norm_keeps_a_deep_conv_output_only(Cin, dtype, monkeypatch):
-    """Through the model's conv and maxpool units: the pooled batch norm
-    after a conv with Cin < _IM2COL_MAX_CIN caches no array of the conv
-    output's size, and one after a deeper conv still caches that output.
+def test_only_a_deep_conv_output_is_built_before_a_pooled_batch_norm(Cin, dtype, monkeypatch):
+    """Through the model's conv and maxpool units: a conv with Cin <
+    _IM2COL_MAX_CIN runs streamed with its pooled batch norm and never goes
+    through conv1d_forward, and no cache holds an array of its output's
+    size; after a deeper conv the batch norm still caches that output.
     Either way the tape yields every gradient. Gradcheck's
     `conv_unit_bn_relu_pool` trial (float64, Cin 2-3) runs the first case:
-    its finite differences check the compact route."""
+    its finite differences check the streamed route."""
     caches = []
-    bn_forward = ops.batchnorm_forward
 
-    def keep_cache(*args):
-        y, cache = bn_forward(*args)
-        caches.append(cache)
-        return y, cache
+    def keep(name):
+        fn = getattr(ops, name)
 
-    monkeypatch.setattr(ops, "batchnorm_forward", keep_cache)
+        def kept(*args):
+            *out, cache = fn(*args)
+            caches.append((name, cache))
+            return (*out, cache)
+        monkeypatch.setattr(ops, name, kept)
+
+    for name in ("conv1d_forward", "batchnorm_forward", "conv1d_bn_pool_forward"):
+        keep(name)
     conv = models._ConvUnit(1, 8, 2, 6, with_bn=True)
     pool = models._MaxPoolUnit(1, conv)
     graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(dtype))
@@ -709,10 +756,12 @@ def test_pooled_batch_norm_keeps_a_deep_conv_output_only(Cin, dtype, monkeypatch
     x = RandomSource(1).normal((3, 50, Cin)).astype(dtype)
     tape = ops.OpTape()
     y = pool.forward(conv.forward(x, graph, "train", tape, None), graph, "train", tape, None)
-    conv_size = 3 * 25 * 6
-    (cache,) = caches
-    sizes = [a.size for a in cache if isinstance(a, np.ndarray)]
-    assert (conv_size in sizes) == (Cin >= ops._IM2COL_MAX_CIN), sizes
+    thin = Cin < ops._IM2COL_MAX_CIN
+    assert [n for n, _ in caches] == (
+        ["conv1d_bn_pool_forward"] if thin else ["conv1d_forward", "batchnorm_forward"])
+    bn_cache = caches[-1][1]
+    sizes = [a.size for a in bn_cache if isinstance(a, np.ndarray)]
+    assert (3 * 25 * 6 in sizes) == (not thin), sizes
     grads = {}
     gx = tape.backward(np.ones_like(y), grads)
     assert gx.shape == x.shape and gx.dtype == x.dtype
