@@ -33,6 +33,7 @@ Every ReLU is one in-place `_relu` record (ops.py states the pool order).
 from __future__ import annotations
 
 import math
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -207,17 +208,23 @@ class _ConvUnit(_Unit):
             stride=self.stride,
         )
 
-    def conv(self, x, graph, tape):
-        """The convolution, with its bias when no batch norm follows."""
+    def _record_conv(self, tape, cache, input_grad):
+        """Record the conv's backward; without input_grad it builds no
+        grad_x and returns None in its place."""
         k = self.label
-        y, cache = ops.conv1d_forward(x, self._params(graph))
+        back = ops.conv1d_backward if input_grad else partial(ops.conv1d_backward, input_grad=False)
         # Without a bias the bias gradient is None, which is not stored.
-        _record(tape, ops.conv1d_backward, cache, f"{k}.kernel", f"{k}.bias")
+        _record(tape, back, cache, f"{k}.kernel", f"{k}.bias")
+
+    def conv(self, x, graph, tape, input_grad=True):
+        """The convolution, with its bias when no batch norm follows."""
+        y, cache = ops.conv1d_forward(x, self._params(graph))
+        self._record_conv(tape, cache, input_grad)
         return y
 
-    def conv_bn(self, x, graph, mode, tape, relu):
+    def conv_bn(self, x, graph, mode, tape, relu, input_grad=True):
         """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
-        y = self.conv(x, graph, tape)
+        y = self.conv(x, graph, tape, input_grad)
         if self.with_bn:
             y = _bn(y, self.label, graph, mode, tape)
         return _relu(y, tape) if relu else y
@@ -228,17 +235,21 @@ class _ConvUnit(_Unit):
         return self.pooled and ops.conv1d_thin(graph.params[f"{self.label}.kernel"])
 
     def forward(self, x, graph, mode, tape, rng):
+        # Nothing reads the gradient of the waveform that ModelGraph.forward
+        # passes in, so the stem builds none for it; driven on its own, the
+        # unit builds its input's gradient.
+        input_grad = x is not getattr(graph, "_waveform", None)
         if not self.pooled:
-            return self.conv_bn(x, graph, mode, tape, relu=True)
+            return self.conv_bn(x, graph, mode, tape, relu=True, input_grad=input_grad)
         if not self.streams(graph):
-            return self.conv(x, graph, tape)
+            return self.conv(x, graph, tape, input_grad)
         # The conv, its batch norm and the maxpool, recorded as conv and _bn
         # would record them. The maxpool unit applies the ReLU: it gets the
         # pooled output under the conv output's shape, which shape_trace reads.
         k = self.label
         y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(
             x, self._params(graph), _bn_state(graph, k), mode)
-        _record(tape, ops.conv1d_backward, conv_cache, f"{k}.kernel")
+        self._record_conv(tape, conv_cache, input_grad)
         _record(tape, ops.batchnorm_backward, bn_cache, f"{k}.bn.gamma", f"{k}.bn.beta")
         shape = (x.shape[0], -(-x.shape[1] // self.stride), self.out_ch)
         return SimpleNamespace(pooled=y, shape=shape, ndim=3)
@@ -367,6 +378,8 @@ class ModelGraph:
     """Executable layer sequence with a named, deterministically ordered
     parameter map and per-layer BN running statistics."""
 
+    _waveform = None  # the input, while forward runs
+
     def __init__(self, units: list, rng: RandomSource | None = None, dtype=TRAIN_DTYPE):
         self.units = units
         self.dtype = np.dtype(dtype)
@@ -383,13 +396,18 @@ class ModelGraph:
 
     def forward(self, x: np.ndarray, mode: str = "infer", rng: RandomSource | None = None) -> ForwardResult:
         """Run the network; returns probabilities, logits, and (in train
-        mode) the op tape for the backward pass."""
+        mode) the op tape for the backward pass. The units see which array
+        is the waveform (_waveform), whose gradient nothing reads, so the
+        stem conv builds none and the tape's backward returns None."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         tape = ops.OpTape() if mode == "train" else None
-        h = self._input(x)
-        for u in self.units:
-            h = u.forward(h, self, mode, tape, rng)
+        h = self._waveform = self._input(x)
+        try:
+            for u in self.units:
+                h = u.forward(h, self, mode, tape, rng)
+        finally:
+            self._waveform = None
         return ForwardResult(probs=ops.softmax_probs(h), logits=h, tape=tape)
 
     def _input(self, x: np.ndarray) -> np.ndarray:

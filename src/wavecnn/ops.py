@@ -232,14 +232,15 @@ def conv1d_forward(x: np.ndarray, p: ConvParams):
     return check_finite("conv1d", y), cache
 
 
-def conv1d_backward(grad_out, cache):
+def conv1d_backward(grad_out, cache, input_grad: bool = True):
     """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias).
 
     grad_x is built in the padded input xp that the forward made and
     cached: each input row is zeroed once the grad_kernel GEMMs have read
     it, then every tap's share of grad_x is added in tap order. So the
     backward allocates no input-sized array of its own, and a cache serves
-    one backward. grad_out must have the input's dtype.
+    one backward. grad_out must have the input's dtype. Without input_grad
+    no grad_x is built, and None stands in its place.
 
     A thin conv without bias also takes a pooled batch norm's compact
     gradient (_SlotGrad) for grad_out. Each clip then rebuilds its output
@@ -272,6 +273,8 @@ def conv1d_backward(grad_out, cache):
             else:
                 g = grad_out[b]
             gk2 += cols.T @ g
+            if not input_grad:
+                continue
             # cols holds clip b's rows, so its padded input becomes grad_x,
             # and cols itself the im2col gradient that col2im adds there.
             np.matmul(g, k2.T, out=cols)
@@ -293,10 +296,10 @@ def conv1d_backward(grad_out, cache):
             buf[...] = xp[:, rows]
             np.matmul(buf2.T, g2, out=grad_kernel[r])
         xp[...] = 0
-        for r, rows in enumerate(taps):
+        for r, rows in enumerate(taps if input_grad else ()):
             np.matmul(grad_out, k[r].T, out=buf)
             xp[:, rows] += buf
-    grad_x = xp[:, left : left + T, :]
+    grad_x = xp[:, left : left + T, :] if input_grad else None
     grad_kernel = grad_kernel.astype(p.kernel.dtype, copy=False)
 
     grad_bias = None
@@ -647,7 +650,10 @@ class OpTape:
     def __len__(self) -> int:
         return self._recorded
 
-    def backward(self, grad_out: np.ndarray, grads: dict) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, grads: dict):
+        """Walk the records; returns what the first one recorded returns,
+        the gradient of the first op's input: None for a ModelGraph's tape,
+        whose stem conv builds no waveform gradient."""
         records, self._records = self._records, None
         if records is None:
             raise RuntimeError("op tape already walked: backward runs once per forward")

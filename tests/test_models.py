@@ -531,5 +531,32 @@ def test_evaluate_peak_memory():
     assert ratio < 1.0, f"peak {ratio:.2f}x the stem output"
 
 
+@pytest.mark.parametrize("name", valid_architectures())
+def test_graph_builds_no_waveform_gradient(name):
+    """The graph's backward returns None for the waveform, whose gradient
+    nothing reads, and the parameter gradients of its units driven one by
+    one, whose backward does build the input gradient, bit for bit."""
+    x = RandomSource(0).normal((2, 1280, 1))
+    labels = np.array([0, 1])
+    runs = []
+    for via_graph in (True, False):
+        graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+        if via_graph:
+            res = graph.forward(x, mode="train", rng=RandomSource(1))
+            h, tape = res.logits, res.tape
+        else:
+            h, tape, rng = graph._input(x), ops.OpTape(), RandomSource(1)
+            for u in graph.units:
+                h = u.forward(h, graph, "train", tape, rng)
+        grads = {}
+        gx = tape.backward(softmax_xent(h, labels)[2], grads)
+        runs.append((gx, grads))
+    (gx_graph, grads_graph), (gx_units, grads_units) = runs
+    assert gx_graph is None and gx_units.shape == x.shape
+    assert grads_graph.keys() == grads_units.keys()
+    for k, g in grads_graph.items():
+        assert g.tobytes() == grads_units[k].tobytes(), k
+
+
 def test_tape_structure_covers_every_name():
     assert sorted(_TAPE_RECORDS) == valid_architectures()

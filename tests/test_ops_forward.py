@@ -215,6 +215,22 @@ class TestConv1d:
         _same_bytes(gk, ref_gk)
         _same_bytes(x, x_before)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("B,T,Cin,Cout,rf,stride", BACKWARD_CASES)
+    def test_backward_without_input_grad(self, B, T, Cin, Cout, rf, stride, dtype):
+        """Without input_grad the backward returns None for grad_x, and the
+        grad_kernel and grad_bias bytes of a full backward."""
+        rng = np.random.default_rng(Cin + rf)
+        x = rng.standard_normal((B, T, Cin)).astype(dtype)
+        p = ConvParams(rng.standard_normal((rf, Cin, Cout)).astype(dtype),
+                       rng.standard_normal(Cout).astype(dtype), stride)
+        gout = rng.standard_normal((B, -(-T // stride), Cout)).astype(dtype)
+        _, gk, gb = ops.conv1d_backward(gout, ops.conv1d_forward(x, p)[1])
+        gx, gk_only, gb_only = ops.conv1d_backward(gout, ops.conv1d_forward(x, p)[1], input_grad=False)
+        assert gx is None
+        _same_bytes(gk_only, gk)
+        _same_bytes(gb_only, gb)
+
     @pytest.mark.parametrize("B,T,Cin,Cout,rf,stride",
                              [c for c in BACKWARD_CASES if c[2] >= ops._IM2COL_MAX_CIN])
     def test_deep_forward_equals_batched_taps_bytewise(self, B, T, Cin, Cout, rf, stride):

@@ -162,8 +162,8 @@ class TestTrainLoop:
         for parameters the backward left out must come before it."""
         conv_backward = ops.conv1d_backward
 
-        def no_kernel_grad(g, cache):
-            grad_x, _, grad_bias = conv_backward(g, cache)
+        def no_kernel_grad(g, cache, **kwargs):
+            grad_x, _, grad_bias = conv_backward(g, cache, **kwargs)
             return grad_x, None, grad_bias
 
         monkeypatch.setattr(ops, "conv1d_backward", no_kernel_grad)
