@@ -570,8 +570,13 @@ def global_avg_pool_backward(grad_out: np.ndarray, T: int) -> np.ndarray:
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
-    """x [B,C] @ w [C,K] (+ b [K])."""
-    y = x @ w
+    """x [B,C] @ w [C,K] (+ b [K]). As a (1, C) @ (C, K) product BLAS takes
+    its GEMV path, whose bits differ from those of a row of a batch's GEMM,
+    so a lone float32 row goes through a product of two copies of it. The
+    float64 path keeps the plain product, as its reference checks compute
+    it (acceptance 6)."""
+    lone = len(x) == 1 and x.dtype != np.float64
+    y = (np.repeat(x, 2, axis=0) @ w)[:1] if lone else x @ w
     if b is not None:
         y = y + b
     return check_finite("affine", y), (x, w, b is not None)

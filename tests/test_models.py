@@ -558,5 +558,19 @@ def test_graph_builds_no_waveform_gradient(name):
         assert g.tobytes() == grads_units[k].tobytes(), k
 
 
+@pytest.mark.parametrize("name", valid_architectures())
+def test_infer_logits_of_a_clip_do_not_depend_on_its_batch(name):
+    """Each clip's float32 infer logits are the same bits alone (B=1) as
+    inside a batch of 3, with running statistics away from (0, 1)."""
+    graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
+    draw = np.random.default_rng(1)
+    for k, v in graph.state.items():
+        v[...] = draw.uniform(0.5, 1.5, v.shape) if k.endswith("var") else draw.normal(0, 0.1, v.shape)
+    x = RandomSource(2).normal((3, 1280, 1))
+    batch = graph.forward(x).logits
+    for b in range(len(x)):
+        assert graph.forward(x[b : b + 1]).logits.tobytes() == batch[b : b + 1].tobytes(), b
+
+
 def test_tape_structure_covers_every_name():
     assert sorted(_TAPE_RECORDS) == valid_architectures()
