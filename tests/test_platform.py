@@ -6,6 +6,13 @@ orders a reduction and on how BLAS splits a GEMM. Each test here pins one
 such behaviour on a small case, and its failure message names it, so an
 upgrade that changes one fails here, near the cause, and not as a new step
 digest.
+
+One behaviour is deliberately not relied on: a block of a float32 GEMM's
+rows need not give those rows of the whole GEMM. With scipy-openblas
+0.3.31 an (M, 80) @ (80, 24) product takes another kernel below about 520
+rows, and its rows differ in the last bits. So the streamed stem computes
+each clip's GEMM whole, as conv1d_forward does, and blocks only its
+float64 sums.
 """
 
 import numpy as np
@@ -39,21 +46,6 @@ def test_axis0_float64_reductions_add_rows_in_order(C, dtype):
             "float64 axis-0 sum/mean/einsum of a C-contiguous (N, C >= 2) "
             f"{np.dtype(dtype).name} array no longer adds rows in order: a carried "
             f"accumulator over {rows}-row blocks gives other bits")
-
-
-def test_float32_gemm_row_blocks_are_rows_of_the_whole_gemm():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((2003, 80)).astype(np.float32)
-    k = rng.standard_normal((80, 48)).astype(np.float32)
-    whole = a @ k
-    for rows in (4, 500, 512):
-        out = np.empty((rows, 48), np.float32)
-        for r0 in range(0, len(a), rows):
-            n = min(rows, len(a) - r0)
-            np.matmul(a[r0 : r0 + n], k, out=out[:n])
-            assert np.array_equal(out[:n], whole[r0 : r0 + n]), (
-                f"a {rows}-row block of a float32 GEMM gives other bits than "
-                "the same rows of the whole GEMM")
 
 
 @pytest.mark.parametrize("B", [1, 2, 8])
