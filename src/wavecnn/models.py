@@ -27,7 +27,9 @@ all through `_record`: the one place a backward step goes onto the tape.
 Each parameter gradient has one writer, the record of the op that uses it;
 the residual shortcut, the one fan-out, adds its gradient in place.
 
-Every ReLU is one in-place `_relu` record (ops.py states the pool order).
+Every ReLU is one in-place `_relu` record (ops.py states the pool order). A
+thin conv before a maxpool (the stem) runs with its batch norm and the pool
+in one streamed op, recorded as the conv's and the batch norm's records.
 """
 
 from __future__ import annotations
@@ -208,55 +210,46 @@ class _ConvUnit(_Unit):
             stride=self.stride,
         )
 
-    def _record_conv(self, tape, cache, input_grad):
-        """Record the conv's backward; without input_grad it builds no
-        grad_x and returns None in its place."""
+    def _record_conv(self, x, graph, tape, cache):
+        """Record the conv's backward, which builds no grad_x (None) for the
+        waveform that ModelGraph.forward passes in: nothing reads it."""
         k = self.label
-        back = ops.conv1d_backward if input_grad else partial(ops.conv1d_backward, input_grad=False)
+        back = ops.conv1d_backward
+        if x is getattr(graph, "_waveform", None):
+            back = partial(ops.conv1d_backward, input_grad=False)
         # Without a bias the bias gradient is None, which is not stored.
         _record(tape, back, cache, f"{k}.kernel", f"{k}.bias")
 
-    def conv(self, x, graph, tape, input_grad=True):
+    def conv(self, x, graph, tape):
         """The convolution, with its bias when no batch norm follows."""
         y, cache = ops.conv1d_forward(x, self._params(graph))
-        self._record_conv(tape, cache, input_grad)
+        self._record_conv(x, graph, tape, cache)
         return y
 
-    def conv_bn(self, x, graph, mode, tape, relu, input_grad=True):
+    def conv_bn(self, x, graph, mode, tape, relu):
         """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
-        y = self.conv(x, graph, tape, input_grad)
+        y = self.conv(x, graph, tape)
         if self.with_bn:
             y = _bn(y, self.label, graph, mode, tape)
         return _relu(y, tape) if relu else y
 
-    def streams(self, graph) -> bool:
-        """Whether this conv runs in one streamed pass with its batch norm
-        and the maxpool after it: a thin conv (ops.conv1d_thin)."""
-        return self.pooled and ops.conv1d_thin(graph.params[f"{self.label}.kernel"])
-
     def forward(self, x, graph, mode, tape, rng):
-        # Nothing reads the gradient of the waveform that ModelGraph.forward
-        # passes in, so the stem builds none for it; driven on its own, the
-        # unit builds its input's gradient.
-        input_grad = x is not getattr(graph, "_waveform", None)
-        if not self.pooled:
-            return self.conv_bn(x, graph, mode, tape, relu=True, input_grad=input_grad)
-        if not self.streams(graph):
-            return self.conv(x, graph, tape, input_grad)
-        # The conv, its batch norm and the maxpool, recorded as conv and _bn
-        # would record them. The maxpool unit applies the ReLU: it gets the
-        # pooled output under the conv output's shape, which shape_trace reads.
         k = self.label
+        if not self.pooled:
+            return self.conv_bn(x, graph, mode, tape, relu=True)
+        if not ops.conv1d_thin(graph.params[f"{k}.kernel"]):
+            return self.conv(x, graph, tape)
+        # A thin conv runs streamed with its batch norm and the maxpool. The
+        # maxpool unit gets the pooled output, under the conv output's shape
+        # (shape_trace reads it), and applies the ReLU.
         y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(
             x, self._params(graph), _bn_state(graph, k), mode)
-        self._record_conv(tape, conv_cache, input_grad)
+        self._record_conv(x, graph, tape, conv_cache)
         _record(tape, ops.batchnorm_backward, bn_cache, f"{k}.bn.gamma", f"{k}.bn.beta")
         shape = (x.shape[0], -(-x.shape[1] // self.stride), self.out_ch)
         return SimpleNamespace(pooled=y, shape=shape, ndim=3)
 
-    # With BN: the maxpool after it runs its batch norm, or gets it run
-    # (streams), and its ReLU.
-    pooled = False
+    pooled = False  # with BN: the maxpool after it runs the ReLU, and the BN unless thin
 
 
 class _ResBlockUnit(_Unit):
@@ -309,19 +302,18 @@ class _ResBlockUnit(_Unit):
 class _MaxPoolUnit(_Unit):
     def __init__(self, idx, prev):
         self.label = f"maxpool{idx}"
-        self._conv = None
+        self._bn_key = None
         if isinstance(prev, _ConvUnit) and prev.with_bn:
-            prev.pooled, self._conv = True, prev
+            prev.pooled, self._bn_key = True, prev.label
 
     def forward(self, x, graph, mode, tape, rng):
-        conv = self._conv
-        if conv is None:
-            y, cache = ops.maxpool1d_forward(x, mode)
-            _record(tape, ops.maxpool1d_backward, cache)
-            return y
-        if conv.streams(graph):
+        if isinstance(x, SimpleNamespace):  # from a streamed conv (_ConvUnit.forward)
             return _relu(x.pooled, tape)
-        return _relu(_bn(x, conv.label, graph, mode, tape, pool=True), tape)
+        if self._bn_key is not None:
+            return _relu(_bn(x, self._bn_key, graph, mode, tape, pool=True), tape)
+        y, cache = ops.maxpool1d_forward(x, mode)
+        _record(tape, ops.maxpool1d_backward, cache)
+        return y
 
 
 class _GlobalAvgPoolUnit(_Unit):
@@ -396,9 +388,8 @@ class ModelGraph:
 
     def forward(self, x: np.ndarray, mode: str = "infer", rng: RandomSource | None = None) -> ForwardResult:
         """Run the network; returns probabilities, logits, and (in train
-        mode) the op tape for the backward pass. The units see which array
-        is the waveform (_waveform), whose gradient nothing reads, so the
-        stem conv builds none and the tape's backward returns None."""
+        mode) the op tape, whose backward returns None: the units see the
+        waveform (_waveform), and the stem builds no gradient for it."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         tape = ops.OpTape() if mode == "train" else None

@@ -57,22 +57,17 @@ the backward builds grad_x in the padded input the forward made and cached,
 once the grad_kernel GEMMs have read it, so it allocates no input-sized
 array of its own.
 
-The stem output is the largest activation of every network, and a pooled
-batch norm reads it only for its statistics and window extremes. So a thin
-conv without bias before a pooled batch norm (at published width only the
-stem) runs streamed with it in conv1d_bn_pool_forward, which the model's
-conv unit calls in both modes; the whole output is never built. Each clip's
-output goes into one reused buffer, is checked and pooled, and in train
-mode is added into the float64 statistics in row blocks, carrying the
-totals: the bits of conv1d_forward, then batchnorm_forward with pool. The
-batch norm's cache holds the pooled values, the slot index and the
-statistics, so its backward returns the compact _SlotGrad (per-channel
-scale and shift, the pooled slot values and the slot index) in place of
-grad_x. The thin conv's backward rebuilds each clip's output with the
-forward's own arithmetic (_thin_clip), turns it into that clip's gradient
-and goes on. The rebuild costs one more per-clip GEMM on the thin input
-(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost",
-recompute instead of store).
+The stem output is the largest activation of every network, so a thin conv
+before a pooled batch norm (at published width only the stem) runs with it
+in one streamed pass, conv1d_bn_pool_forward, that never builds the whole
+output; the model's conv unit calls it in both modes. The batch norm's
+cache holds the pooled values, the slot index and the statistics, and its
+backward returns the compact _SlotGrad (per-channel scale and shift, the
+pooled slot values and the slot index) in place of grad_x. The thin conv's
+backward rebuilds each clip's output with the forward's own arithmetic,
+turns it into that clip's gradient and goes on. The rebuild costs one more
+per-clip GEMM on the thin input (Chen et al. 2016, "Training Deep Nets
+with Sublinear Memory Cost", recompute instead of store).
 
 OpTape holds the backward closures of one train-mode forward. It is walked
 once; each record, and the cache its closure captured, is released as soon
@@ -194,19 +189,13 @@ def _padded_input(x: np.ndarray, p: ConvParams):
     return np.pad(x, ((0, 0), (left, right), (0, 0))), out_T, left
 
 
-def _thin_kernel(kernel: np.ndarray, dtype) -> np.ndarray:
-    """kernel [rf, Cin, Cout] as the [Cin*rf, Cout] matrix of im2col rows."""
-    rf, Cin, Cout = kernel.shape
-    return kernel.astype(dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
-
-
 def conv1d_forward(x: np.ndarray, p: ConvParams):
     """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding."""
     xp, out_T, left = _padded_input(x, p)
     B, _, Cin = x.shape
     (rf, _, Cout), stride = p.kernel.shape, p.stride
     if conv1d_thin(p.kernel):
-        k2 = _thin_kernel(p.kernel, x.dtype)
+        k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
         y = np.empty((B, out_T, Cout), dtype=x.dtype)
         for b, cols in _clip_cols(xp, rf, stride, out_T):
             _thin_clip(xp[b], cols, p.kernel, k2, stride, y[b])
@@ -263,7 +252,7 @@ def conv1d_backward(grad_out, cache, input_grad: bool = True):
     dt = grad_out.dtype
     k = p.kernel.astype(dt, copy=False)
     if conv1d_thin(p.kernel):
-        k2 = _thin_kernel(k, dt)
+        k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
         g = np.empty((out_T, Cout), dtype=dt) if rebuild else None
         for b, cols in _clip_cols(xp, rf, stride, out_T):
@@ -408,11 +397,9 @@ def _bn_check(shape, s: BatchNormState, mode: str) -> None:
 
 
 def _bn_moments(s: BatchNormState, mode: str, sums=None, n: int = 0):
-    """The statistics half of batch norm: float64 (mu, inv), inv being
-    1 / sqrt(var + eps). Train mode takes the float64 per-channel sum and
-    sum of squares of n rows and updates the running statistics in place:
-    running <- (1 - _BN_MOMENTUM) * running + _BN_MOMENTUM * batch. Infer
-    mode reads them."""
+    """Float64 (mu, 1 / sqrt(var + eps)): in train mode from the per-channel
+    sum and sum of squares of n rows, updating the running statistics
+    (running <- (1 - m) * running + m * batch, m = _BN_MOMENTUM)."""
     if mode == "train":
         mu = sums[0] / n
         var = np.maximum(sums[1] / n - mu * mu, 0.0)
@@ -425,9 +412,8 @@ def _bn_moments(s: BatchNormState, mode: str, sums=None, n: int = 0):
 
 
 def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv) -> np.ndarray:
-    """The normalization half: xs * scale + shift, formed in xs's dtype in
-    two passes from the float64 scale = gamma * inv and shift = beta -
-    mu * scale, then checked."""
+    """xs * scale + shift in xs's dtype, two passes, from the float64
+    scale = gamma * inv and shift = beta - mu * scale; checked."""
     scale = s.gamma * inv
     y = xs * scale.astype(xs.dtype)
     y += (s.beta - mu * scale).astype(xs.dtype)
@@ -437,11 +423,11 @@ def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv) -> np.ndarray:
 def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False):
     """Normalize per channel; train mode pools stats over (batch, time).
 
-    The statistics (_bn_moments) and the per-channel scale/shift are
-    float64; pool maxpools the output (module docstring) before the scale
-    and shift (_bn_normalize). Infer mode returns no cache (None): it has no
-    backward. Train mode takes x over: the backward builds grad_x in its
-    buffer, so a caller that reads x after the backward passes a copy.
+    The statistics and the per-channel scale/shift are float64; pool
+    maxpools the output (module docstring). Infer mode returns no cache
+    (None): it has no backward. Train mode takes x over: the backward builds
+    grad_x in its buffer, so a caller that reads x after the backward
+    passes a copy.
     """
     _bn_check(x.shape, s, mode)
     sums = None
@@ -458,31 +444,25 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = 
 
 def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode: str):
     """A thin conv without bias, then its pooled batch norm: the results of
-    conv1d_forward and batchnorm_forward(..., pool=True), bit for bit, from
-    one pass over the clips that never builds the whole conv output.
-    Returns (y, the conv's cache, the batch norm's cache); infer mode's
-    batch norm cache is None. That cache holds no conv output, so the
-    backward returns the compact _SlotGrad, which conv1d_backward applies
-    to each clip of the output it rebuilds.
+    conv1d_forward and batchnorm_forward(..., pool=True), bit for bit,
+    without the whole conv output. Returns (y, conv cache, batch norm
+    cache); the latter holds no conv output, and is None in infer mode.
 
-    Each clip's output goes into one buffer that every clip reuses
-    (_thin_clip, as conv1d_forward makes it), is checked, and is pooled to
-    its window extremes and slot index: the min where gamma < 0, the sign
-    of the scale, known before the statistics. In train mode its rows then
-    go into float64 sums in blocks of _SUM_ROWS: each block's first row
-    takes the totals so far, and the block is summed over axis 0, which
-    adds rows in order. So the sums are the whole output's axis-0 sums bit
-    for bit (tests/test_platform.py). numpy sums a lone channel pairwise,
-    so the float64 blocks get a second, zero column: a 1-channel conv adds
-    its rows in order too, and its statistics are channel 0's of any wider
-    one with that kernel column.
+    Each clip's output goes into one reused buffer (_thin_clip), is checked
+    and pooled, the min where gamma < 0 (the sign of the scale). In train
+    mode its rows then go into float64 sums in blocks of _SUM_ROWS, each
+    block's first row taking the totals so far: as numpy adds the rows of
+    a 2-D array over axis 0 in order, these are the whole output's sums bit
+    for bit (tests/test_platform.py). It sums a lone channel pairwise, so
+    the blocks get a second, zero column, and a 1-channel conv adds its
+    rows in order too.
     """
     xp, out_T, left = _padded_input(x, p)
     (rf, _, C), stride = p.kernel.shape, p.stride
     if p.bias is not None or not conv1d_thin(p.kernel):
         raise ValueError("conv1d_bn_pool_forward: needs a thin conv without bias")
     _bn_check((x.shape[0], C), s, mode)
-    k2, low = _thin_kernel(p.kernel, x.dtype), s.gamma < 0
+    k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(-1, C)
     clip = np.empty((out_T if len(x) else 0, C), dtype=x.dtype)  # shape_trace runs B=0
     xs = np.empty((x.shape[0], -(-out_T // _POOL), C), dtype=x.dtype)
     idx = wide = None
@@ -493,18 +473,17 @@ def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode
     for b, cols in _clip_cols(xp, rf, stride, out_T):
         _thin_clip(xp[b], cols, p.kernel, k2, stride, clip)
         check_finite("conv1d", clip)
-        ys, slots = maxpool1d_forward(clip[None], mode, low)
+        ys, slots = maxpool1d_forward(clip[None], mode, s.gamma < 0)
         xs[b] = ys[0]
         if idx is None:
             continue
         idx[b] = slots[0][0]
         for r0 in range(0, out_T, _SUM_ROWS):
-            v, sq = wide[:, : min(_SUM_ROWS, out_T - r0)]
-            v[:, :C] = clip[r0 : r0 + len(v)]
-            np.multiply(v, v, out=sq)
-            v[0] += sums[0]
-            sq[0] += sums[1]
-            sums[0], sums[1] = v.sum(axis=0), sq.sum(axis=0)
+            block = wide[:, : min(_SUM_ROWS, out_T - r0)]
+            block[0, :, :C] = clip[r0 : r0 + block.shape[1]]
+            np.multiply(block[0], block[0], out=block[1])
+            block[:, 0] += sums
+            sums = block.sum(axis=1)
     mu, inv = _bn_moments(s, mode, sums[:, :C], x.shape[0] * out_T)
     y = _bn_normalize(xs, s, mu, inv)
     conv_cache = (xp, x.shape, p, out_T, left)
@@ -570,11 +549,9 @@ def global_avg_pool_backward(grad_out: np.ndarray, T: int) -> np.ndarray:
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
-    """x [B,C] @ w [C,K] (+ b [K]). As a (1, C) @ (C, K) product BLAS takes
-    its GEMV path, whose bits differ from those of a row of a batch's GEMM,
-    so a lone float32 row goes through a product of two copies of it. The
-    float64 path keeps the plain product, as its reference checks compute
-    it (acceptance 6)."""
+    """x [B,C] @ w [C,K] (+ b [K]). A (1, C) @ (C, K) product takes BLAS's
+    GEMV path, so a lone float32 row goes through two copies of it to get a
+    batch row's bits; float64 keeps the product its references compute."""
     lone = len(x) == 1 and x.dtype != np.float64
     y = (np.repeat(x, 2, axis=0) @ w)[:1] if lone else x @ w
     if b is not None:
@@ -656,9 +633,7 @@ class OpTape:
         return self._recorded
 
     def backward(self, grad_out: np.ndarray, grads: dict):
-        """Walk the records; returns what the first one recorded returns,
-        the gradient of the first op's input: None for a ModelGraph's tape,
-        whose stem conv builds no waveform gradient."""
+        """Returns the first op's grad_x: None for a ModelGraph's tape."""
         records, self._records = self._records, None
         if records is None:
             raise RuntimeError("op tape already walked: backward runs once per forward")

@@ -21,16 +21,17 @@ import pytest
 
 def _carried_sums(x, rows):
     """Float64 per-column sum and sum of squares of x [N, C], taken in row
-    blocks of `rows`: each block's first row takes the running totals
-    before the block is summed, as the streamed stem does."""
-    acc = np.zeros((2, x.shape[1]))
+    blocks of `rows` as the streamed stem takes them: each block and its
+    squares stacked [2, rows, C], their first row taking the totals so far,
+    then summed over the rows."""
+    sums = np.zeros((2, x.shape[1]))
     for r0 in range(0, len(x), rows):
-        block = x[r0 : r0 + rows].astype(np.float64)
-        squares = block * block
-        block[0] += acc[0]
-        squares[0] += acc[1]
-        acc[0], acc[1] = block.sum(axis=0), squares.sum(axis=0)
-    return acc
+        block = np.empty((2, *x[r0 : r0 + rows].shape))
+        block[0] = x[r0 : r0 + rows]
+        np.multiply(block[0], block[0], out=block[1])
+        block[:, 0] += sums
+        sums = block.sum(axis=1)
+    return sums
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
