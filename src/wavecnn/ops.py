@@ -25,8 +25,7 @@ per-channel non-decreasing maps and float rounding is monotone, so the op
 pools x (the min where gamma < 0, which is where the float64 scale
 gamma * inv < 0, as inv > 0), then applies scale/shift and check at
 quarter size: bitwise BN, then maxpool, and a ReLU after it commutes with
-the maxpool too. The check sees
-pooled values: NaN and +inf still raise, but a -inf from scale * x + shift
+the maxpool too. The check sees pooled values: NaN and +inf still raise, but a -inf from scale * x + shift
 that loses its window passes, where the ReLU would zero it. The gradient
 goes to the first extreme slot of x, the BN output's first argmax unless
 rounding ties distinct x. With gamma == 0 all slots tie, and grad_gamma
@@ -60,14 +59,18 @@ array of its own.
 The stem output is the largest activation of every network, so a thin conv
 before a pooled batch norm (at published width only the stem) runs with it
 in one streamed pass, conv1d_bn_pool_forward, that never builds the whole
-output; the model's conv unit calls it in both modes. The batch norm's
-cache holds the pooled values, the slot index and the statistics, and its
+output; the model's conv unit calls it in both modes. No batch norm after
+a thin conv has a whole output to keep, so there is no keep_x. Its cache
+holds the pooled values, the slot index and the statistics, and its
 backward returns the compact _SlotGrad (per-channel scale and shift, the
 pooled slot values and the slot index) in place of grad_x. The thin conv's
 backward rebuilds each clip's output with the forward's own arithmetic,
 turns it into that clip's gradient and goes on. The rebuild costs one more
 per-clip GEMM on the thin input (Chen et al. 2016, "Training Deep Nets
-with Sublinear Memory Cost", recompute instead of store).
+with Sublinear Memory Cost", recompute instead of store). Nothing reads
+the waveform's gradient, so in a ModelGraph's forward the stem conv's
+backward builds none (input_grad=False) and the graph's tape.backward
+returns None; a unit driven on its own builds its input's gradient.
 
 OpTape holds the backward closures of one train-mode forward. It is walked
 once; each record, and the cache its closure captured, is released as soon
