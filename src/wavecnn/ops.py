@@ -25,11 +25,12 @@ per-channel non-decreasing maps and float rounding is monotone, so the op
 pools x (the min where gamma < 0, which is where the float64 scale
 gamma * inv < 0, as inv > 0), then applies scale/shift and check at
 quarter size: bitwise BN, then maxpool, and a ReLU after it commutes with
-the maxpool too. The check sees pooled values: NaN and +inf still raise, but a -inf from scale * x + shift
-that loses its window passes, where the ReLU would zero it. The gradient
-goes to the first extreme slot of x, the BN output's first argmax unless
-rounding ties distinct x. With gamma == 0 all slots tie, and grad_gamma
-takes x at the raw argmax, not the first slot; both are valid subgradients.
+the maxpool too. The check sees pooled values: NaN and +inf still raise,
+but a -inf from scale * x + shift that loses its window passes, where the
+ReLU would zero it. The gradient goes to the first extreme slot of x, the
+BN output's first argmax unless rounding ties distinct x. With gamma == 0
+all slots tie, and grad_gamma takes x at the raw argmax, not the first
+slot; both are valid subgradients.
 
 Finiteness: an op that can turn finite inputs into NaN or +-inf checks what
 it makes: conv, batch norm, average pooling, affine, dropout, and the

@@ -14,12 +14,13 @@ first in odd ones. Every run is the unchanged `perfbench/run.py` of its
 side with `--trace 0`.
 
 The output file holds a header (both revisions, Python, numpy, BLAS,
-`nproc`, `WAVECNN_THREADS`, the seeds) and, for each workload and each
-end-to-end metric of BENCHMARK.json, each side's median and quartiles,
-the median per-pair ratio change / parent, the pairs the change won, the
-failed checks of each side, and a flag when the parent's IQR exceeds a
-third of the metric's bound (too wide to judge a move of the bound's
-size). The raw value of every run is kept beside them.
+`nproc`, `WAVECNN_THREADS`, the run length and pair count) and, for each
+workload, its seeds, orders and failed checks per side, and for each
+end-to-end metric of BENCHMARK.json each side's median and quartiles, the
+median per-pair ratio change / parent, the pairs the change won, and a
+flag when the parent's IQR exceeds a third of the metric's bound (too
+wide to judge a move of the bound's size). The raw value of every run is
+kept beside them.
 
 pytest does not collect this file (its name does not start with test_);
 tests/test_bench_pairs.py checks `summarize` on canned run output.
@@ -33,8 +34,8 @@ import json
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ def summarize(spec: dict, pairs: dict) -> dict:
             parent, change = (np.array(values[side]) for side in SIDES)
             won = change > parent if m["better"] == "higher" else change < parent
             stats = {side: _quartiles(values[side]) for side in SIDES}
-            p = stats["parent"]
+            p, c = stats["parent"], stats["change"]
             iqr = p["q3"] - p["q1"]
             metrics[m["name"]] = {
                 **stats,
@@ -81,7 +82,7 @@ def summarize(spec: dict, pairs: dict) -> dict:
                 "pairs_won": int(won.sum()),
                 "pairs": len(runs),
                 "parent_iqr_over_third_of_bound": bool(iqr > abs(p["median"]) * m["bound"] / 3),
-                "medians_apart_beyond_parent_iqr": bool(abs(stats["change"]["median"] - p["median"]) > iqr),
+                "medians_apart_beyond_parent_iqr": bool(abs(c["median"] - p["median"]) > iqr),
                 "values": values,
             }
         out[workload] = {"failed_checks": failed,
@@ -97,10 +98,10 @@ def _git(*args) -> str:
 
 
 def _extract(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
-                         capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
-        t.extractall(dest, filter="data")
+    archive = subprocess.run(["git", "archive", "--format=zip", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as z:
+        z.extractall(dest)
 
 
 def _copy_work_tree(dest: Path) -> None:
