@@ -28,8 +28,9 @@ Each parameter gradient has one writer, the record of the op that uses it;
 the residual shortcut, the one fan-out, adds its gradient in place.
 
 Every ReLU is one in-place `_relu` record (ops.py states the pool order). A
-thin conv before a maxpool (the stem) runs with its batch norm and the pool
-in one streamed op, recorded as the conv's and the batch norm's records.
+conv unit with batch norm before a maxpool unit runs the conv, the batch
+norm and the pool as one op, recorded as the conv's and the batch norm's
+records; the maxpool unit then applies the ReLU.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _units(column, num_classes, channel_scale,
     units = [_ConvUnit(1, first_rf, first_stride, ch(first), with_bn)]
     conv_idx = 2
     for pool_idx, (width, count) in enumerate(stages, start=1):
-        units.append(_MaxPoolUnit(pool_idx, units[-1]))
+        units.append(_MaxPoolUnit(pool_idx))
         for _ in range(count):
             if residual:
                 units.append(_ResBlockUnit(conv_idx, ch(width), with_bn))
@@ -97,7 +98,10 @@ def _units(column, num_classes, channel_scale,
                 units.append(_ConvUnit(conv_idx, 3, 1, ch(width), with_bn))
             conv_idx += 2 if residual else 1
     if pool_last:
-        units.append(_MaxPoolUnit(len(stages) + 1, units[-1]))
+        units.append(_MaxPoolUnit(len(stages) + 1))
+    for prev, unit in zip(units, units[1:]):
+        if isinstance(prev, _ConvUnit) and isinstance(unit, _MaxPoolUnit):
+            prev.pooled = with_bn
     units.append(_GlobalAvgPoolUnit())
     if fc:
         units += [_FCUnit(1), _FCUnit(2)]
@@ -143,11 +147,11 @@ def _bn_state(graph, k) -> ops.BatchNormState:
     )
 
 
-def _bn(y, k, graph, mode, tape, pool=False):
-    """Batch norm over the `{k}.bn.*` params and state, pooling before the
-    scale/shift if asked. y is a fresh conv or affine output that only the
-    BN cache keeps, so the backward may build grad_x in its buffer."""
-    y, cache = ops.batchnorm_forward(y, _bn_state(graph, k), mode, pool)
+def _bn(y, k, graph, mode, tape):
+    """Batch norm over the `{k}.bn.*` params and state. y is a fresh conv or
+    affine output that only the BN cache keeps, so the backward may build
+    grad_x in its buffer."""
+    y, cache = ops.batchnorm_forward(y, _bn_state(graph, k), mode)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
     return y
 
@@ -234,14 +238,12 @@ class _ConvUnit(_Unit):
         return _relu(y, tape) if relu else y
 
     def forward(self, x, graph, mode, tape, rng):
-        k = self.label
         if not self.pooled:
             return self.conv_bn(x, graph, mode, tape, relu=True)
-        if not ops.conv1d_thin(graph.params[f"{k}.kernel"]):
-            return self.conv(x, graph, tape)
-        # A thin conv runs streamed with its batch norm and the maxpool. The
-        # maxpool unit gets the pooled output, under the conv output's shape
+        # The conv, its batch norm and the maxpool in one op. The maxpool
+        # unit gets the pooled output, under the conv output's shape
         # (shape_trace reads it), and applies the ReLU.
+        k = self.label
         y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(
             x, self._params(graph), _bn_state(graph, k), mode)
         self._record_conv(x, graph, tape, conv_cache)
@@ -249,7 +251,7 @@ class _ConvUnit(_Unit):
         shape = (x.shape[0], -(-x.shape[1] // self.stride), self.out_ch)
         return SimpleNamespace(pooled=y, shape=shape, ndim=3)
 
-    pooled = False  # with BN: the maxpool after it runs the ReLU, and the BN unless thin
+    pooled = False  # a BN conv before a maxpool (_units): it runs the BN and the pool
 
 
 class _ResBlockUnit(_Unit):
@@ -300,17 +302,12 @@ class _ResBlockUnit(_Unit):
 
 
 class _MaxPoolUnit(_Unit):
-    def __init__(self, idx, prev):
+    def __init__(self, idx):
         self.label = f"maxpool{idx}"
-        self._bn_key = None
-        if isinstance(prev, _ConvUnit) and prev.with_bn:
-            prev.pooled, self._bn_key = True, prev.label
 
     def forward(self, x, graph, mode, tape, rng):
-        if isinstance(x, SimpleNamespace):  # from a streamed conv (_ConvUnit.forward)
+        if isinstance(x, SimpleNamespace):  # pooled by a BN conv (_ConvUnit.forward)
             return _relu(x.pooled, tape)
-        if self._bn_key is not None:
-            return _relu(_bn(x, self._bn_key, graph, mode, tape, pool=True), tape)
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
         return y

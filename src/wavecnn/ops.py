@@ -37,38 +37,42 @@ it makes: conv, batch norm, average pooling, affine, dropout, and the
 residual shortcut add (in models.py, through ops.check_finite). ReLU,
 maxpool and softmax cannot, and make no check.
 
-The convolution picks its path by the input channel count, against one
-threshold, _IM2COL_MAX_CIN (the float64 forward of a deep conv stays the
-naive loop). A per-tap product has inner dimension Cin, so with deep inputs
-each of the rf taps is already a full GEMM. The deep forward sums rf GEMMs
-on strided views of the padded input: the first tap writes the output, and
-each later tap goes clip by clip through one reused clip-sized buffer. The
-deep backward reuses one (B, out_T, Cin) buffer for every tap: it holds the
-tap's input rows for the grad_kernel GEMMs, then that tap's share of grad_x.
-Neither direction builds an im2col or a transposed copy. With thin inputs
-(the waveform stem has Cin 1) a per-tap product is a memory-bound pass over
-the whole output, so both directions go one clip at a time, through one
-buffer of the clip's im2col rows [out_T, rf*Cin] that every clip reuses:
-im2col memory does not grow with the batch. The forward writes each clip's
-output (one GEMM in float32, the naive loop in float64); the backward does
-one GEMM for grad_kernel and one for the im2col gradient, into the same
-buffer, which an rf-step strided col2im adds back onto grad_x. On both paths
-the backward builds grad_x in the padded input the forward made and cached,
-once the grad_kernel GEMMs have read it, so it allocates no input-sized
-array of its own.
+The convolution forward runs clip by clip through one routine, _conv_clip,
+which the thin backward's rebuild runs too, so a clip's output has the same
+bits alone, in any batch and when rebuilt. Its path follows the input
+channel count, against one threshold, _IM2COL_MAX_CIN:
+- float64 is the naive loop at every width;
+- a deep float32 conv sums rf GEMMs on strided views of the clip's padded
+  input: the first tap writes the output, and each later one goes through
+  one reused clip-sized buffer. A per-tap product has inner dimension Cin,
+  so each tap is already a full GEMM, and no im2col is built;
+- with thin inputs (the waveform stem has Cin 1) a per-tap product is a
+  memory-bound pass over the output, so the clip's im2col rows
+  [out_T, Cin*rf] go into one buffer that every clip reuses, and float32
+  runs one GEMM on them: im2col memory does not grow with the batch.
+Each buffer is made at the first clip, so zero clips (shape_trace) make none.
 
-The stem output is the largest activation of every network, so a thin conv
-before a pooled batch norm (at published width only the stem) runs with it
-in one streamed pass, conv1d_bn_pool_forward, that never builds the whole
-output; the model's conv unit calls it in both modes. No batch norm after
-a thin conv has a whole output to keep, so there is no keep_x. Its cache
-holds the pooled values, the slot index and the statistics, and its
-backward returns the compact _SlotGrad (per-channel scale and shift, the
-pooled slot values and the slot index) in place of grad_x. The thin conv's
-backward rebuilds each clip's output with the forward's own arithmetic,
-turns it into that clip's gradient and goes on. The rebuild costs one more
-per-clip GEMM on the thin input (Chen et al. 2016, "Training Deep Nets
-with Sublinear Memory Cost", recompute instead of store). Nothing reads
+The backward follows the same threshold. The deep backward reuses one
+(B, out_T, Cin) buffer for every tap: it holds the tap's input rows for the
+grad_kernel GEMMs, then that tap's share of grad_x. The thin backward goes
+clip by clip through the im2col buffer: one GEMM for grad_kernel and one
+for the im2col gradient, into the same buffer, which an rf-step strided
+col2im adds back onto grad_x. On both paths the backward builds grad_x in
+the padded input the forward made and cached, once the grad_kernel GEMMs
+have read it, so it allocates no input-sized array of its own.
+
+A conv with batch norm before a maxpool runs as one op in both modes,
+conv1d_bn_pool_forward. A deep conv runs conv1d_forward and then the pooled
+batchnorm_forward, whose cache keeps the conv output. The stem output is
+the largest activation of every network, so a thin conv (at published
+width only the stem) streams instead and never builds the whole output.
+Its batch norm cache holds the pooled values, the slot index and the
+statistics, and its backward returns the compact _SlotGrad (per-channel
+scale and shift, the pooled slot values and the slot index) in place of
+grad_x. The thin conv's backward rebuilds each clip's output, turns it
+into that clip's gradient and goes on. The rebuild costs one more per-clip
+GEMM on the thin input (Chen et al. 2016, "Training Deep Nets with
+Sublinear Memory Cost", recompute instead of store). Nothing reads
 the waveform's gradient, so in a ModelGraph's forward the stem conv's
 backward builds none (input_grad=False) and the graph's tape.backward
 returns None; a unit driven on its own builds its input's gradient.
@@ -140,45 +144,39 @@ def _same_pad_1d(T: int, rf: int, stride: int) -> tuple:
     return out_T, left, total - left
 
 
-def _clip_cols(xp: np.ndarray, rf: int, stride: int, out_T: int):
-    """For each clip b of the padded input xp, yield (b, cols): the clip's
-    im2col rows [out_T, Cin*rf], gathered into one buffer every clip reuses."""
-    cols = np.empty((out_T, xp.shape[2], rf), dtype=xp.dtype)
-    for b in range(xp.shape[0]):
-        cols[...] = sliding_window_view(xp[b], rf, axis=0)[::stride]
-        yield b, cols.reshape(out_T, -1)
-
-
-def _naive_conv(xp: np.ndarray, kernel: np.ndarray, stride: int, y: np.ndarray) -> None:
-    """Add every (tap, in_channel) product of the padded input xp [..., T, Cin]
-    into y [..., out_T, Cout], one pair per pass: the naive triple loop's
-    accumulation order, so y starts from zeros to match it bitwise."""
-    rf, Cin, _ = kernel.shape
-    span = stride * y.shape[-2]
-    for r in range(rf):
-        xs = xp[..., r : r + span : stride, :]
-        for c in range(Cin):
-            y += xs[..., c : c + 1] * kernel[r, c]
-
-
-def _thin_clip(xp_b, cols, kernel, k2, stride, out) -> None:
-    """One clip's output of a thin conv (Cin < _IM2COL_MAX_CIN, no bias)
-    into out [out_T, Cout], from the clip's padded input xp_b and its im2col
-    rows cols: the naive loop in float64, one GEMM on cols otherwise. The
-    forwards and the backward's rebuild all call this, so they agree bit
-    for bit."""
+def _conv_clip(xp_b, k, stride: int, out: np.ndarray, buf=None):
+    """One clip's conv output, without bias, into out [out_T, Cout], from
+    the clip's padded input xp_b [T, Cin] and k, the kernel in out's dtype.
+    Every forward and the backward's rebuild run this, so they agree bit
+    for bit. buf is the clip buffer returned for the previous clip, None at
+    the first, so zero clips make none:
+    - float64: the naive loop, one (tap, in_channel) pair per pass;
+    - thin (Cin < _IM2COL_MAX_CIN): buf takes the clip's im2col rows
+      [out_T, Cin, rf], which the backward reads, and float32 is one GEMM
+      on them;
+    - deep float32: one GEMM per tap; the first writes out, and each later
+      one goes through buf [out_T, Cout] and is added.
+    """
+    rf, Cin, Cout = k.shape
+    thin = Cin < _IM2COL_MAX_CIN
+    if buf is None and (thin or out.dtype != np.float64):
+        buf = np.empty((len(out), Cin, rf) if thin else out.shape, dtype=out.dtype)
+    if thin:
+        buf[...] = sliding_window_view(xp_b, rf, axis=0)[::stride]
+    span = stride * len(out)
     if out.dtype == np.float64:
         out[...] = 0
-        _naive_conv(xp_b, kernel, stride, out)
+        for r in range(rf):
+            for c in range(Cin):
+                out += xp_b[r : r + span : stride, c : c + 1] * k[r, c]
+    elif thin:
+        np.matmul(buf.reshape(len(out), -1), k.transpose(1, 0, 2).reshape(-1, Cout), out=out)
     else:
-        np.matmul(cols, k2, out=out)
-
-
-def conv1d_thin(kernel: np.ndarray) -> bool:
-    """Whether a conv with this kernel [rf, Cin, Cout] runs clip by clip
-    (Cin < _IM2COL_MAX_CIN). Without bias and before a pooled batch norm it
-    then runs streamed with that batch norm (conv1d_bn_pool_forward)."""
-    return kernel.shape[1] < _IM2COL_MAX_CIN
+        np.matmul(xp_b[0:span:stride], k[0], out=out)
+        for r in range(1, rf):
+            np.matmul(xp_b[r : r + span : stride], k[r], out=buf)
+            out += buf
+    return buf
 
 
 def _padded_input(x: np.ndarray, p: ConvParams):
@@ -196,33 +194,14 @@ def _padded_input(x: np.ndarray, p: ConvParams):
 def conv1d_forward(x: np.ndarray, p: ConvParams):
     """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding."""
     xp, out_T, left = _padded_input(x, p)
-    B, _, Cin = x.shape
-    (rf, _, Cout), stride = p.kernel.shape, p.stride
-    if conv1d_thin(p.kernel):
-        k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(Cin * rf, Cout)
-        y = np.empty((B, out_T, Cout), dtype=x.dtype)
-        for b, cols in _clip_cols(xp, rf, stride, out_T):
-            _thin_clip(xp[b], cols, p.kernel, k2, stride, y[b])
-    elif x.dtype == np.float64:
-        y = np.zeros((B, out_T, Cout), dtype=np.float64)
-        _naive_conv(xp, p.kernel, stride, y)
-    else:
-        # One GEMM per tap on strided views of xp. The first tap writes y;
-        # each later one goes clip by clip through one clip-sized buffer
-        # (from y.shape[1:]: shape_trace runs B=0).
-        k = p.kernel.astype(x.dtype, copy=False)
-        span = stride * out_T
-        y = np.matmul(xp[:, 0:span:stride], k[0])
-        buf = np.empty(y.shape[1:], dtype=y.dtype)
-        for b in range(B):
-            for r in range(1, rf):
-                np.matmul(xp[b, r : r + span : stride], k[r], out=buf)
-                y[b] += buf
+    k = p.kernel.astype(x.dtype, copy=False)
+    y = np.empty((len(x), out_T, k.shape[2]), dtype=x.dtype)
+    buf = None
+    for b in range(len(x)):
+        buf = _conv_clip(xp[b], k, p.stride, y[b], buf)
     if p.bias is not None:
         y += p.bias
-
-    cache = (xp, x.shape, p, out_T, left)
-    return check_finite("conv1d", y), cache
+    return check_finite("conv1d", y), (xp, x.shape, p, out_T, left)
 
 
 def conv1d_backward(grad_out, cache, input_grad: bool = True):
@@ -237,7 +216,7 @@ def conv1d_backward(grad_out, cache, input_grad: bool = True):
 
     A thin conv without bias also takes a pooled batch norm's compact
     gradient (_SlotGrad) for grad_out. Each clip then rebuilds its output
-    into one clip-sized buffer, as the forward made it (_thin_clip), turns
+    into one clip-sized buffer, as the forward made it (_conv_clip), turns
     it into that clip's gradient (_SlotGrad.apply) and goes on as with a
     full gradient, so no output-sized array is ever built.
     """
@@ -250,31 +229,34 @@ def conv1d_backward(grad_out, cache, input_grad: bool = True):
         )
     if grad_out.dtype != xp.dtype:
         raise ValueError(f"conv1d backward: grad dtype {grad_out.dtype} != input dtype {xp.dtype}")
+    thin = Cin < _IM2COL_MAX_CIN
     rebuild = isinstance(grad_out, _SlotGrad)
-    if rebuild and (p.bias is not None or not conv1d_thin(p.kernel)):
+    if rebuild and (p.bias is not None or not thin):
         raise ValueError("conv1d backward: a compact gradient needs a thin conv without bias")
     dt = grad_out.dtype
     k = p.kernel.astype(dt, copy=False)
-    if conv1d_thin(p.kernel):
+    if thin:
         k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
+        cols = np.empty((out_T, Cin, rf), dtype=dt)
+        cols2 = cols.reshape(out_T, -1)
         g = np.empty((out_T, Cout), dtype=dt) if rebuild else None
-        for b, cols in _clip_cols(xp, rf, stride, out_T):
+        for b in range(B):
             if rebuild:
-                _thin_clip(xp[b], cols, p.kernel, k2, stride, g)
+                _conv_clip(xp[b], k, stride, g, cols)
                 grad_out.apply(b, g)
             else:
                 g = grad_out[b]
-            gk2 += cols.T @ g
+                cols[...] = sliding_window_view(xp[b], rf, axis=0)[::stride]
+            gk2 += cols2.T @ g
             if not input_grad:
                 continue
             # cols holds clip b's rows, so its padded input becomes grad_x,
             # and cols itself the im2col gradient that col2im adds there.
-            np.matmul(g, k2.T, out=cols)
-            gcols = cols.reshape(out_T, Cin, rf)
+            np.matmul(g, k2.T, out=cols2)
             xp[b] = 0
             for r in range(rf):
-                xp[b, r : r + stride * out_T : stride, :] += gcols[:, :, r]
+                xp[b, r : r + stride * out_T : stride, :] += cols[:, :, r]
         grad_kernel = gk2.reshape(Cin, rf, Cout).transpose(1, 0, 2)
     else:
         # One (B, out_T, Cin) buffer serves every tap: it holds the tap's
@@ -447,35 +429,41 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = 
 
 
 def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode: str):
-    """A thin conv without bias, then its pooled batch norm: the results of
-    conv1d_forward and batchnorm_forward(..., pool=True), bit for bit,
-    without the whole conv output. Returns (y, conv cache, batch norm
-    cache); the latter holds no conv output, and is None in infer mode.
+    """A conv without bias, then its pooled batch norm: the results of
+    conv1d_forward and batchnorm_forward(..., pool=True), bit for bit.
+    Returns (y, conv cache, batch norm cache); the latter is None in infer
+    mode. A deep conv (Cin >= _IM2COL_MAX_CIN) runs those two ops, and its
+    batch norm cache keeps the conv output.
 
-    Each clip's output goes into one reused buffer (_thin_clip), is checked
-    and pooled, the min where gamma < 0 (the sign of the scale). In train
-    mode its rows then go into float64 sums in blocks of _SUM_ROWS, each
-    block's first row taking the totals so far: as numpy adds the rows of
-    a 2-D array over axis 0 in order, these are the whole output's sums bit
-    for bit (tests/test_platform.py). It sums a lone channel pairwise, so
-    the blocks get a second, zero column, and a 1-channel conv adds its
-    rows in order too.
+    A thin conv streams and never builds the whole output; its batch norm
+    cache holds none. Each clip's output goes into one reused buffer
+    (_conv_clip), is checked and pooled, the min where gamma < 0 (the sign
+    of the scale). In train mode its rows then go into float64 sums in
+    blocks of _SUM_ROWS, each block's first row taking the totals so far:
+    as numpy adds the rows of a 2-D array over axis 0 in order, these are
+    the whole output's sums bit for bit (tests/test_platform.py). It sums
+    a lone channel pairwise, so the blocks get a second, zero column, and a
+    1-channel conv adds its rows in order too.
     """
+    if p.bias is not None:
+        raise ValueError("conv1d_bn_pool_forward: needs a conv without bias")
+    if p.kernel.shape[1] >= _IM2COL_MAX_CIN:
+        y, conv_cache = conv1d_forward(x, p)
+        y, bn_cache = batchnorm_forward(y, s, mode, pool=True)
+        return y, conv_cache, bn_cache
     xp, out_T, left = _padded_input(x, p)
-    (rf, _, C), stride = p.kernel.shape, p.stride
-    if p.bias is not None or not conv1d_thin(p.kernel):
-        raise ValueError("conv1d_bn_pool_forward: needs a thin conv without bias")
+    C = p.kernel.shape[2]
     _bn_check((x.shape[0], C), s, mode)
-    k2 = p.kernel.astype(x.dtype, copy=False).transpose(1, 0, 2).reshape(-1, C)
+    k = p.kernel.astype(x.dtype, copy=False)
     clip = np.empty((out_T if len(x) else 0, C), dtype=x.dtype)  # shape_trace runs B=0
     xs = np.empty((x.shape[0], -(-out_T // _POOL), C), dtype=x.dtype)
-    idx = wide = None
+    idx = wide = buf = None
     if mode == "train":
         idx = np.empty(xs.shape, dtype=np.uint8)
         wide = np.zeros((2, min(_SUM_ROWS, out_T), max(C, 2)))  # a block and its squares
     sums = np.zeros((2, max(C, 2)))
-    for b, cols in _clip_cols(xp, rf, stride, out_T):
-        _thin_clip(xp[b], cols, p.kernel, k2, stride, clip)
+    for b in range(x.shape[0]):
+        buf = _conv_clip(xp[b], k, p.stride, clip, buf)
         check_finite("conv1d", clip)
         ys, slots = maxpool1d_forward(clip[None], mode, s.gamma < 0)
         xs[b] = ys[0]

@@ -245,9 +245,10 @@ def conv_unit_trial(rng):
 
 
 def conv_unit_pool_trial(rng):
-    """A conv unit with batch norm and the maxpool unit after it, which
-    applies the BN scale/shift and ReLU to the window extremes of the raw
-    conv output. Gammas take both signs, so some channels pool the min.
+    """A pooled conv unit with batch norm, which applies the BN scale/shift
+    to the window extremes of the raw conv output, and the maxpool unit
+    after it, which applies the ReLU. Gammas take both signs, so some
+    channels pool the min.
 
     A case is redrawn while two raw values of one window lie within 1e-3 of
     each other (which covers its two largest and two smallest), where a
@@ -267,7 +268,8 @@ def conv_unit_pool_trial(rng):
         stride = int(rng.choice([1, 2]))
         x = rng.standard_normal((B, T, Cin))
         conv = models._ConvUnit(1, rf, stride, Cout, with_bn=True)
-        pool = models._MaxPoolUnit(1, conv)
+        conv.pooled = True  # as _units marks a BN conv before a maxpool
+        pool = models._MaxPoolUnit(1)
         graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(np.float64))
         conv.build(Cin, RandomSource(0), graph)
         graph.params.update({

@@ -13,6 +13,11 @@ its parent. Run it on both trees and compare:
 
     PYTHONPATH=src python tests/step_digest.py
 
+or let --parent REV do it: it extracts REV with `git archive`, as
+tests/bench_pairs.py does, runs this script's digest on the package of the
+extract and on the work tree's, each in a fresh process, prints both
+totals and exits 1 if they differ.
+
 With --cases it first prints one hash per case, named, so a mismatch
 shows which (arch, dtype, length) case differs; its last line is the
 total, as printed without the flag.
@@ -25,9 +30,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import bench_pairs
 from wavecnn.models import build
 from wavecnn.ops import softmax_xent
 from wavecnn.tensor import RandomSource
@@ -89,20 +101,43 @@ def case_digests(archs=ARCHITECTURES, dtypes=DTYPES, lengths=LENGTHS):
     yield "total", total.hexdigest()
 
 
-def main(argv=None, **cases) -> None:
+def _total_in(src: Path, cases: dict) -> str:
+    """The total digest of the package under src, from a fresh process."""
+    code = ("import json, sys, step_digest; "
+            "print(dict(step_digest.case_digests(**json.loads(sys.argv[1])))['total'])")
+    arg = json.dumps(cases, default=lambda dtype: np.dtype(dtype).name)
+    return subprocess.run([sys.executable, "-c", code, arg], cwd=Path(__file__).parent,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def main(argv=None, **cases) -> int:
     """Print the total digest; with --cases, first one line per case,
-    `<digest> <arch>/<dtype>/<T>`, so a mismatch names its case. cases
-    narrows the case lists (case_digests' arguments)."""
+    `<digest> <arch>/<dtype>/<T>`, so a mismatch names its case. With
+    --parent REV, print `<digest> <REV>` and `<digest> work tree` and
+    return 1 if they differ. cases narrows the case lists (case_digests'
+    arguments)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--cases", action="store_true",
                         help="print each case's digest before the total")
+    parser.add_argument("--parent", metavar="REV",
+                        help="compare the totals of REV and of the work tree")
     args = parser.parse_args(argv)
+    if args.parent:
+        with tempfile.TemporaryDirectory() as tmp:
+            bench_pairs._extract(args.parent, Path(tmp))
+            parent = _total_in(Path(tmp) / "src", cases)
+        work = _total_in(bench_pairs.ROOT / "src", cases)
+        print(parent, args.parent)
+        print(work, "work tree")
+        return int(parent != work)
     for name, hexdigest in case_digests(**cases):
         if name == "total":
             print(hexdigest)
         elif args.cases:
             print(hexdigest, name)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

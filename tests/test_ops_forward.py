@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wavecnn import models, ops
 from wavecnn.ops import BatchNormState, ConvParams
@@ -36,7 +37,8 @@ def _conv_backward_reference(grad_out, cache):
         k2 = k.transpose(1, 0, 2).reshape(Cin * rf, Cout)
         gk2 = np.zeros((Cin * rf, Cout), dtype=dt)
         gcols = np.empty((out_T, Cin, rf), dtype=dt)
-        for b, cols in ops._clip_cols(xp, rf, stride, out_T):
+        for b in range(B):
+            cols = sliding_window_view(xp[b], rf, axis=0)[::stride].reshape(out_T, Cin * rf)
             gk2 += cols.T @ grad_out[b]
             np.matmul(grad_out[b], k2.T, out=gcols.reshape(out_T, Cin * rf))
             for r, rows in enumerate(taps):
@@ -230,6 +232,22 @@ class TestConv1d:
         assert gx is None
         _same_bytes(gk_only, gk)
         _same_bytes(gb_only, gb)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("B,T,Cin,Cout,rf,stride", BACKWARD_CASES)
+    def test_batch_equals_each_clip_alone_bytewise(self, B, T, Cin, Cout, rf, stride, dtype):
+        """Each clip's output in a batch has the bytes of that clip run
+        alone, with and without bias, and a batch of zero clips gives an
+        empty output: a clip-parallel forward relies on this."""
+        rng = np.random.default_rng(Cin + rf)
+        x = rng.standard_normal((B, T, Cin)).astype(dtype)
+        k = rng.standard_normal((rf, Cin, Cout)).astype(dtype)
+        for bias in (None, rng.standard_normal(Cout).astype(dtype)):
+            p = ConvParams(k, bias, stride)
+            y, _ = ops.conv1d_forward(x, p)
+            for b in range(B):
+                _same_bytes(y[b : b + 1], ops.conv1d_forward(x[b : b + 1], p)[0])
+            _same_bytes(ops.conv1d_forward(x[:0], p)[0], y[:0])
 
     @pytest.mark.parametrize("B,T,Cin,Cout,rf,stride",
                              [c for c in BACKWARD_CASES if c[2] >= ops._IM2COL_MAX_CIN])
@@ -724,9 +742,9 @@ class TestStreamedConvBatchNormPool:
             _, cache1 = ops.batchnorm_forward(y, _bn_state(1, dtype, gamma[:1].copy()), "train")
             assert (cache1[4], cache1[5]) != (bn_cache[4], bn_cache[5])
 
-    def test_refuses_a_deep_conv_or_a_bias(self):
-        """Only a thin conv without bias streams, and only its backward
-        takes the compact gradient."""
+    def test_refuses_a_bias(self):
+        """Any conv without bias runs with its pooled batch norm, and only a
+        thin one's backward takes the compact gradient."""
         rng = np.random.default_rng(21)
         x = rng.standard_normal((2, 40, ops._IM2COL_MAX_CIN))
         _, state = _pooled_case(rng, 8, np.float64)
@@ -735,8 +753,9 @@ class TestStreamedConvBatchNormPool:
         gy = ops.batchnorm_backward(rng.standard_normal((2, 10, 6)), bn_cache)[0]
         for Cin, bias in ((ops._IM2COL_MAX_CIN, None), (1, np.zeros(6))):
             p = ConvParams(rng.standard_normal((3, Cin, 6)), bias, stride=1)
-            with pytest.raises(ValueError, match="thin conv without bias"):
-                ops.conv1d_bn_pool_forward(x[..., :Cin], p, state(), "train")
+            if bias is not None:
+                with pytest.raises(ValueError, match="conv without bias"):
+                    ops.conv1d_bn_pool_forward(x[..., :Cin], p, state(), "train")
             _, cache = ops.conv1d_forward(x[..., :Cin], p)
             with pytest.raises(ValueError, match="compact gradient"):
                 ops.conv1d_backward(gy, cache)
@@ -745,11 +764,12 @@ class TestStreamedConvBatchNormPool:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("Cin", [1, ops._IM2COL_MAX_CIN - 1, ops._IM2COL_MAX_CIN, 16])
 def test_only_a_deep_conv_output_is_built_before_a_pooled_batch_norm(Cin, dtype, monkeypatch):
-    """Through the model's conv and maxpool units: a conv with Cin <
-    _IM2COL_MAX_CIN runs streamed with its pooled batch norm and never goes
-    through conv1d_forward, and no cache holds an array of its output's
-    size; after a deeper conv the batch norm still caches that output.
-    Either way the tape yields every gradient. Gradcheck's
+    """Through the model's conv and maxpool units, a pooled BN conv runs as
+    one conv1d_bn_pool_forward. With Cin < _IM2COL_MAX_CIN it streams and
+    never goes through conv1d_forward, and no cache holds an array of its
+    output's size; a deeper conv runs conv1d_forward and the pooled
+    batchnorm_forward inside it, and the batch norm still caches that
+    output. Either way the tape yields every gradient. Gradcheck's
     `conv_unit_bn_relu_pool` trial (float64, Cin 2-3) runs the first case:
     its finite differences check the streamed route."""
     caches = []
@@ -757,8 +777,8 @@ def test_only_a_deep_conv_output_is_built_before_a_pooled_batch_norm(Cin, dtype,
     def keep(name):
         fn = getattr(ops, name)
 
-        def kept(*args):
-            *out, cache = fn(*args)
+        def kept(*args, **kwargs):
+            *out, cache = fn(*args, **kwargs)
             caches.append((name, cache))
             return (*out, cache)
         monkeypatch.setattr(ops, name, kept)
@@ -766,15 +786,16 @@ def test_only_a_deep_conv_output_is_built_before_a_pooled_batch_norm(Cin, dtype,
     for name in ("conv1d_forward", "batchnorm_forward", "conv1d_bn_pool_forward"):
         keep(name)
     conv = models._ConvUnit(1, 8, 2, 6, with_bn=True)
-    pool = models._MaxPoolUnit(1, conv)
+    conv.pooled = True  # as _units marks a BN conv before a maxpool
+    pool = models._MaxPoolUnit(1)
     graph = SimpleNamespace(params={}, state={}, dtype=np.dtype(dtype))
     conv.build(Cin, RandomSource(0), graph)
     x = RandomSource(1).normal((3, 50, Cin)).astype(dtype)
     tape = ops.OpTape()
     y = pool.forward(conv.forward(x, graph, "train", tape, None), graph, "train", tape, None)
     thin = Cin < ops._IM2COL_MAX_CIN
-    assert [n for n, _ in caches] == (
-        ["conv1d_bn_pool_forward"] if thin else ["conv1d_forward", "batchnorm_forward"])
+    inner = [] if thin else ["conv1d_forward", "batchnorm_forward"]
+    assert [n for n, _ in caches] == inner + ["conv1d_bn_pool_forward"]
     bn_cache = caches[-1][1]
     sizes = [a.size for a in bn_cache if isinstance(a, np.ndarray)]
     assert (3 * 25 * 6 in sizes) == (not thin), sizes
@@ -921,7 +942,7 @@ class TestResidualBlock:
         around it, so a maxpool after the block would drop it; the add's
         own check refuses it first. The branch outputs beta = -3e38."""
         block, graph = self._block(4, 4, dtype=np.float32)
-        pool = models._MaxPoolUnit(1, block)
+        pool = models._MaxPoolUnit(1)
         graph.params["conv2.bn.gamma"][...] = 0.0
         graph.params["conv2.bn.beta"][...] = -3e38
         x = np.zeros((2, 8, 4), dtype=np.float32)
