@@ -20,22 +20,25 @@ gradient sums and the conv bias gradient are float64 on both paths, and
 batch norm applies its statistics as one float64-derived scale/shift per
 channel.
 
-A maxpool after batch norm runs inside the BN op. Maxpool commutes with
-per-channel non-decreasing maps and float rounding is monotone, so the op
-pools x (the min where gamma < 0, which is where the float64 scale
-gamma * inv < 0, as inv > 0), then applies scale/shift and check at
-quarter size: bitwise BN, then maxpool, and a ReLU after it commutes with
-the maxpool too. The check sees pooled values: NaN and +inf still raise,
-but a -inf from scale * x + shift that loses its window passes, where the
-ReLU would zero it. The gradient goes to the first extreme slot of x, the
-BN output's first argmax unless rounding ties distinct x. With gamma == 0
-all slots tie, and grad_gamma takes x at the raw argmax, not the first
-slot; both are valid subgradients.
+A maxpool after a conv's batch norm runs inside conv1d_bn_pool_forward.
+Maxpool commutes with per-channel non-decreasing maps and float rounding
+is monotone, so the op pools x, the conv output (the min where gamma < 0,
+which is where the float64 scale gamma * inv < 0, as inv > 0), then
+applies scale/shift and check at quarter size: bitwise BN, then maxpool,
+and a ReLU after it commutes with the maxpool too. The check sees pooled
+values: NaN and +inf still raise, but a -inf from scale * x + shift that
+loses its window passes, where the ReLU would zero it. The gradient goes
+to the first extreme slot of x, the BN output's first argmax unless
+rounding ties distinct x. With gamma == 0 all slots tie, and grad_gamma
+takes x at the raw argmax, not the first slot; both are valid
+subgradients.
 
 Finiteness: an op that can turn finite inputs into NaN or +-inf checks what
 it makes: conv, batch norm, average pooling, affine, dropout, and the
 residual shortcut add (in models.py, through ops.check_finite). ReLU,
-maxpool and softmax cannot, and make no check.
+maxpool and softmax cannot, and make no check. conv1d_bn_pool_forward
+checks each clip's conv output as it is made, so a NaN never reaches its
+batch norm.
 
 The convolution forward runs clip by clip through one routine, _conv_clip,
 which the thin backward's rebuild runs too, so a clip's output has the same
@@ -62,12 +65,17 @@ the padded input the forward made and cached, once the grad_kernel GEMMs
 have read it, so it allocates no input-sized array of its own.
 
 A conv with batch norm before a maxpool runs as one op in both modes,
-conv1d_bn_pool_forward. A deep conv runs conv1d_forward and then the pooled
-batchnorm_forward, whose cache keeps the conv output. The stem output is
-the largest activation of every network, so a thin conv (at published
-width only the stem) streams instead and never builds the whole output.
-Its batch norm cache holds the pooled values, the slot index and the
-statistics, and its backward returns the compact _SlotGrad (per-channel
+conv1d_bn_pool_forward, one clip at a time: each clip's output (_conv_clip)
+is checked, pooled and, in train mode, added to the float64 batch-norm sums
+(_bn_sums, through which batchnorm_forward's statistics go too); only the
+pooled values are normalized. The clips share one output buffer, except in
+a train-mode deep conv: its batch norm backward builds grad_x, the deep
+conv backward's input, in the whole output, so that is kept (rebuilding it
+would cost a second pass of the forward GEMMs). So no conv builds its whole
+output in infer mode, and a thin conv (at published width only the stem,
+whose output is the largest activation of every network) never does. A
+thin conv's batch norm cache holds the pooled values, the slot index and
+the statistics, and its backward returns the compact _SlotGrad (per-channel
 scale and shift, the pooled slot values and the slot index) in place of
 grad_x. The thin conv's backward rebuilds each clip's output, turns it
 into that clip's gradient and goes on. The rebuild costs one more per-clip
@@ -99,7 +107,7 @@ from .tensor import check_finite
 _IM2COL_MAX_CIN = 8
 
 _POOL = 4  # maxpool window and stride
-_SUM_ROWS = 512  # rows per float64 block of conv1d_bn_pool_forward's statistics
+_SUM_ROWS = 512  # rows per float64 block of the batch-norm statistics (_bn_sums)
 _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 _DROPOUT_RATE = 0.3
@@ -406,82 +414,84 @@ def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv) -> np.ndarray:
     return check_finite("batchnorm", y)
 
 
-def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str, pool: bool = False):
+def _bn_sums(rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """sums [2, C] plus the float64 per-channel sum and sum of squares of
+    rows [n, C], added in row order: in blocks of _SUM_ROWS, each block's
+    first row taking the totals so far. numpy adds the rows of a 2-D array
+    over axis 0 in order, so carried over any split of the rows, these are
+    the sums of all of them bit for bit (tests/test_platform.py). It sums a
+    lone channel pairwise, so the blocks get a second, zero column."""
+    n, C = rows.shape
+    wide = np.zeros((2, min(_SUM_ROWS, n), max(C, 2)))  # a block and its squares
+    for r0 in range(0, n, _SUM_ROWS):
+        block = wide[:, : min(_SUM_ROWS, n - r0)]
+        block[0, :, :C] = rows[r0 : r0 + block.shape[1]]
+        np.multiply(block[0], block[0], out=block[1])
+        block[:, 0, :C] += sums
+        sums = block.sum(axis=1)[:, :C]
+    return sums
+
+
+def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
     """Normalize per channel; train mode pools stats over (batch, time).
 
-    The statistics and the per-channel scale/shift are float64; pool
-    maxpools the output (module docstring). Infer mode returns no cache
-    (None): it has no backward. Train mode takes x over: the backward builds
-    grad_x in its buffer, so a caller that reads x after the backward
-    passes a copy.
+    The statistics (_bn_sums) and the per-channel scale/shift are float64.
+    Infer mode returns no cache (None): it has no backward. Train mode
+    takes x over: the backward builds grad_x in its buffer, so a caller
+    that reads x after the backward passes a copy.
     """
     _bn_check(x.shape, s, mode)
-    sums = None
-    if mode == "train":
-        x2 = x.reshape(-1, x.shape[-1])
-        sums = x2.sum(axis=0, dtype=np.float64), np.einsum("ij,ij->j", x2, x2, dtype=np.float64)
+    C = x.shape[-1]
+    sums = _bn_sums(x.reshape(-1, C), np.zeros((2, C))) if mode == "train" else None
     mu, inv = _bn_moments(s, mode, sums, math.prod(x.shape[:-1]))
-    xs, slots = maxpool1d_forward(x, mode, s.gamma < 0) if pool else (x, None)
-    y = _bn_normalize(xs, s, mu, inv)
+    y = _bn_normalize(x, s, mu, inv)
     if mode == "infer":
         return y, None
-    return y, (x, x.shape, xs, slots, mu, inv, s.gamma)
+    return y, (x, x.shape, x, None, mu, inv, s.gamma)
 
 
 def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode: str):
-    """A conv without bias, then its pooled batch norm: the results of
-    conv1d_forward and batchnorm_forward(..., pool=True), bit for bit.
+    """A conv without bias, then its batch norm and maxpool: the results of
+    conv1d_forward, batchnorm_forward and maxpool1d_forward, bit for bit.
     Returns (y, conv cache, batch norm cache); the latter is None in infer
-    mode. A deep conv (Cin >= _IM2COL_MAX_CIN) runs those two ops, and its
-    batch norm cache keeps the conv output.
+    mode.
 
-    A thin conv streams and never builds the whole output; its batch norm
-    cache holds none. Each clip's output goes into one reused buffer
-    (_conv_clip), is checked and pooled, the min where gamma < 0 (the sign
-    of the scale). In train mode its rows then go into float64 sums in
-    blocks of _SUM_ROWS, each block's first row taking the totals so far:
-    as numpy adds the rows of a 2-D array over axis 0 in order, these are
-    the whole output's sums bit for bit (tests/test_platform.py). It sums
-    a lone channel pairwise, so the blocks get a second, zero column, and a
-    1-channel conv adds its rows in order too.
+    Each clip's output is made (_conv_clip), checked and pooled, the min
+    where gamma < 0 (the sign of the scale), and in train mode its rows
+    go into the float64 sums (_bn_sums); then the pooled values are
+    normalized. The clips' outputs go into one reused buffer, except for
+    a deep conv (Cin >= _IM2COL_MAX_CIN) in train mode: its batch norm
+    backward builds grad_x, the deep conv backward's input, in the whole
+    output, so that is kept and cached. A thin conv's batch norm cache
+    holds no output, and its backward returns the compact _SlotGrad.
     """
     if p.bias is not None:
         raise ValueError("conv1d_bn_pool_forward: needs a conv without bias")
-    if p.kernel.shape[1] >= _IM2COL_MAX_CIN:
-        y, conv_cache = conv1d_forward(x, p)
-        y, bn_cache = batchnorm_forward(y, s, mode, pool=True)
-        return y, conv_cache, bn_cache
     xp, out_T, left = _padded_input(x, p)
-    C = p.kernel.shape[2]
-    _bn_check((x.shape[0], C), s, mode)
+    B, C = len(x), p.kernel.shape[2]
+    _bn_check((B, C), s, mode)
     k = p.kernel.astype(x.dtype, copy=False)
-    clip = np.empty((out_T if len(x) else 0, C), dtype=x.dtype)  # shape_trace runs B=0
-    xs = np.empty((x.shape[0], -(-out_T // _POOL), C), dtype=x.dtype)
-    idx = wide = buf = None
-    if mode == "train":
-        idx = np.empty(xs.shape, dtype=np.uint8)
-        wide = np.zeros((2, min(_SUM_ROWS, out_T), max(C, 2)))  # a block and its squares
-    sums = np.zeros((2, max(C, 2)))
-    for b in range(x.shape[0]):
+    keep = mode == "train" and p.kernel.shape[1] >= _IM2COL_MAX_CIN
+    y = np.empty((B if keep else min(B, 1), out_T, C), dtype=x.dtype)  # shape_trace runs B=0
+    xs = np.empty((B, -(-out_T // _POOL), C), dtype=x.dtype)
+    idx = np.empty(xs.shape, dtype=np.uint8) if mode == "train" else None
+    sums, buf = np.zeros((2, C)), None
+    for b in range(B):
+        clip = y[b if keep else 0]
         buf = _conv_clip(xp[b], k, p.stride, clip, buf)
         check_finite("conv1d", clip)
         ys, slots = maxpool1d_forward(clip[None], mode, s.gamma < 0)
         xs[b] = ys[0]
-        if idx is None:
-            continue
-        idx[b] = slots[0][0]
-        for r0 in range(0, out_T, _SUM_ROWS):
-            block = wide[:, : min(_SUM_ROWS, out_T - r0)]
-            block[0, :, :C] = clip[r0 : r0 + block.shape[1]]
-            np.multiply(block[0], block[0], out=block[1])
-            block[:, 0] += sums
-            sums = block.sum(axis=1)
-    mu, inv = _bn_moments(s, mode, sums[:, :C], x.shape[0] * out_T)
-    y = _bn_normalize(xs, s, mu, inv)
+        if idx is not None:
+            idx[b] = slots[0][0]
+            sums = _bn_sums(clip, sums)
+    y, clip, buf = (y if keep else None), None, None  # free the clip buffers before normalizing
+    mu, inv = _bn_moments(s, mode, sums, B * out_T)
+    out = _bn_normalize(xs, s, mu, inv)
     conv_cache = (xp, x.shape, p, out_T, left)
     if idx is None:
-        return y, conv_cache, None
-    return y, conv_cache, (None, (x.shape[0], out_T, C), xs, (idx, out_T), mu, inv, s.gamma)
+        return out, conv_cache, None
+    return out, conv_cache, (y, (B, out_T, C), xs, (idx, out_T), mu, inv, s.gamma)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):

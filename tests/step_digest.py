@@ -37,13 +37,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-import bench_pairs
+# wavecnn before numpy (bench_pairs imports it too), so WAVECNN_THREADS
+# applies, as in tests/test_threads.py.
 from wavecnn.models import build
 from wavecnn.ops import softmax_xent
 from wavecnn.tensor import RandomSource
 from wavecnn.training import add_l2_gradients
+
+import numpy as np  # noqa: E402
+
+import bench_pairs  # noqa: E402
 
 # Listed by hand, not read from valid_architectures(), so an architecture
 # added later changes the case list only where this tuple is edited.

@@ -119,6 +119,15 @@ class TestTrainEval:
         assert "accuracy=" in out and "confusion matrix" in out
         assert "sine" in out and "noise" in out
 
+    def test_train_refuses_a_nan_step_size_before_training(self, tmp_path, capsys):
+        meta = write_corpus(tmp_path, n_files=4, folds=(1,))
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", "--arch", "m3", "--data", str(tmp_path), "--meta", str(meta),
+                     "--epochs", "1", "--batch-size", "4", "--lr", "nan", "--out", str(ckpt)])
+        assert code == 1
+        assert "error: alpha must be finite and > 0, not nan" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_eval_empty_fold_is_runtime_error(self, tmp_path, capsys):
         meta = write_corpus(tmp_path, n_files=4, folds=(1,))
         ckpt = tmp_path / "model.ckpt"

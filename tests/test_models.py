@@ -535,10 +535,12 @@ def test_stride1_stem_train_step_peak_memory():
 
 
 def test_evaluate_peak_memory():
-    """Infer mode streams the stem too, so evaluating one batch of m3 at
-    published width holds less than that batch's stem output: 0.88x
-    measured, at conv2's pooled batch norm (0.78x while the maxpool unit
-    ran it, 1.50x while the stem conv wrote its whole output)."""
+    """In infer mode every pooled conv goes clip by clip through one output
+    buffer, the stem and the deep convs alike, so evaluating one batch of
+    m3 at published width holds 0.64x that batch's stem output, measured
+    at conv2, whose input and padded copy are most of it. The bound
+    leaves 0.06 of headroom, about two of conv2's clip buffers; building
+    conv2's whole output again measured 0.88x, and the stem's 1.50x."""
     graph = build("m3", rng=RandomSource(0))
     x = RandomSource(1).normal((EVAL_BATCH, 32000, 1)).astype(np.float32)
     stem_T, stem_ch = shape_trace(graph, 32000)[1][1]
@@ -549,7 +551,7 @@ def test_evaluate_peak_memory():
     finally:
         tracemalloc.stop()
     ratio = peak / (EVAL_BATCH * stem_T * stem_ch * 4)
-    assert ratio < 1.0, f"peak {ratio:.2f}x the stem output"
+    assert ratio < 0.70, f"peak {ratio:.2f}x the stem output"
 
 
 @pytest.mark.parametrize("name", valid_architectures())

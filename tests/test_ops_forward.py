@@ -496,24 +496,71 @@ class TestBatchNorm:
         assert peak <= 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 
-def _bn_relu(x, s, mode, pool=False):
-    """Batch norm, then the ReLU op: (y, (BN cache, ReLU mask))."""
-    y, cache = ops.batchnorm_forward(x, s, mode, pool)
-    y, mask = ops.relu_forward(y)
-    return y, (cache, mask)
-
-
-def _bn_relu_backward(g, caches):
-    cache, mask = caches
-    return ops.batchnorm_backward(ops.relu_backward(g, mask), cache)
-
-
-def _pooled_reference(x, s, mode):
-    """Batch norm, ReLU, then maxpool: the published order. Batch norm
-    gets a copy of x, which its backward would overwrite."""
-    y, bn_cache = _bn_relu(x.copy(), s, mode)
+def _published_order(x, p, s, mode, relu=False):
+    """conv1d_forward, batchnorm_forward, [relu_forward,] maxpool1d_forward:
+    the reference for conv1d_bn_pool_forward. Returns (y, slot index,
+    backward); in infer mode the last two are None. backward(g) gives (BN
+    grad_x, grad_x, grad_kernel, grad_gamma, grad_beta), the BN grad_x
+    being built in the conv output that batch norm took over."""
+    h, conv_cache = ops.conv1d_forward(x, p)
+    y, bn_cache = ops.batchnorm_forward(h, s, mode)
+    y, mask = ops.relu_forward(y) if relu else (y, None)
     y, pool_cache = ops.maxpool1d_forward(y, mode)
-    return y, (bn_cache, pool_cache)
+    if mode == "infer":
+        return y, None, None
+
+    def backward(g):
+        g = ops.maxpool1d_backward(g, pool_cache)
+        gy, gg, gb = ops.batchnorm_backward(ops.relu_backward(g, mask) if relu else g, bn_cache)
+        assert gy is h
+        return (gy, *ops.conv1d_backward(gy, conv_cache)[:2], gg, gb)
+    return y, pool_cache[0], backward
+
+
+def _one_op(x, p, s, mode, relu=False):
+    """conv1d_bn_pool_forward [, relu_forward], returned as _published_order
+    returns. A deep conv's BN grad_x is built in the output its forward
+    kept; a thin conv's is the compact _SlotGrad."""
+    y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(x, p, s, mode)
+    y, mask = ops.relu_forward(y) if relu else (y, None)
+    assert (bn_cache is None) == (mode == "infer")
+    if mode == "infer":
+        return y, None, None
+
+    def backward(g):
+        gy, gg, gb = ops.batchnorm_backward(ops.relu_backward(g, mask) if relu else g, bn_cache)
+        deep = p.kernel.shape[1] >= ops._IM2COL_MAX_CIN
+        assert gy is bn_cache[0] if deep else isinstance(gy, ops._SlotGrad)
+        return (gy, *ops.conv1d_backward(gy, conv_cache)[:2], gg, gb)
+    return y, bn_cache[3][0], backward
+
+
+def _same_grads(got, want):
+    """The gradients of _one_op and _published_order, byte for byte; a
+    compact BN grad_x describes the reference's array."""
+    gy, ref = got[0], want[0]
+    if isinstance(gy, ops._SlotGrad):
+        assert (gy.shape, gy.dtype, gy.size) == (ref.shape, ref.dtype, ref.size)
+    else:
+        _same_bytes(gy, ref)
+    for a, b in zip(got[1:], want[1:], strict=True):
+        _same_bytes(a, b)
+
+
+def _identity_conv(Cin, C, dtype):
+    """A 1-tap conv whose output is the first C of its Cin input channels,
+    exactly (one product by 1 and the rest by 0 per output), so a test sets
+    a pooled batch norm's input."""
+    k = np.zeros((1, Cin, C), dtype)
+    k[0, :C] = np.eye(C, dtype=dtype)
+    return ConvParams(k)
+
+
+def _widened(x, Cin):
+    """x [B, T, 6] with Cin - 6 more input channels, which _identity_conv
+    drops."""
+    extra = np.random.default_rng(Cin).standard_normal((*x.shape[:2], Cin - x.shape[2]))
+    return np.concatenate([x, extra.astype(x.dtype)], axis=-1)
 
 
 def _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.0, 2.1, -1.9, 0.4)):
@@ -532,56 +579,43 @@ def _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.0, 2.1, -1.9, 0.4)):
     return x, state
 
 
+# The identity conv's input channels: the 6 alone (thin), and with more
+# channels at and above the threshold (deep).
+POOLED_CIN = [6, ops._IM2COL_MAX_CIN, 16]
+
+
 class TestPooledBatchNorm:
-    """batchnorm_forward(..., pool=True) and the ReLU op against batch norm,
-    ReLU, then maxpool."""
+    """The pooled batch norm of conv1d_bn_pool_forward, after a conv that
+    passes its input through (_identity_conv), and the ReLU op against the
+    published order: batch norm, ReLU, then maxpool."""
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("T", [125, 128, 2001])
-    def test_matches_bn_relu_then_maxpool_bitwise(self, T, dtype, mode):
+    @pytest.mark.parametrize("Cin", POOLED_CIN)
+    def test_matches_bn_relu_then_maxpool_bitwise(self, Cin, T, dtype, mode):
         x, state = _pooled_case(np.random.default_rng(T), T, dtype)
+        x, p = _widened(x, Cin), _identity_conv(Cin, 6, dtype)
         s, s_ref = state(), state()
-        ref, _ = _pooled_reference(x, s_ref, mode)
-        y, (cache, _) = _bn_relu(x, s, mode, pool=True)
-        assert y.dtype == ref.dtype and y.shape == (2, -(-T // ops._POOL), 6)
-        np.testing.assert_array_equal(y, ref)
-        np.testing.assert_array_equal(s.running_mean, s_ref.running_mean)
-        np.testing.assert_array_equal(s.running_var, s_ref.running_var)
-        assert (cache is None) == (mode == "infer")
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("T", [125, 128, 2001])
-    def test_backward_matches_bn_relu_then_maxpool(self, T, dtype):
-        """On an input whose BN outputs have no ties within a window, every
-        gradient is equal. (With gamma 0 every slot ties, so all gammas are
-        nonzero here.)"""
-        rng = np.random.default_rng(T + 1)
-        x, state = _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
-        full = ops.batchnorm_forward(x, state(), "train")[0]
-        windows = np.pad(full, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
-        windows = windows.reshape(2, -1, ops._POOL, 6)
-        assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
-        ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
-        y, cache = _bn_relu(x.copy(), state(), "train", pool=True)
-        g = rng.standard_normal(y.shape).astype(dtype)
-        want = _bn_relu_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
-        got = _bn_relu_backward(g, cache)
-        for a, b in zip(got, want, strict=True):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        ref, _, _ = _published_order(x, p, s_ref, mode, relu=True)
+        y, _, _ = _one_op(x, p, s, mode, relu=True)
+        assert y.shape == (2, -(-T // ops._POOL), 6)
+        _same_bytes(y, ref)
+        _same_bytes(s.running_mean, s_ref.running_mean)
+        _same_bytes(s.running_var, s_ref.running_var)
 
     def test_zero_gamma_routes_to_the_raw_max(self):
         """With gamma 0 every slot of a window ties after BN. The gradient
         goes to the raw argmax: a valid subgradient for gamma, and grad_x
-        and grad_beta equal the unpooled order's."""
+        and grad_beta equal the published order's."""
         rng = np.random.default_rng(18)
         x, state = _pooled_case(rng, 128, np.float64)
-        ref, (bn_cache, pool_cache) = _pooled_reference(x, state(), "train")
-        y, cache = _bn_relu(x.copy(), state(), "train", pool=True)
+        p = _identity_conv(6, 6, np.float64)
+        _, _, ref_backward = _published_order(x, p, state(), "train", relu=True)
+        y, _, backward = _one_op(x, p, state(), "train", relu=True)
         g = rng.standard_normal(y.shape)
-        gx, gg, gb = _bn_relu_backward(g, cache)
-        rx, rg, rb = _bn_relu_backward(ops.maxpool1d_backward(g, pool_cache), bn_cache)
+        _, gx, _, gg, gb = backward(g)
+        _, rx, _, rg, rb = ref_backward(g)
         np.testing.assert_array_equal(gx, rx)
         np.testing.assert_array_equal(gb, rb)
         x_max = x[:, :, 2].reshape(2, -1, ops._POOL).max(axis=2)
@@ -592,11 +626,15 @@ class TestPooledBatchNorm:
         assert gg[2] == pytest.approx((g[:, :, 2] * mask * (x_max - mu) * inv).sum(), rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_nan_raises(self, mode):
+    @pytest.mark.parametrize("Cin", POOLED_CIN)
+    def test_nan_raises(self, Cin, mode):
+        """A NaN input makes a NaN conv output, which the conv refuses
+        clip by clip before its batch norm sees it."""
         x, state = _pooled_case(np.random.default_rng(17), 128, np.float32)
         x[1, 50, 3] = np.nan
-        with pytest.raises(NonFiniteError, match="batchnorm"):
-            ops.batchnorm_forward(x, state(), mode, pool=True)
+        with pytest.raises(NonFiniteError, match="conv1d"):
+            ops.conv1d_bn_pool_forward(_widened(x, Cin), _identity_conv(Cin, 6, np.float32),
+                                       state(), mode)
 
     def test_overflow_to_pos_inf_raises(self):
         """A pre-ReLU +inf wins its window, so it is always seen."""
@@ -604,7 +642,7 @@ class TestPooledBatchNorm:
         x[0, :, 0] = [3, -1, -1, -1]
         s = _bn_state(1, np.float32, gamma=np.array([2.45e38], np.float32))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="batchnorm"):
-            ops.batchnorm_forward(x, s, "train", pool=True)
+            ops.conv1d_bn_pool_forward(x, _identity_conv(1, 1, np.float32), s, "train")
 
     def test_pooled_away_neg_inf_does_not_raise(self):
         """A pre-ReLU -inf that loses its window is not seen: the ReLU maps
@@ -614,24 +652,29 @@ class TestPooledBatchNorm:
         x[0, :, 0] = [-3, 1, 1, 1]
         x[0, :, 1] = [3, -1, -1, -1]
         gamma = np.array([2.45e38, -2.45e38], np.float32)
+        p = _identity_conv(2, 2, np.float32)
         with np.errstate(over="ignore"):
-            y, _ = _bn_relu(x, _bn_state(2, np.float32, gamma), "train", pool=True)
+            y, _, _ = _one_op(x, p, _bn_state(2, np.float32, gamma), "train", relu=True)
             assert np.all(np.isfinite(y)) and y[0, 0].min() > 1e38
             with pytest.raises(NonFiniteError, match="batchnorm"):
-                ops.batchnorm_forward(x, _bn_state(2, np.float32, gamma), "train")
+                _published_order(x, p, _bn_state(2, np.float32, gamma), "train")
 
 
 class TestBatchNormOwnsInput:
     """Train-mode batch norm takes x over, and its backward builds grad_x
-    in x's buffer."""
+    in x's buffer: the conv output, which conv1d_bn_pool_forward keeps only
+    for a deep conv. After a thin conv the backward returns the compact
+    _SlotGrad, which the conv's backward applies to each rebuilt clip."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("T", [125, 128, 2001])
     @pytest.mark.parametrize("relu", [False, True])
-    def test_pooled_backward_equals_bn_then_maxpool_bytewise(self, relu, T, dtype):
-        """Byte-equal to batch norm then maxpool, whose backward adds x * b
-        and c onto the scattered zeros: signed zeros included. The BN
-        outputs have no ties within a window."""
+    @pytest.mark.parametrize("Cin", POOLED_CIN)
+    def test_pooled_backward_equals_bn_then_maxpool_bytewise(self, Cin, relu, T, dtype):
+        """Every gradient is byte-equal to the published order's, whose
+        maxpool backward scatters into zeros and whose batch norm backward
+        adds x * b and c onto them: signed zeros included. The BN outputs
+        have no ties within a window."""
         rng = np.random.default_rng(T + 1)
         x, state = _pooled_case(rng, T, dtype, gamma=(1.3, -0.7, 0.8, 2.1, -1.9, 0.4))
         # Channel 0 is dead (g all zero there), with gamma > 0 and a
@@ -642,52 +685,28 @@ class TestBatchNormOwnsInput:
         windows = np.pad(pre, ((0, 0), (0, -T % ops._POOL), (0, 0)), constant_values=-np.inf)
         windows = windows.reshape(2, -1, ops._POOL, 6)
         assert np.all((windows == windows.max(axis=2, keepdims=True)).sum(axis=2) == 1)
-        fwd, bwd = ((_bn_relu, _bn_relu_backward) if relu
-                    else (ops.batchnorm_forward, ops.batchnorm_backward))
-        given = x.copy()
-        y, cache = fwd(given, state(), "train", pool=True)
+        x, p = _widened(x, Cin), _identity_conv(Cin, 6, dtype)
+        y, _, backward = _one_op(x, p, state(), "train", relu)
         g = rng.standard_normal(y.shape).astype(dtype)
         g[..., 0] = 0
-        got = bwd(g, cache)
-        assert got[0] is given
-        full, bn_cache = fwd(x.copy(), state(), "train")
-        _, pool_cache = ops.maxpool1d_forward(full, "train")
-        want = bwd(ops.maxpool1d_backward(g, pool_cache), bn_cache)
-        for a, b in zip(got, want, strict=True):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _, _, ref_backward = _published_order(x, p, state(), "train", relu)
+        _same_grads(backward(g), ref_backward(g))
 
 
 class TestStreamedConvBatchNormPool:
-    """conv1d_bn_pool_forward, the streamed thin conv and pooled batch norm,
-    against the two-op route: conv1d_forward, then batchnorm_forward with
-    pool. Its batch norm keeps no conv output, so its backward returns the
-    compact _SlotGrad, and the conv's backward rebuilds each clip's output
-    and applies it there."""
-
-    @staticmethod
-    def _run(x, k, stride, state, g, mode, streamed):
-        """Forward and, in train mode, both backwards: (BN output, BN state,
-        slot index, BN grad_x as returned, grad_x, grad_kernel, grad_gamma,
-        grad_beta); the last five are None in infer mode."""
-        p, s = ConvParams(k, stride=stride), state()
-        if streamed:
-            out, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(x, p, s, mode)
-        else:
-            y, conv_cache = ops.conv1d_forward(x, p)
-            out, bn_cache = ops.batchnorm_forward(y, s, mode, pool=True)
-        if mode == "infer":
-            assert bn_cache is None
-            return out, s, None, None, None, None, None, None
-        gy, gg, gb = ops.batchnorm_backward(g.copy(), bn_cache)
-        gx, gk, _ = ops.conv1d_backward(gy, conv_cache)
-        return out, s, bn_cache[3][0], gy, gx, gk, gg, gb
+    """conv1d_bn_pool_forward against the published order: conv1d_forward,
+    batchnorm_forward, then maxpool1d_forward. A thin conv's batch norm
+    keeps no conv output, so its backward returns the compact _SlotGrad,
+    and the conv's backward rebuilds each clip's output and applies it
+    there; a deep conv's keeps the output in train mode."""
 
     # (T, Cin, rf, stride): rf 8, 80 and 320 at strides 1 and 4, at the
-    # stem's Cin 1 and up to just below the threshold. Every conv output
-    # but the 400-row one ends in a ragged pool window, and the 2001-row
-    # ones span several blocks of the float64 sums.
+    # stem's Cin 1 and up to just below the threshold, and two deep convs.
+    # Every conv output but the 400-row one ends in a ragged pool window,
+    # and the 2001-row ones span several blocks of the float64 sums.
     CASES = [(2001, 1, 8, 1), (2001, 3, 80, 1), (403, 1, 80, 4), (1600, 1, 80, 4),
-             (1283, 2, 320, 4), (403, ops._IM2COL_MAX_CIN - 1, 8, 4)]
+             (1283, 2, 320, 4), (403, ops._IM2COL_MAX_CIN - 1, 8, 4),
+             (403, ops._IM2COL_MAX_CIN, 8, 4), (2001, 16, 3, 1)]
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -695,7 +714,7 @@ class TestStreamedConvBatchNormPool:
     def test_equals_conv_then_pooled_batch_norm_bytewise(self, T, Cin, rf, stride, dtype, mode):
         """The pooled output, the slot index, the running statistics and,
         in train mode, grad_x, grad_kernel and the BN grads equal the
-        two-op route's byte for byte. Gammas take both signs, so some
+        published order's byte for byte. Gammas take both signs, so some
         channels pool the min."""
         rng = np.random.default_rng(T + Cin + rf)
         x = rng.standard_normal((3, T, Cin)).astype(dtype)
@@ -704,43 +723,41 @@ class TestStreamedConvBatchNormPool:
         out_T = -(-T // stride)
         assert (out_T % ops._POOL == 0) == (out_T == 400)
         g = rng.standard_normal((3, -(-out_T // ops._POOL), 6)).astype(dtype)
-        streamed = self._run(x, k, stride, state, g, mode, streamed=True)
-        two_op = self._run(x, k, stride, state, g, mode, streamed=False)
+        p, s, s_ref = ConvParams(k, stride=stride), state(), state()
+        y, idx, backward = _one_op(x, p, s, mode)
+        ref, ref_idx, ref_backward = _published_order(x, p, s_ref, mode)
         for name in ("running_mean", "running_var"):
-            _same_bytes(getattr(streamed[1], name), getattr(two_op[1], name))
-        _same_bytes(streamed[0], two_op[0])
+            _same_bytes(getattr(s, name), getattr(s_ref, name))
+        _same_bytes(y, ref)
         if mode == "infer":
             return
-        gy = streamed[3]
-        assert isinstance(gy, ops._SlotGrad) and isinstance(two_op[3], np.ndarray)
-        assert (gy.shape, gy.dtype, gy.size) == (two_op[3].shape, two_op[3].dtype, two_op[3].size)
-        for got, want in zip(streamed[2:3] + streamed[4:], two_op[2:3] + two_op[4:], strict=True):
-            _same_bytes(got, want)
+        _same_bytes(idx, ref_idx)
+        _same_grads(backward(g), ref_backward(g))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_channel_adds_rows_in_order(self, dtype):
-        """numpy sums a lone channel pairwise and a wider array row by row.
-        The streamed statistics add rows in order at every width, so a
+        """Batch-norm statistics add rows in order (_bn_sums) at every
+        width, where numpy's own sum of a lone channel goes pairwise. So a
         1-channel conv gives the pooled output, slot index and statistics
-        (float64, and the running ones) of its output doubled into a
-        2-channel batch norm, bit for bit, and in float64 not those of a
-        1-channel batch norm."""
+        (float64, and the running ones) of the published order with a
+        1-channel batch norm, bit for bit, and in float64 not the pairwise
+        sums'."""
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 2001, 1)).astype(dtype)
         p = ConvParams(rng.standard_normal((8, 1, 1)).astype(dtype))
-        gamma, beta = np.array([-1.3, -1.3], dtype), np.array([0.2, 0.2], dtype)
-        s = _bn_state(1, dtype, gamma[:1].copy(), beta[:1].copy())
+        gamma, beta = np.array([-1.3], dtype), np.array([0.2], dtype)
+        s, s_ref = (_bn_state(1, dtype, gamma.copy(), beta.copy()) for _ in range(2))
         out, _, bn_cache = ops.conv1d_bn_pool_forward(x, p, s, "train")
         y, _ = ops.conv1d_forward(x, p)
-        s2 = _bn_state(2, dtype, gamma.copy(), beta.copy())
-        out2, cache2 = ops.batchnorm_forward(np.concatenate([y, y], axis=-1), s2, "train", pool=True)
-        for got, want in ((out, out2), (bn_cache[3][0], cache2[3][0]),
-                          (bn_cache[4], cache2[4]), (bn_cache[5], cache2[5]),
-                          (s.running_mean, s2.running_mean), (s.running_var, s2.running_var)):
-            _same_bytes(got, want[..., :1])
+        h, cache = ops.batchnorm_forward(y.copy(), s_ref, "train")
+        ref, (ref_idx, _) = ops.maxpool1d_forward(h, "train")
+        for got, want in ((out, ref), (bn_cache[3][0], ref_idx),
+                          (bn_cache[4], cache[4]), (bn_cache[5], cache[5]),
+                          (s.running_mean, s_ref.running_mean), (s.running_var, s_ref.running_var)):
+            _same_bytes(got, want)
         if dtype == np.float64:  # these float32 values sum exactly in float64, in any order
-            _, cache1 = ops.batchnorm_forward(y, _bn_state(1, dtype, gamma[:1].copy()), "train")
-            assert (cache1[4], cache1[5]) != (bn_cache[4], bn_cache[5])
+            pairwise = y.reshape(-1, 1).sum(axis=0) / y.size
+            assert pairwise != bn_cache[4]
 
     def test_refuses_a_bias(self):
         """Any conv without bias runs with its pooled batch norm, and only a
@@ -765,13 +782,13 @@ class TestStreamedConvBatchNormPool:
 @pytest.mark.parametrize("Cin", [1, ops._IM2COL_MAX_CIN - 1, ops._IM2COL_MAX_CIN, 16])
 def test_only_a_deep_conv_output_is_built_before_a_pooled_batch_norm(Cin, dtype, monkeypatch):
     """Through the model's conv and maxpool units, a pooled BN conv runs as
-    one conv1d_bn_pool_forward. With Cin < _IM2COL_MAX_CIN it streams and
-    never goes through conv1d_forward, and no cache holds an array of its
-    output's size; a deeper conv runs conv1d_forward and the pooled
-    batchnorm_forward inside it, and the batch norm still caches that
-    output. Either way the tape yields every gradient. Gradcheck's
-    `conv_unit_bn_relu_pool` trial (float64, Cin 2-3) runs the first case:
-    its finite differences check the streamed route."""
+    one conv1d_bn_pool_forward, which goes through neither conv1d_forward
+    nor batchnorm_forward at any width. With Cin < _IM2COL_MAX_CIN no cache
+    holds an array of its output's size; a deeper conv's batch norm caches
+    that output, the buffer its backward builds grad_x in. Either way the
+    tape yields every gradient. Gradcheck's `conv_unit_bn_relu_pool` trial
+    (float64, Cin 2-3) runs the first case: its finite differences check
+    the thin route."""
     caches = []
 
     def keep(name):
@@ -794,8 +811,7 @@ def test_only_a_deep_conv_output_is_built_before_a_pooled_batch_norm(Cin, dtype,
     tape = ops.OpTape()
     y = pool.forward(conv.forward(x, graph, "train", tape, None), graph, "train", tape, None)
     thin = Cin < ops._IM2COL_MAX_CIN
-    inner = [] if thin else ["conv1d_forward", "batchnorm_forward"]
-    assert [n for n, _ in caches] == inner + ["conv1d_bn_pool_forward"]
+    assert [n for n, _ in caches] == ["conv1d_bn_pool_forward"]
     bn_cache = caches[-1][1]
     sizes = [a.size for a in bn_cache if isinstance(a, np.ndarray)]
     assert (3 * 25 * 6 in sizes) == (not thin), sizes

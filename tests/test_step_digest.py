@@ -2,7 +2,11 @@
 hashes the same within one process, and with --cases names each case's
 hash before the same total; --parent compares two packages."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +68,15 @@ def test_parent_option_compares_two_packages(eps, differ, monkeypatch, capsys):
     assert (rev, tree) == ("REV", "work tree")
     assert work == _total(**cases)
     assert (parent != work) == differ
+
+
+def test_import_applies_wavecnn_threads():
+    """The script imports wavecnn before numpy, so WAVECNN_THREADS sets
+    the BLAS thread count and no RuntimeWarning says it is ignored."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(WAVECNN_THREADS="1", PYTHONPATH=str(bench_pairs.ROOT / "src"))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", "import step_digest"],
+                         cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -768,6 +768,18 @@ class TestModelFromCheckpointConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(arch="m3", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -float("inf")),
+        ("alpha", 0.0), ("alpha", -1e-3),
+        ("l2_coeff", float("nan")), ("l2_coeff", float("inf")),
+    ])
+    def test_train_config_refuses_a_bad_step_size_or_l2_coeff(self, field, value):
+        """A NaN compares False with every bound, so each bound is stated
+        as the range a value must lie in. A NaN or infinite step size would
+        end in a diverged run (or a checkpoint that load_checkpoint refuses)."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(arch="m3", **{field: value})
+
     @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, float("nan")])
     def test_train_config_refuses_channel_scale(self, scale):
         with pytest.raises(ValueError, match="channel_scale"):
