@@ -27,10 +27,17 @@ all through `_record`: the one place a backward step goes onto the tape.
 Each parameter gradient has one writer, the record of the op that uses it;
 the residual shortcut, the one fan-out, adds its gradient in place.
 
-Every ReLU is one in-place `_relu` record (ops.py states the pool order). A
-conv unit with batch norm before a maxpool unit runs the conv, the batch
-norm and the pool as one op, recorded as the conv's and the batch norm's
-records; the maxpool unit then applies the ReLU.
+Every ReLU is one in-place `_relu` record (ops.py states the pool order),
+which keeps its mask as bits; in infer mode it makes none. A conv unit
+with batch norm before a maxpool unit runs the conv, the batch norm and the
+pool as one op, recorded as the conv's and the batch norm's records; the
+maxpool unit then applies the ReLU.
+
+ModelGraph.forward and shape_trace hand each unit its input as the only
+reference: the input sits in a one-item list that the call pops. A conv
+unit hands it on to its op the same way (_ConvUnit._conv), and the op
+frees it once its padded copy exists. The residual block keeps its input
+for the shortcut.
 """
 
 from __future__ import annotations
@@ -156,9 +163,11 @@ def _bn(y, k, graph, mode, tape):
     return y
 
 
-def _relu(y, tape):
-    """ReLU in place: y is a fresh output (BN, conv + bias, shortcut sum)."""
-    y, mask = ops.relu_forward(y)
+def _relu(y, mode, tape):
+    """ReLU in place: y is a fresh output (BN, conv + bias, shortcut sum).
+    Its record keeps the mask as bits and builds grad_x in the gradient it
+    is given, which no later record reads."""
+    y, mask = ops.relu_forward(y, mode)
     _record(tape, ops.relu_backward, mask)
     return y
 
@@ -214,41 +223,49 @@ class _ConvUnit(_Unit):
             stride=self.stride,
         )
 
-    def _record_conv(self, x, graph, tape, cache):
-        """Record the conv's backward, which builds no grad_x (None) for the
-        waveform that ModelGraph.forward passes in: nothing reads it."""
+    def _conv(self, x: list, graph, mode, tape, pooled: bool):
+        """The conv on the input that x, a one-item list, hands over: the
+        list is emptied, so with no other reference left the op frees the
+        input once it is padded (a call with *args would keep one in its
+        argument tuple). pooled runs conv1d_bn_pool_forward, else
+        conv1d_forward. Returns the output and the batch norm cache (None
+        unless pooled), and records the conv's backward, which builds no
+        grad_x (None) for the waveform that ModelGraph.forward passes in:
+        nothing reads it."""
         k = self.label
         back = ops.conv1d_backward
-        if x is getattr(graph, "_waveform", None):
+        if x[0] is getattr(graph, "_waveform", None):
             back = partial(ops.conv1d_backward, input_grad=False)
+        p = self._params(graph)
+        if pooled:
+            y, cache, bn_cache = ops.conv1d_bn_pool_forward(x.pop(), p, _bn_state(graph, k), mode)
+        else:
+            (y, cache), bn_cache = ops.conv1d_forward(x.pop(), p), None
         # Without a bias the bias gradient is None, which is not stored.
         _record(tape, back, cache, f"{k}.kernel", f"{k}.bias")
+        return y, bn_cache
 
-    def conv(self, x, graph, tape):
-        """The convolution, with its bias when no batch norm follows."""
-        y, cache = ops.conv1d_forward(x, self._params(graph))
-        self._record_conv(x, graph, tape, cache)
-        return y
-
-    def conv_bn(self, x, graph, mode, tape, relu):
-        """The convolution, its batch norm (or bias) and, if asked, the ReLU."""
-        y = self.conv(x, graph, tape)
+    def conv_bn(self, x: list, graph, mode, tape, relu):
+        """The convolution, its batch norm (or bias) and, if asked, the
+        ReLU, in that order, also for a pooled unit. x is a one-item list
+        that hands the input over (_conv)."""
+        y, _ = self._conv(x, graph, mode, tape, pooled=False)
         if self.with_bn:
             y = _bn(y, self.label, graph, mode, tape)
-        return _relu(y, tape) if relu else y
+        return _relu(y, mode, tape) if relu else y
 
     def forward(self, x, graph, mode, tape, rng):
+        x = [x]  # the conv op takes this frame's reference over (_conv)
         if not self.pooled:
             return self.conv_bn(x, graph, mode, tape, relu=True)
         # The conv, its batch norm and the maxpool in one op. The maxpool
         # unit gets the pooled output, under the conv output's shape
         # (shape_trace reads it), and applies the ReLU.
         k = self.label
-        y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(
-            x, self._params(graph), _bn_state(graph, k), mode)
-        self._record_conv(x, graph, tape, conv_cache)
+        B, T, _ = x[0].shape
+        y, bn_cache = self._conv(x, graph, mode, tape, pooled=True)
         _record(tape, ops.batchnorm_backward, bn_cache, f"{k}.bn.gamma", f"{k}.bn.beta")
-        shape = (x.shape[0], -(-x.shape[1] // self.stride), self.out_ch)
+        shape = (B, -(-T // self.stride), self.out_ch)
         return SimpleNamespace(pooled=y, shape=shape, ndim=3)
 
     pooled = False  # a BN conv before a maxpool (_units): it runs the BN and the pool
@@ -288,14 +305,14 @@ class _ResBlockUnit(_Unit):
         in_ch = x.shape[-1]
         stash = []
         _record(tape, lambda g, stash: np.add(g, stash.pop(), out=g), stash)
-        h = c2.conv_bn(c1.forward(x, graph, mode, tape, rng), graph, mode, tape, relu=False)
+        h = c2.conv_bn([c1.forward(x, graph, mode, tape, rng)], graph, mode, tape, relu=False)
         h[:, :, :in_ch] += x
         ops.check_finite("shortcut_add", h)
         def fan_out(g, stash):
             stash.append(g[:, :, :in_ch])
             return g
         _record(tape, fan_out, stash)
-        return _relu(h, tape)
+        return _relu(h, mode, tape)
 
     def param_names(self):
         return self._convs[0].param_names() + self._convs[1].param_names()
@@ -307,7 +324,7 @@ class _MaxPoolUnit(_Unit):
 
     def forward(self, x, graph, mode, tape, rng):
         if isinstance(x, SimpleNamespace):  # pooled by a BN conv (_ConvUnit.forward)
-            return _relu(x.pooled, tape)
+            return _relu(x.pooled, mode, tape)
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
         return y
@@ -338,7 +355,7 @@ class _FCUnit(_Unit):
         k = self.label
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
         _record(tape, ops.affine_backward, cache, f"{k}.w")
-        y = _relu(_bn(y, k, graph, mode, tape), tape)
+        y = _relu(_bn(y, k, graph, mode, tape), mode, tape)
         y, cache = ops.dropout(y, mode, rng)
         _record(tape, ops.dropout_backward, cache)
         return y
@@ -390,13 +407,15 @@ class ModelGraph:
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         tape = ops.OpTape() if mode == "train" else None
-        h = self._waveform = self._input(x)
+        h = [self._input(x)]
+        self._waveform = h[0]
         try:
-            for u in self.units:
-                h = u.forward(h, self, mode, tape, rng)
+            for u in self.units:  # each unit gets its input as the only reference
+                h.append(u.forward(h.pop(), self, mode, tape, rng))
         finally:
             self._waveform = None
-        return ForwardResult(probs=ops.softmax_probs(h), logits=h, tape=tape)
+        logits, = h
+        return ForwardResult(probs=ops.softmax_probs(logits), logits=logits, tape=tape)
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         """x in the graph's dtype, once its shape is a [B,T,1] waveform no
@@ -450,9 +469,9 @@ def shape_trace(name_or_graph, input_T: int) -> list:
     infer-mode forward on a batch of zero clips; a 2-D head output counts
     as T=1. A name is built first, at published width."""
     graph = name_or_graph if isinstance(name_or_graph, ModelGraph) else build(name_or_graph)
-    h = graph._input(np.zeros((0, input_T, 1)))
+    h = [graph._input(np.zeros((0, input_T, 1)))]
     rows = [("input", (input_T, 1))]
     for u in graph.units:
-        h = u.forward(h, graph, "infer", None, None)
-        rows.append((u.label, (1, h.shape[1]) if h.ndim == 2 else h.shape[1:]))
+        h.append(u.forward(h.pop(), graph, "infer", None, None))
+        rows.append((u.label, (1, h[0].shape[1]) if h[0].ndim == 2 else h[0].shape[1:]))
     return rows

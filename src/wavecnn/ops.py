@@ -6,7 +6,13 @@ batchnorm_forward, whose backward builds grad_x in x's buffer, and
 relu_forward, which writes its output into x. (The conv backward builds
 grad_x in the padded copy of x that its forward made, never in x.) Each
 forward returns (output, cache); the matching backward consumes the cache
-and the output gradient and returns exact adjoints.
+and the output gradient and returns exact adjoints. relu_backward builds
+its grad_x in grad_out's buffer, and its cache is the mask as bits.
+
+Each array dies at its last reader. The conv forwards drop their reference
+to x once its padded copy exists, so a caller that hands over the only
+reference (models.ModelGraph.forward and the conv unit do) frees x before
+the output is made.
 
 Precision follows the input dtype. Training runs in float32
 (tensor.TRAIN_DTYPE) and numerical gradient checks in float64, since finite
@@ -88,7 +94,9 @@ returns None; a unit driven on its own builds its input's gradient.
 OpTape holds the backward closures of one train-mode forward. It is walked
 once; each record, and the cache its closure captured, is released as soon
 as it has run, so an activation lives only until the backward that reads it.
-len() of a tape counts the ops recorded, before and after the walk.
+len() of a tape counts the ops recorded, before and after the walk. A record
+may build its grad_x in the gradient it is given (a ReLU's does), so a
+caller that reads grad_out after the walk passes a copy.
 """
 
 from __future__ import annotations
@@ -200,16 +208,20 @@ def _padded_input(x: np.ndarray, p: ConvParams):
 
 
 def conv1d_forward(x: np.ndarray, p: ConvParams):
-    """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding."""
+    """x [B,T,Cin] -> y [B, ceil(T/stride), Cout] with 'same' zero padding.
+    x is released once padded, so a caller that hands over its only
+    reference frees it before the output is made."""
     xp, out_T, left = _padded_input(x, p)
-    k = p.kernel.astype(x.dtype, copy=False)
-    y = np.empty((len(x), out_T, k.shape[2]), dtype=x.dtype)
+    x_shape = x.shape
+    del x
+    k = p.kernel.astype(xp.dtype, copy=False)
+    y = np.empty((len(xp), out_T, k.shape[2]), dtype=xp.dtype)
     buf = None
-    for b in range(len(x)):
+    for b in range(len(xp)):
         buf = _conv_clip(xp[b], k, p.stride, y[b], buf)
     if p.bias is not None:
         y += p.bias
-    return check_finite("conv1d", y), (xp, x.shape, p, out_T, left)
+    return check_finite("conv1d", y), (xp, x_shape, p, out_T, left)
 
 
 def conv1d_backward(grad_out, cache, input_grad: bool = True):
@@ -348,14 +360,21 @@ def maxpool1d_backward(grad_out: np.ndarray, cache) -> np.ndarray:
     return grad_x
 
 
-def relu_forward(x: np.ndarray):
-    """max(x, 0), written into x; returns (x, mask of x > 0)."""
+def relu_forward(x: np.ndarray, mode: str):
+    """max(x, 0), written into x. Train mode returns (x, mask), the mask of
+    x > 0 as bits, packed over the channel axis (np.packbits); infer mode
+    makes no mask and returns (x, None)."""
     np.maximum(x, 0, out=x)
-    return x, x > 0
+    return x, (np.packbits(x > 0, axis=-1) if mode == "train" else None)
 
 
 def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return grad_out * mask
+    """grad_out * mask, built in grad_out's buffer, one clip's mask unpacked
+    at a time."""
+    C = grad_out.shape[-1]
+    for g, bits in zip(grad_out, mask):
+        g *= np.unpackbits(bits, axis=-1, count=C)
+    return grad_out
 
 
 class _SlotGrad:
@@ -414,22 +433,28 @@ def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv) -> np.ndarray:
     return check_finite("batchnorm", y)
 
 
-def _bn_sums(rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """sums [2, C] plus the float64 per-channel sum and sum of squares of
-    rows [n, C], added in row order: in blocks of _SUM_ROWS, each block's
-    first row taking the totals so far. numpy adds the rows of a 2-D array
-    over axis 0 in order, so carried over any split of the rows, these are
-    the sums of all of them bit for bit (tests/test_platform.py). It sums a
-    lone channel pairwise, so the blocks get a second, zero column."""
+def _bn_sums(rows: np.ndarray, sums: np.ndarray, wide=None):
+    """(sums [2, C] plus the float64 per-channel sum and sum of squares of
+    rows [n, C], wide). The rows are added in order: in blocks, each
+    block's first row taking the totals so far. numpy adds the rows of a
+    2-D array over axis 0 in order, so carried over any split of the rows,
+    these are the sums of all of them bit for bit (tests/test_platform.py).
+    It sums a lone channel pairwise, so the blocks get a second, zero
+    column. wide is the float64 block [2, rows, max(C, 2)] and its squares
+    returned by the previous call, None at the first, which makes one of
+    min(_SUM_ROWS, n) rows; a caller that adds clip after clip passes it
+    on, so the loop makes one."""
     n, C = rows.shape
-    wide = np.zeros((2, min(_SUM_ROWS, n), max(C, 2)))  # a block and its squares
-    for r0 in range(0, n, _SUM_ROWS):
-        block = wide[:, : min(_SUM_ROWS, n - r0)]
+    if wide is None:
+        wide = np.zeros((2, min(_SUM_ROWS, n), max(C, 2)))
+    step = wide.shape[1]
+    for r0 in range(0, n, step):
+        block = wide[:, : min(step, n - r0)]
         block[0, :, :C] = rows[r0 : r0 + block.shape[1]]
         np.multiply(block[0], block[0], out=block[1])
         block[:, 0, :C] += sums
         sums = block.sum(axis=1)[:, :C]
-    return sums
+    return sums, wide
 
 
 def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
@@ -442,7 +467,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
     """
     _bn_check(x.shape, s, mode)
     C = x.shape[-1]
-    sums = _bn_sums(x.reshape(-1, C), np.zeros((2, C))) if mode == "train" else None
+    sums = _bn_sums(x.reshape(-1, C), np.zeros((2, C)))[0] if mode == "train" else None
     mu, inv = _bn_moments(s, mode, sums, math.prod(x.shape[:-1]))
     y = _bn_normalize(x, s, mu, inv)
     if mode == "infer":
@@ -468,14 +493,16 @@ def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode
     if p.bias is not None:
         raise ValueError("conv1d_bn_pool_forward: needs a conv without bias")
     xp, out_T, left = _padded_input(x, p)
-    B, C = len(x), p.kernel.shape[2]
+    x_shape = x.shape
+    del x  # as in conv1d_forward
+    (B, _, Cin), C, dt = x_shape, p.kernel.shape[2], xp.dtype
     _bn_check((B, C), s, mode)
-    k = p.kernel.astype(x.dtype, copy=False)
-    keep = mode == "train" and p.kernel.shape[1] >= _IM2COL_MAX_CIN
-    y = np.empty((B if keep else min(B, 1), out_T, C), dtype=x.dtype)  # shape_trace runs B=0
-    xs = np.empty((B, -(-out_T // _POOL), C), dtype=x.dtype)
+    k = p.kernel.astype(dt, copy=False)
+    keep = mode == "train" and Cin >= _IM2COL_MAX_CIN
+    y = np.empty((B if keep else min(B, 1), out_T, C), dtype=dt)  # shape_trace runs B=0
+    xs = np.empty((B, -(-out_T // _POOL), C), dtype=dt)
     idx = np.empty(xs.shape, dtype=np.uint8) if mode == "train" else None
-    sums, buf = np.zeros((2, C)), None
+    sums, buf, wide = np.zeros((2, C)), None, None
     for b in range(B):
         clip = y[b if keep else 0]
         buf = _conv_clip(xp[b], k, p.stride, clip, buf)
@@ -484,11 +511,12 @@ def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode
         xs[b] = ys[0]
         if idx is not None:
             idx[b] = slots[0][0]
-            sums = _bn_sums(clip, sums)
-    y, clip, buf = (y if keep else None), None, None  # free the clip buffers before normalizing
+            sums, wide = _bn_sums(clip, sums, wide)
+    # Free the clip buffers and the sums' block before normalizing.
+    y, clip, buf, wide = (y if keep else None), None, None, None
     mu, inv = _bn_moments(s, mode, sums, B * out_T)
     out = _bn_normalize(xs, s, mu, inv)
-    conv_cache = (xp, x.shape, p, out_T, left)
+    conv_cache = (xp, x_shape, p, out_T, left)
     if idx is None:
         return out, conv_cache, None
     return out, conv_cache, (y, (B, out_T, C), xs, (idx, out_T), mu, inv, s.gamma)

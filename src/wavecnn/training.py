@@ -478,7 +478,9 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
 
     Per epoch: seeded reshuffle, minibatch forward (train mode), data loss
     plus L2 penalty, reverse-mode backward, Adam step; then test-fold
-    evaluation in infer mode against the BN running statistics.
+    evaluation in infer mode against the BN running statistics. A step's
+    gradients and forward result are freed once Adam has used them, before
+    the next forward.
     """
     if resume_from is not None:
         _check_resume(config, resume_from)
@@ -544,6 +546,8 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
             if not math.isnan(ratio):
                 ratios.append(ratio)
             adam_step(graph.params, grads, adam)
+            # Nothing reads them again: free them before the next forward.
+            del grads, result
             n = len(batch.labels)
             loss_sum += loss * n
             correct += int((np.argmax(probs, axis=1) == batch.labels).sum())

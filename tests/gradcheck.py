@@ -140,12 +140,12 @@ def dense_xent_trial(rng, dims=None):
 def relu_trial(rng):
     x = rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(2, 10)), int(rng.integers(1, 4))))
     x = np.where(np.abs(x) < 1e-3, 0.5, x)  # keep clear of the kink
-    y, mask = ops.relu_forward(x.copy())
+    y, mask = ops.relu_forward(x.copy(), "train")
     R = _proj(rng, y.shape)
-    gx = ops.relu_backward(R, mask)
+    gx = ops.relu_backward(R.copy(), mask)  # builds gx in its buffer; R is read below
 
     def run(xv):
-        out, _ = ops.relu_forward(xv.copy())
+        out, _ = ops.relu_forward(xv.copy(), "infer")
         return float((out * R).sum())
 
     return relative_error(gx, numerical_gradient(run, x, H))
@@ -195,7 +195,7 @@ def _unit_errors(unit, graph, x, rng):
     tape, grads = ops.OpTape(), {}
     y = unit.forward(x, graph, "train", tape, None)
     R = _proj(rng, y.shape)
-    gx = tape.backward(R, grads)
+    gx = tape.backward(R.copy(), grads)  # a ReLU record builds its grad_x in R's buffer
 
     def run(xv):
         return unit.forward(xv, graph, "train", None, None)
@@ -239,7 +239,7 @@ def conv_unit_trial(rng):
             "conv1.bn.gamma": rng.standard_normal(Cout) + 1.5,
             "conv1.bn.beta": rng.standard_normal(Cout),
         })
-        if np.abs(unit.conv_bn(x, graph, "train", None, relu=False)).min() >= 1e-3:
+        if np.abs(unit.conv_bn([x], graph, "train", None, relu=False)).min() >= 1e-3:
             break
     return _unit_errors(unit, graph, x, rng)
 
@@ -277,11 +277,11 @@ def conv_unit_pool_trial(rng):
             "conv1.bn.gamma": rng.choice([-1.0, 1.0], Cout) * rng.uniform(0.5, 2.0, Cout),
             "conv1.bn.beta": rng.standard_normal(Cout),
         })
-        raw = conv.conv(x, graph, None)
+        raw = ops.conv1d_forward(x, conv._params(graph))[0]
         pad = -raw.shape[1] % ops._POOL
         windows = np.pad(raw, ((0, 0), (0, pad), (0, 0)), constant_values=np.nan)
         gaps = np.diff(np.sort(windows.reshape(B, -1, ops._POOL, Cout), axis=2), axis=2)
-        pre = ops.maxpool1d_forward(conv.conv_bn(x, graph, "train", None, relu=False), "infer")[0]
+        pre = ops.maxpool1d_forward(conv.conv_bn([x], graph, "train", None, relu=False), "infer")[0]
         if np.min(gaps, where=~np.isnan(gaps), initial=np.inf) >= 1e-3 and np.abs(pre).min() >= 1e-3:
             break
     pair = SimpleNamespace(
@@ -295,8 +295,8 @@ def conv_unit_pool_trial(rng):
 def _relu_inputs(block, graph, x):
     """What the block's inner and outer ReLUs see in forward."""
     c1, c2 = block._convs
-    inner = c1.conv_bn(x, graph, "train", None, relu=False)
-    outer = c2.conv_bn(np.maximum(inner, 0), graph, "train", None, relu=False)
+    inner = c1.conv_bn([x], graph, "train", None, relu=False)
+    outer = c2.conv_bn([np.maximum(inner, 0)], graph, "train", None, relu=False)
     return inner, outer + np.pad(x, ((0, 0), (0, 0), (0, outer.shape[-1] - x.shape[-1])))
 
 

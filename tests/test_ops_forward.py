@@ -504,7 +504,7 @@ def _published_order(x, p, s, mode, relu=False):
     being built in the conv output that batch norm took over."""
     h, conv_cache = ops.conv1d_forward(x, p)
     y, bn_cache = ops.batchnorm_forward(h, s, mode)
-    y, mask = ops.relu_forward(y) if relu else (y, None)
+    y, mask = ops.relu_forward(y, mode) if relu else (y, None)
     y, pool_cache = ops.maxpool1d_forward(y, mode)
     if mode == "infer":
         return y, None, None
@@ -522,13 +522,13 @@ def _one_op(x, p, s, mode, relu=False):
     returns. A deep conv's BN grad_x is built in the output its forward
     kept; a thin conv's is the compact _SlotGrad."""
     y, conv_cache, bn_cache = ops.conv1d_bn_pool_forward(x, p, s, mode)
-    y, mask = ops.relu_forward(y) if relu else (y, None)
+    y, mask = ops.relu_forward(y, mode) if relu else (y, None)
     assert (bn_cache is None) == (mode == "infer")
     if mode == "infer":
         return y, None, None
 
-    def backward(g):
-        gy, gg, gb = ops.batchnorm_backward(ops.relu_backward(g, mask) if relu else g, bn_cache)
+    def backward(g):  # the ReLU's backward writes in its gradient: the caller's g is reused
+        gy, gg, gb = ops.batchnorm_backward(ops.relu_backward(g.copy(), mask) if relu else g, bn_cache)
         deep = p.kernel.shape[1] >= ops._IM2COL_MAX_CIN
         assert gy is bn_cache[0] if deep else isinstance(gy, ops._SlotGrad)
         return (gy, *ops.conv1d_backward(gy, conv_cache)[:2], gg, gb)
@@ -981,7 +981,7 @@ class TestResidualBlock:
         tape = ops.OpTape()
         y = block.forward(x, graph, "train", tape, None)
         gout = rng.standard_normal(y.shape)
-        gx = tape.backward(gout, {})
+        gx = tape.backward(gout.copy(), {})  # the ReLU record writes in its gradient
         np.testing.assert_array_equal(gx, (gout * (y > 0))[:, :, :3])
 
 

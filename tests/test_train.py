@@ -3,12 +3,14 @@ import math
 import re
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from wavecnn import build, ops, tensor, training
 from wavecnn.audio import make_batches
+from wavecnn.models import ModelGraph
 from wavecnn.synthetic import SyntheticDataset
 from wavecnn.tensor import RandomSource
 from wavecnn.training import (
@@ -117,6 +119,28 @@ class TestTrainLoop:
         hist = result.history
         assert max(r.train_acc for r in hist) == 1.0
         assert hist[9].train_loss < hist[0].train_loss
+
+    def test_gradients_are_freed_before_the_next_forward(self, monkeypatch):
+        """train drops a step's gradients once adam_step has used them, so
+        none is alive when the next forward starts (m34-res's are 16 MB at
+        published width)."""
+        refs, alive = [], []
+        step, forward = training.adam_step, ModelGraph.forward
+
+        def weak_adam_step(params, grads, state):
+            refs.extend(weakref.ref(g) for g in grads.values())
+            step(params, grads, state)
+
+        def counting_forward(graph, *args, **kwargs):
+            if refs:
+                alive.append(sum(r() is not None for r in refs))
+            return forward(graph, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", weak_adam_step)
+        monkeypatch.setattr(ModelGraph, "forward", counting_forward)
+        train(mini_config(epochs=2), mini_dataset())
+        assert len(refs) > 0 and len(alive) >= 3  # two batches an epoch, then evaluate
+        assert alive == [0] * len(alive), alive
 
     def test_two_runs_bit_identical(self):
         r1 = train(mini_config(epochs=4), mini_dataset())
