@@ -228,10 +228,10 @@ class _ConvUnit(_Unit):
         list is emptied, so with no other reference left the op frees the
         input once it is padded (a call with *args would keep one in its
         argument tuple). pooled runs conv1d_bn_pool_forward, else
-        conv1d_forward. Returns the output and the batch norm cache (None
-        unless pooled), and records the conv's backward, which builds no
-        grad_x (None) for the waveform that ModelGraph.forward passes in:
-        nothing reads it."""
+        conv1d_forward. Returns the output, the conv cache and the batch
+        norm cache (None unless pooled), and records the conv's backward,
+        which builds no grad_x (None) for the waveform that
+        ModelGraph.forward passes in: nothing reads it."""
         k = self.label
         back = ops.conv1d_backward
         if x[0] is getattr(graph, "_waveform", None):
@@ -243,13 +243,13 @@ class _ConvUnit(_Unit):
             (y, cache), bn_cache = ops.conv1d_forward(x.pop(), p), None
         # Without a bias the bias gradient is None, which is not stored.
         _record(tape, back, cache, f"{k}.kernel", f"{k}.bias")
-        return y, bn_cache
+        return y, cache, bn_cache
 
     def conv_bn(self, x: list, graph, mode, tape, relu):
         """The convolution, its batch norm (or bias) and, if asked, the
         ReLU, in that order, also for a pooled unit. x is a one-item list
         that hands the input over (_conv)."""
-        y, _ = self._conv(x, graph, mode, tape, pooled=False)
+        y, _, _ = self._conv(x, graph, mode, tape, pooled=False)
         if self.with_bn:
             y = _bn(y, self.label, graph, mode, tape)
         return _relu(y, mode, tape) if relu else y
@@ -262,10 +262,9 @@ class _ConvUnit(_Unit):
         # unit gets the pooled output, under the conv output's shape
         # (shape_trace reads it), and applies the ReLU.
         k = self.label
-        B, T, _ = x[0].shape
-        y, bn_cache = self._conv(x, graph, mode, tape, pooled=True)
+        y, cache, bn_cache = self._conv(x, graph, mode, tape, pooled=True)
         _record(tape, ops.batchnorm_backward, bn_cache, f"{k}.bn.gamma", f"{k}.bn.beta")
-        shape = (B, -(-T // self.stride), self.out_ch)
+        shape = (len(y), cache[3], self.out_ch)  # cache[3]: the conv's out_T
         return SimpleNamespace(pooled=y, shape=shape, ndim=3)
 
     pooled = False  # a BN conv before a maxpool (_units): it runs the BN and the pool

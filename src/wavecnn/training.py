@@ -473,14 +473,36 @@ def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
         raise CheckpointMismatchError("; ".join(changed))
 
 
+def gradients(graph: ModelGraph, x: np.ndarray, labels: np.ndarray,
+              rng: RandomSource | None, l2_coeff: float):
+    """One train step up to the update: the train-mode forward, the data
+    loss plus the L2 penalty, the backward and the L2 gradients. Returns
+    (forward result, loss, gradients by parameter name). Raises
+    NonFiniteError for a non-finite forward or loss, and RuntimeError if
+    the backward left a parameter without a gradient."""
+    result = graph.forward(x, mode="train", rng=rng)
+    data_loss, _, grad_logits = ops.softmax_xent(result.logits, labels)
+    loss = data_loss + l2_penalty(graph.params, l2_coeff)
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"loss={loss}")
+    grads: dict = {}
+    result.tape.backward(grad_logits, grads)
+    # Before the L2 term, which writes a gradient for every parameter.
+    missing = graph.params.keys() - grads.keys()
+    if missing:
+        raise RuntimeError(f"no gradient for parameters {sorted(missing)}")
+    add_l2_gradients(graph.params, grads, l2_coeff)
+    return result, loss, grads
+
+
 def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -> TrainResult:
     """Run the epoch loop and return the final checkpoint plus metrics.
 
-    Per epoch: seeded reshuffle, minibatch forward (train mode), data loss
-    plus L2 penalty, reverse-mode backward, Adam step; then test-fold
-    evaluation in infer mode against the BN running statistics. A step's
-    gradients and forward result are freed once Adam has used them, before
-    the next forward.
+    Per epoch: seeded reshuffle, then per minibatch `gradients` (forward
+    in train mode, data loss plus L2 penalty, backward) and an Adam step;
+    then test-fold evaluation in infer mode against the BN running
+    statistics. A step's gradients and forward result are freed once Adam
+    has used them, before the next forward.
     """
     if resume_from is not None:
         _check_resume(config, resume_from)
@@ -515,7 +537,6 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
 
     first_param = next(iter(graph.params))
     last_param = "dense.w"
-    param_names = set(graph.params)
 
     history = []
     new_log = start_epoch == 0
@@ -526,31 +547,21 @@ def train(config: TrainConfig, dataset, resume_from: Checkpoint | None = None) -
         ratios = []
         for batch in make_batches(dataset, train_entries, config.batch_size, shuffle_rng):
             try:
-                result = graph.forward(batch.x, mode="train", rng=train_rng)
-                data_loss, probs, grad_logits = ops.softmax_xent(result.logits, batch.labels)
-                loss = data_loss + l2_penalty(graph.params, config.l2_coeff)
-                if not np.isfinite(loss):
-                    raise NonFiniteError(f"loss={loss}")
-                grads: dict = {}
-                result.tape.backward(grad_logits, grads)
+                result, loss, grads = gradients(graph, batch.x, batch.labels, train_rng,
+                                                config.l2_coeff)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite values at epoch {epoch}, batch {batch_id}: {exc}"
                 ) from exc
-            # Before the L2 term, which writes a gradient for every parameter.
-            missing = param_names - set(grads)
-            if missing:
-                raise RuntimeError(f"no gradient for parameters {sorted(missing)}")
-            add_l2_gradients(graph.params, grads, config.l2_coeff)
             ratio = _grad_norm_ratio(grads, first_param, last_param)
             if not math.isnan(ratio):
                 ratios.append(ratio)
             adam_step(graph.params, grads, adam)
+            correct += int((np.argmax(result.probs, axis=1) == batch.labels).sum())
             # Nothing reads them again: free them before the next forward.
             del grads, result
             n = len(batch.labels)
             loss_sum += loss * n
-            correct += int((np.argmax(probs, axis=1) == batch.labels).sum())
             seen += n
             batch_id += 1
 

@@ -3,7 +3,8 @@
 For each case (architecture, dtype, clip length) the script builds the
 network at 1/16 width in that dtype, draws every batch-norm gamma in
 [-2, 2] so that negative scales and their min-pooling run too, and runs one
-B=3 train step: forward, backward and the L2 gradients. It then runs an
+B=3 train step up to the update: training.gradients, the forward, loss,
+backward and L2 gradients that training.train runs. It then runs an
 inference on the updated running statistics. The hash covers the logits,
 every parameter gradient after L2, the running statistics, the infer
 logits and the tape length of each case, in case order.
@@ -14,9 +15,10 @@ its parent. Run it on both trees and compare:
     PYTHONPATH=src python tests/step_digest.py
 
 or let --parent REV do it: it extracts REV with `git archive`, as
-tests/bench_pairs.py does, runs this script's digest on the package of the
-extract and on the work tree's, each in a fresh process, prints both
-totals and exits 1 if they differ.
+tests/bench_pairs.py does, runs the extract's copy of this script on the
+extract's package and this copy on the work tree's, each in a fresh
+process, prints both totals and exits 1 if they differ. Each tree hashes
+with its own script because the step is the package's own.
 
 With --cases it first prints one hash per case, named, so a mismatch
 shows which (arch, dtype, length) case differs; its last line is the
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -40,13 +41,13 @@ from pathlib import Path
 # wavecnn before numpy (bench_pairs imports it too), so WAVECNN_THREADS
 # applies, as in tests/test_threads.py.
 from wavecnn.models import build
-from wavecnn.ops import softmax_xent
 from wavecnn.tensor import RandomSource
-from wavecnn.training import add_l2_gradients
+from wavecnn.training import gradients
 
 import numpy as np  # noqa: E402
 
 import bench_pairs  # noqa: E402
+from harness import python_env  # noqa: E402
 
 # Listed by hand, not read from valid_architectures(), so an architecture
 # added later changes the case list only where this tuple is edited.
@@ -75,11 +76,7 @@ def _step(arch: str, dtype, T: int):
     x = RandomSource(2).normal((BATCH, T, 1), dtype=dtype)
     labels = np.arange(BATCH) % graph.num_classes
 
-    res = graph.forward(x, mode="train", rng=RandomSource(3))
-    _, _, dlogits = softmax_xent(res.logits, labels)
-    grads: dict = {}
-    res.tape.backward(dlogits, grads)
-    add_l2_gradients(graph.params, grads, L2_COEFF)
+    res, _, grads = gradients(graph, x, labels, RandomSource(3), L2_COEFF)
     infer = graph.forward(x).logits
 
     yield f"{arch}/{np.dtype(dtype).name}/{T}/{len(res.tape)}".encode()
@@ -104,13 +101,14 @@ def case_digests(archs=ARCHITECTURES, dtypes=DTYPES, lengths=LENGTHS):
     yield "total", total.hexdigest()
 
 
-def _total_in(src: Path, cases: dict) -> str:
-    """The total digest of the package under src, from a fresh process."""
+def _total_in(root: Path, cases: dict) -> str:
+    """The total digest of the tree at root, from its own copy of this
+    script on its own package, in a fresh process."""
     code = ("import json, sys, step_digest; "
             "print(dict(step_digest.case_digests(**json.loads(sys.argv[1])))['total'])")
     arg = json.dumps(cases, default=lambda dtype: np.dtype(dtype).name)
-    return subprocess.run([sys.executable, "-c", code, arg], cwd=Path(__file__).parent,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    return subprocess.run([sys.executable, "-c", code, arg], cwd=root / "tests",
+                          env=python_env(root / "src"), check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
@@ -129,8 +127,8 @@ def main(argv=None, **cases) -> int:
     if args.parent:
         with tempfile.TemporaryDirectory() as tmp:
             bench_pairs._extract(args.parent, Path(tmp))
-            parent = _total_in(Path(tmp) / "src", cases)
-        work = _total_in(bench_pairs.ROOT / "src", cases)
+            parent = _total_in(Path(tmp), cases)
+        work = _total_in(bench_pairs.ROOT, cases)
         print(parent, args.parent)
         print(work, "work tree")
         return int(parent != work)

@@ -1,14 +1,18 @@
 """Time and tracemalloc peak of every unit forward and tape record backward
-in one train step.
+in one warm train step.
 
 The script builds one architecture at a given width (channel scale), draws
-a batch of clips and runs one float32 train step as training.train runs it:
-ModelGraph.forward in train mode, the loss, the op tape's backward, the L2
-gradients and Adam. It prints one row per unit forward, per tape record
-backward and per remaining stage of the step: the phase, the unit, the op
-(a record's backward function), the milliseconds it took, the traced peak
-while it ran and the memory still traced when it returned. The last line
-names the row at which the step peaked.
+a batch of clips and runs one float32 train step as training.train runs it
+(training.gradients, then Adam), untraced. It then runs the same step again
+on the same graph and batch, phase by phase: ModelGraph.forward in train
+mode, the loss, the op tape's backward, the L2 gradients and Adam. It
+prints one row per unit forward, per tape record backward and per remaining
+stage of that second step: the phase, the unit, the op (a record's backward
+function), the milliseconds it took, the traced peak while it ran and the
+memory still traced when it returned. The last line names the row at which
+the step peaked. The first step is not shown: a cold step pays first-touch
+page faults and one-time setup, so its times read higher and vary more
+than the steady state that training runs in.
 
     PYTHONPATH=src python tests/step_memory.py --arch m18 --width 1 --batch 8
 
@@ -38,7 +42,7 @@ from wavecnn import models
 from wavecnn.audio import CLIP_SAMPLES
 from wavecnn.ops import softmax_xent
 from wavecnn.tensor import RandomSource
-from wavecnn.training import AdamState, TrainConfig, adam_step, add_l2_gradients
+from wavecnn.training import AdamState, TrainConfig, adam_step, add_l2_gradients, gradients
 
 import numpy as np  # noqa: E402
 
@@ -55,12 +59,15 @@ class Row(NamedTuple):
 
 
 def step_rows(arch: str, width: float = 1.0, batch: int = 8, length: int = CLIP_SAMPLES) -> list:
-    """The rows of one train step of `arch` at channel scale `width`, on
+    """The rows of a warm train step of `arch` at channel scale `width`, on
     `batch` clips of `length` samples, in the order they ran."""
     graph = models.build(arch, rng=RandomSource(0), channel_scale=width)
     adam = AdamState(graph.params)
     x = RandomSource(1).normal((batch, length, 1)).astype(graph.dtype)
     labels = np.arange(batch) % graph.num_classes
+    _, _, grads = gradients(graph, x, labels, RandomSource(2), TrainConfig.l2_coeff)
+    adam_step(graph.params, grads, adam)
+    del grads  # as training.train frees them before the next forward
     rows, unit = [], ["input"]  # unit[0]: the unit whose forward runs
 
     def measure(phase, label, op, t0):

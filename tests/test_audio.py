@@ -2,11 +2,11 @@ import hashlib
 import logging
 import struct
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from harness import traced_peak
 from wavecnn.audio import (
     CLIP_SAMPLES,
     DatasetIndex,
@@ -570,12 +570,7 @@ def test_stack_clips_copies_each_clip_once():
     """Stacking float32 clips allocates the stacked array and no second
     copy of it: the traced peak stays near the stacked bytes."""
     data = SyntheticDataset(n_clips=64)
-    tracemalloc.start()
-    try:
-        x, labels = stack_clips(data, data.entries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (x, labels), peak = traced_peak(stack_clips, data, data.entries)
     assert x.shape == (64, CLIP_SAMPLES, 1) and x.dtype == np.float32
     assert np.array_equal(labels, [e.label for e in data.entries])
     assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the stacked bytes"

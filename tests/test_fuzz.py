@@ -10,7 +10,6 @@ import struct
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wavecnn import ops
 from wavecnn.audio import CLIP_SAMPLES, WavError, preprocess
 from wavecnn.training import (
     CHECKPOINT_MAGIC,
@@ -18,8 +17,7 @@ from wavecnn.training import (
     Checkpoint,
     CheckpointError,
     adam_step,
-    add_l2_gradients,
-    l2_penalty,
+    gradients,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
@@ -202,12 +200,7 @@ def test_accepted_checkpoint_restores_and_trains(tmp_path_factory):
             graph = model_from_checkpoint(ckpt)
         except CheckpointError:
             return
-        res = graph.forward(x, mode="train", rng=RandomSource(2))
-        loss, _, grad_logits = ops.softmax_xent(res.logits, labels)
-        loss += l2_penalty(graph.params, 1e-4)
-        grads = {}
-        res.tape.backward(grad_logits, grads)
-        add_l2_gradients(graph.params, grads, 1e-4)
+        _, loss, grads = gradients(graph, x, labels, RandomSource(2), 1e-4)
         adam_step(graph.params, grads, ckpt.adam or AdamState(graph.params))
         assert math.isfinite(loss)
 

@@ -10,11 +10,10 @@ import signal
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 
-import wavecnn
+from harness import python_env
 from wavecnn.audio import DatasetIndex, preprocess
 from wavecnn.training import load_checkpoint, train
 
@@ -60,10 +59,7 @@ index.load(index.entries[1])
 def _kill_after_first_write(code: str, *args) -> None:
     """Run `python -c code *args` with this checkout's wavecnn, wait for
     its first write, and SIGKILL it."""
-    env = dict(os.environ)
-    src = str(Path(wavecnn.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=env,
+    child = subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=python_env(),
                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
     watchdog = threading.Timer(120, child.kill)

@@ -1,10 +1,11 @@
 import collections
 import hashlib
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from harness import traced_peak
 from wavecnn import build, count_parameters, models, ops, shape_trace
 from wavecnn.models import (
     parameter_breakdown,
@@ -12,8 +13,8 @@ from wavecnn.models import (
     valid_architectures,
 )
 from wavecnn.ops import softmax_xent
-from wavecnn.tensor import RandomSource
-from wavecnn.training import EVAL_BATCH, evaluate
+from wavecnn.tensor import NonFiniteError, RandomSource
+from wavecnn.training import EVAL_BATCH, evaluate, gradients
 
 
 def closed_form_count(column, num_classes=10, with_bn=True, fc=False):
@@ -182,12 +183,7 @@ class TestShapeTrace:
         0.2 MiB of headroom, and one stem clip buffer exceeds it (m3's
         im2col rows take 2.4 MiB)."""
         graph = build(name, rng=RandomSource(0))
-        tracemalloc.start()
-        try:
-            shape_trace(graph, 32000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(shape_trace, graph, 32000)
         assert peak < 0.25 * 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("name", valid_architectures())
@@ -337,10 +333,7 @@ class TestForward:
     def test_train_mode_returns_tape_with_full_coverage(self):
         graph = build("m11", rng=RandomSource(4), channel_scale=1 / 16)
         x = RandomSource(7).normal((2, 2000, 1))
-        res = graph.forward(x, mode="train")
-        _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
-        grads = {}
-        res.tape.backward(dlogits, grads)
+        _, _, grads = gradients(graph, x, np.array([0, 1]), None, 0.0)
         assert set(grads) == set(graph.params)
 
     def test_train_mode_batch_one_rejected(self):
@@ -348,6 +341,18 @@ class TestForward:
         x = np.zeros((1, 1000, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="batch size"):
             graph.forward(x, mode="train")
+
+    def test_train_forward_that_raises_keeps_no_input(self):
+        """A forward stopped by a non-finite value lets go of its input:
+        the graph holds the waveform only while forward runs."""
+        graph = build("m3", rng=RandomSource(4), channel_scale=1 / 16)
+        x = RandomSource(9).normal((2, 1000, 1)).astype(np.float32)
+        x[1, 500, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="conv1d"):
+            graph.forward(x, mode="train", rng=RandomSource(2))
+        ref = weakref.ref(x)
+        del x
+        assert ref() is None
 
     def test_infer_mode_mutates_nothing(self):
         graph = build("m5", rng=RandomSource(4), channel_scale=1 / 8)
@@ -407,10 +412,7 @@ def test_tape_structure(name):
     from a tape of the pinned length."""
     graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
     x = RandomSource(0).normal((2, 1280, 1))
-    res = graph.forward(x, mode="train", rng=RandomSource(0))
-    _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
-    grads = {}
-    res.tape.backward(dlogits, grads)
+    res, _, grads = gradients(graph, x, np.array([0, 1]), RandomSource(0), 0.0)
     assert set(grads) == set(graph.params)
     assert len(res.tape) == _TAPE_RECORDS[name]
 
@@ -450,9 +452,7 @@ def test_each_parameter_gradient_has_one_writer(name, monkeypatch):
     monkeypatch.setattr(models, "_record", counting_record)
     graph = build(name, rng=RandomSource(0), channel_scale=1 / 16)
     x = RandomSource(0).normal((2, 1280, 1))
-    res = graph.forward(x, mode="train", rng=RandomSource(0))
-    _, _, dlogits = softmax_xent(res.logits, np.array([0, 1]))
-    res.tape.backward(dlogits, {})
+    gradients(graph, x, np.array([0, 1]), RandomSource(0), 0.0)
     assert writers == collections.Counter(list(graph.params))
 
 
@@ -495,20 +495,14 @@ def test_pool_after_tail_matches_published_order(name, dtype):
 
 
 def _step_peak_over_stem(name):
-    """Tracemalloc peak of one train step (forward and backward) at 1/4
-    width and B=4, over the bytes of the stem conv's float32 output."""
+    """Tracemalloc peak of one train step's gradients (forward, loss and
+    backward, no L2 term) at 1/4 width and B=4, over the bytes of the stem
+    conv's float32 output."""
     graph = build(name, rng=RandomSource(0), channel_scale=1 / 4)
     x = RandomSource(1).normal((4, 32000, 1)).astype(np.float32)
     stem_T, stem_ch = shape_trace(graph, 32000)[1][1]
     stem_bytes = 4 * stem_T * stem_ch * 4
-    tracemalloc.start()
-    try:
-        res = graph.forward(x, mode="train", rng=RandomSource(2))
-        _, _, dlogits = softmax_xent(res.logits, np.arange(4) % 10)
-        res.tape.backward(dlogits, {})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(gradients, graph, x, np.arange(4) % 10, RandomSource(2), 0.0)
     return peak / stem_bytes
 
 
@@ -548,12 +542,7 @@ def test_evaluate_peak_memory():
     graph = build("m3", rng=RandomSource(0))
     x = RandomSource(1).normal((EVAL_BATCH, 32000, 1)).astype(np.float32)
     stem_T, stem_ch = shape_trace(graph, 32000)[1][1]
-    tracemalloc.start()
-    try:
-        evaluate(graph, x, np.arange(EVAL_BATCH) % 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(evaluate, graph, x, np.arange(EVAL_BATCH) % 10)
     ratio = peak / (EVAL_BATCH * stem_T * stem_ch * 4)
     assert ratio < 0.61, f"peak {ratio:.2f}x the stem output"
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 from types import SimpleNamespace
@@ -11,6 +10,7 @@ from wavecnn import models, ops
 from wavecnn.ops import BatchNormState, ConvParams
 from wavecnn.tensor import NonFiniteError, RandomSource
 
+from harness import traced_peak
 from naive_ref import conv1d_backward_naive, conv1d_naive, maxpool1d_naive, relative_error
 
 
@@ -296,12 +296,7 @@ class TestConv1d:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((B, 32000, 1)).astype(np.float32)
         k = rng.standard_normal((rf, 1, Cout)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            y, _ = ops.conv1d_forward(x, ConvParams(k, stride=4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (y, _), peak = traced_peak(ops.conv1d_forward, x, ConvParams(k, stride=4))
         assert peak < 2 * y.nbytes
 
     def test_float32_deep_forward_peak_memory(self):
@@ -310,12 +305,7 @@ class TestConv1d:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 4000, 64)).astype(np.float32)
         k = rng.standard_normal((3, 64, 64)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            y, _ = ops.conv1d_forward(x, ConvParams(k, stride=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (y, _), peak = traced_peak(ops.conv1d_forward, x, ConvParams(k, stride=1))
         assert peak < 2.75 * y.nbytes
 
     def test_deep_backward_peak_memory(self):
@@ -327,12 +317,7 @@ class TestConv1d:
         k = rng.standard_normal((3, 64, 64)).astype(np.float32)
         y, cache = ops.conv1d_forward(x, ConvParams(k, stride=1))
         g = rng.standard_normal(y.shape).astype(np.float32)
-        tracemalloc.start()
-        try:
-            ops.conv1d_backward(g, cache)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(ops.conv1d_backward, g, cache)
         assert peak <= 1.25 * x.nbytes
 
     def test_backward_shape_mismatch(self):
@@ -487,12 +472,7 @@ class TestBatchNorm:
         x = rng.standard_normal((8, 2000, 64), dtype=np.float32)
         _, cache = ops.batchnorm_forward(x, _bn_state(64, np.float32), "train")
         g = rng.standard_normal(x.shape, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            ops.batchnorm_backward(g, cache)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(ops.batchnorm_backward, g, cache)
         assert peak <= 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input bytes"
 
 

@@ -2,7 +2,6 @@
 hashes the same within one process, and with --cases names each case's
 hash before the same total; --parent compares two packages."""
 
-import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import pytest
 
 import bench_pairs
 import step_digest
+from harness import python_env
 from wavecnn.models import valid_architectures
 
 SMALL = dict(archs=("m3", "m34-res"), lengths=(400,))
@@ -46,10 +46,11 @@ def test_cases_option_prints_each_case_then_the_default_total(capsys):
 
 
 def _extract_work_tree_package(eps):
-    """A stand-in for bench_pairs._extract: copies the work tree's package,
-    with batch norm's epsilon written as eps."""
+    """A stand-in for bench_pairs._extract: copies the work tree's package
+    and tests, with batch norm's epsilon written as eps."""
     def extract(rev, dest):
-        shutil.copytree(bench_pairs.ROOT / "src", dest / "src")
+        for d in ("src", "tests"):
+            shutil.copytree(bench_pairs.ROOT / d, dest / d)
         ops = dest / "src" / "wavecnn" / "ops.py"
         ops.write_text(ops.read_text().replace("_BN_EPS = 1e-5", f"_BN_EPS = {eps}"))
     return extract
@@ -57,8 +58,8 @@ def _extract_work_tree_package(eps):
 
 @pytest.mark.parametrize("eps,differ", [("1e-5", False), ("1e-3", True)])
 def test_parent_option_compares_two_packages(eps, differ, monkeypatch, capsys):
-    """--parent digests the extracted package and the work tree's, each in
-    a process of its own, prints both totals and returns 1 when they
+    """--parent digests the extracted tree and the work tree, each in a
+    process of its own, prints both totals and returns 1 when they
     differ. The extract here is the work tree's package, with batch norm's
     epsilon kept or changed."""
     monkeypatch.setattr(bench_pairs, "_extract", _extract_work_tree_package(eps))
@@ -73,9 +74,8 @@ def test_parent_option_compares_two_packages(eps, differ, monkeypatch, capsys):
 def test_import_applies_wavecnn_threads():
     """The script imports wavecnn before numpy, so WAVECNN_THREADS sets
     the BLAS thread count and no RuntimeWarning says it is ignored."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env.update(WAVECNN_THREADS="1", PYTHONPATH=str(bench_pairs.ROOT / "src"))
+    env = python_env(drop=("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                     WAVECNN_THREADS="1")
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", "import step_digest"],
                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
                          timeout=120)

@@ -4,28 +4,23 @@ variables or, once numpy is loaded, warns that it cannot. The thread count
 is fixed when numpy is first imported, so each case runs in its own
 subprocess."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import wavecnn
+from harness import python_env
 
 _STEP = """
 import hashlib, os
 from wavecnn.models import build  # before numpy, so WAVECNN_THREADS applies
-from wavecnn.ops import softmax_xent
 from wavecnn.tensor import RandomSource
+from wavecnn.training import gradients
 import numpy as np
 
 h = hashlib.sha256()
 for name in ("m3", "m18", "m34-res"):
     graph = build(name, rng=RandomSource(0), channel_scale=1 / 8)
     x = RandomSource(1).normal((4, 32000, 1))
-    res = graph.forward(x, mode="train", rng=RandomSource(2))
-    _, _, dlogits = softmax_xent(res.logits, np.arange(4))
-    grads = {}
-    res.tape.backward(dlogits, grads)
+    res, _, grads = gradients(graph, x, np.arange(4), RandomSource(2), 0.0)
     for arr in (res.logits, *(grads[k] for k in sorted(grads)),
                 *(graph.state[k] for k in sorted(graph.state))):
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -39,12 +34,8 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def _run(code: str, **env_vars) -> str:
     """stdout of `python -c code` with this checkout's wavecnn, the BLAS
     thread variables cleared, then env_vars set."""
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
-    src = str(Path(wavecnn.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(env_vars)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code], env=python_env(drop=_BLAS_VARS, **env_vars),
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
 

@@ -1,13 +1,14 @@
 import json
 import math
 import re
+import shutil
 import struct
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from harness import traced_peak
 from wavecnn import build, ops, tensor, training
 from wavecnn.audio import make_batches
 from wavecnn.models import ModelGraph
@@ -51,6 +52,16 @@ def mini_config(**over):
 
 def mini_dataset(n=8, seed=3, length=4000, num_classes=2):
     return SyntheticDataset(n_clips=n, seed=seed, length=length, num_classes=num_classes)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The checkpoint file of one mini_config epoch, shared by the tests
+    that only need a trained checkpoint. A test that changes the file works
+    on a copy; load_checkpoint gives each test an object of its own."""
+    path = tmp_path_factory.mktemp("trained") / "run.ckpt"
+    train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+    return path
 
 
 class TestAdam:
@@ -273,12 +284,7 @@ class TestEvaluate:
         def peak(n):
             x = np.random.default_rng(5).standard_normal((n, 8000, 1), dtype=np.float32)
             y = np.arange(n) % 10
-            tracemalloc.start()
-            try:
-                evaluate(graph, x, y)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(evaluate, graph, x, y)[1]
 
         assert peak(32) <= 1.2 * peak(8)
 
@@ -340,22 +346,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"epoch 2, so epochs {epochs} leaves no epoch"):
             train(mini_config(epochs=epochs), mini_dataset(), resume_from=load_checkpoint(path))
 
-    def test_resume_with_another_arch_refused(self, tmp_path):
-        path = tmp_path / "m3.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+    def test_resume_with_another_arch_refused(self, trained):
         with pytest.raises(CheckpointMismatchError, match="checkpoint arch 'm3' != config arch 'm5'"):
             train(mini_config(arch="m5", epochs=2), mini_dataset(),
-                  resume_from=load_checkpoint(path))
+                  resume_from=load_checkpoint(trained))
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 2), ("batch_size", 2), ("alpha", 1e-2), ("l2_coeff", 0.0),
         ("channel_scale", 1 / 8), ("test_fold", 9),
     ])
-    def test_resume_with_another_setting_refused(self, tmp_path, monkeypatch, field, value):
+    def test_resume_with_another_setting_refused(self, trained, monkeypatch, field, value):
         """Each of these changes the trajectory, so the resume is refused,
         naming the field, before the model is built."""
-        path = tmp_path / "run.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
         old = getattr(mini_config(), field)
 
         def no_build(*args, **kwargs):
@@ -365,60 +367,48 @@ class TestCheckpoint:
         message = f"checkpoint {field} {old!r} != config {field} {value!r}"
         with pytest.raises(CheckpointMismatchError, match=re.escape(message)):
             train(mini_config(epochs=2, **{field: value}), mini_dataset(),
-                  resume_from=load_checkpoint(path))
+                  resume_from=load_checkpoint(trained))
 
-    def test_resume_names_every_changed_setting(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+    def test_resume_names_every_changed_setting(self, trained):
         with pytest.raises(CheckpointMismatchError,
                            match="checkpoint batch_size 4 != config batch_size 2; "
                                  "checkpoint seed 3 != config seed 5"):
             train(mini_config(epochs=2, batch_size=2, seed=5), mini_dataset(),
-                  resume_from=load_checkpoint(path))
+                  resume_from=load_checkpoint(trained))
 
-    def test_resume_may_change_run_length_paths_and_stop_rule(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
+    def test_resume_may_change_run_length_paths_and_stop_rule(self, tmp_path, trained):
         config = mini_config(epochs=2, checkpoint_path=str(tmp_path / "next.ckpt"),
                              log_path=str(tmp_path / "log.csv"), checkpoint_every=1,
                              stop_at_train_acc=1.1)
-        resumed = train(config, mini_dataset(), resume_from=load_checkpoint(path))
+        resumed = train(config, mini_dataset(), resume_from=load_checkpoint(trained))
         assert [r.epoch for r in resumed.history] == [2]
 
-    def test_resume_with_another_adam_step_size_refused(self, tmp_path):
+    def test_resume_with_another_adam_step_size_refused(self, trained):
         """Adam's step size comes from the config: a checkpoint whose Adam
         state holds another one is refused, not overwritten."""
-        path = tmp_path / "run.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
-        ckpt = load_checkpoint(path)
+        ckpt = load_checkpoint(trained)
         ckpt.adam.alpha = 0.5
         with pytest.raises(CheckpointMismatchError,
                            match="checkpoint adam.alpha 0.5 != config alpha 0.001"):
             train(mini_config(epochs=2), mini_dataset(), resume_from=ckpt)
 
     @pytest.mark.parametrize("missing", ["adam", "rng_state"])
-    def test_resume_without_optimizer_or_rng_state_refused(self, tmp_path, missing):
-        path = tmp_path / "run.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
-        ckpt = load_checkpoint(path)
+    def test_resume_without_optimizer_or_rng_state_refused(self, trained, missing):
+        ckpt = load_checkpoint(trained)
         setattr(ckpt, missing, None)
         with pytest.raises(CheckpointMismatchError, match="no Adam or RNG state"):
             train(mini_config(epochs=2), mini_dataset(), resume_from=ckpt)
 
-    def test_version_mismatch(self, tmp_path):
-        result = train(mini_config(epochs=1), mini_dataset())
-        ckpt = result.checkpoint
+    def test_version_mismatch(self, tmp_path, trained):
+        ckpt = load_checkpoint(trained)
         ckpt.version = 99
         path = tmp_path / "v99.ckpt"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointVersionError, match="99"):
             load_checkpoint(path)
 
-    def test_truncated_file(self, tmp_path):
-        result = train(mini_config(epochs=1), mini_dataset())
-        path = tmp_path / "full.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        blob = path.read_bytes()
+    def test_truncated_file(self, tmp_path, trained):
+        blob = trained.read_bytes()
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes(blob[: len(blob) - 64])
         with pytest.raises(CheckpointTruncatedError):
@@ -430,13 +420,10 @@ class TestCheckpoint:
         with pytest.raises(Exception, match="magic"):
             load_checkpoint(path)
 
-    def test_arch_mismatch_names_first_offending_tensor(self, tmp_path):
-        result = train(mini_config(epochs=1), mini_dataset())
-        path = tmp_path / "m3.ckpt"
-        save_checkpoint(result.checkpoint, path)
+    def test_arch_mismatch_names_first_offending_tensor(self, trained):
         other = build("m5", num_classes=2, rng=RandomSource(0), channel_scale=1 / 32)
         with pytest.raises(CheckpointMismatchError, match="conv1.kernel"):
-            restore_model(load_checkpoint(path), other)
+            restore_model(load_checkpoint(trained), other)
 
     def test_restore_names_missing_tensor(self):
         graph = build("m3", num_classes=2, rng=RandomSource(0), channel_scale=1 / 16)
@@ -455,22 +442,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError, match="unknown tensor 'conv9.bn.running_mean'"):
             restore_model(ckpt, graph)
 
-    def test_negative_running_variance_is_refused(self, tmp_path):
+    def test_negative_running_variance_is_refused(self, tmp_path, trained):
         """Inference would take the square root of a negative variance; the
         restore refuses the file first and names the tensor."""
-        ckpt = train(mini_config(epochs=1), mini_dataset()).checkpoint
+        ckpt = load_checkpoint(trained)
         ckpt.state["conv1.bn.running_var"][0] = -4.0
         path = tmp_path / "negative_var.ckpt"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointMismatchError, match="'conv1.bn.running_var'.*negative"):
             model_from_checkpoint(load_checkpoint(path))
 
-    def test_params_and_state_do_not_stand_in_for_each_other(self, tmp_path):
+    def test_params_and_state_do_not_stand_in_for_each_other(self, tmp_path, trained):
         """A checkpoint that swaps a param and a same-shaped state tensor
         between its sections, with Adam moments named like its params,
         loads; the resume refuses it and names the param, where a lookup
         across sections would restore it and fail in adam_step."""
-        ckpt = train(mini_config(epochs=1), mini_dataset()).checkpoint
+        ckpt = load_checkpoint(trained)
         gamma, mean = "conv1.bn.gamma", "conv1.bn.running_mean"
         ckpt.params[mean] = ckpt.params.pop(gamma)
         ckpt.state[gamma] = ckpt.state.pop(mean)
@@ -490,14 +477,14 @@ class TestCheckpoint:
         for name, arr in result.graph.params.items():
             np.testing.assert_array_equal(graph.params[name], arr)
 
-    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, trained):
         """A save that fails partway through the tensors leaves the previous
         checkpoint loadable bitwise and no temporary file behind."""
-        first = train(mini_config(epochs=1), mini_dataset())
         path = tmp_path / "model.ckpt"
-        save_checkpoint(first.checkpoint, path)
+        shutil.copy(trained, path)
         before = path.read_bytes()
-        second = train(mini_config(epochs=2), mini_dataset())
+        second = load_checkpoint(path)
+        second.epoch = 2
 
         class FailingFile:
             """Passes writes through until half the previous file's size."""
@@ -521,14 +508,14 @@ class TestCheckpoint:
         monkeypatch.setattr(tensor, "open", lambda *a, **k: FailingFile(open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(second.checkpoint, path)
+            save_checkpoint(second, path)
         monkeypatch.undo()
 
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
         loaded = load_checkpoint(path)
         assert loaded.epoch == 1
-        for name, arr in first.checkpoint.params.items():
+        for name, arr in load_checkpoint(trained).params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
 
     def test_load_allocates_each_tensor_once(self, tmp_path):
@@ -539,12 +526,7 @@ class TestCheckpoint:
                           state=graph.state, config={}, adam=AdamState(graph.params))
         path = tmp_path / "m34res.ckpt"
         save_checkpoint(ckpt, path)
-        tracemalloc.start()
-        try:
-            loaded = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(load_checkpoint, path)
         sections = (loaded.params, loaded.state, loaded.adam.m, loaded.adam.v)
         nbytes = sum(a.nbytes for d in sections for a in d.values())
         assert peak <= 1.15 * nbytes, f"peak {peak / nbytes:.2f}x the tensor bytes"
@@ -678,12 +660,11 @@ class TestCheckpointManifest:
                            match=re.escape(f"{kind} tensor {name!r}: non-finite values")):
             load_checkpoint(path)
 
-    def test_config_naming_another_step_size_refused(self, tmp_path):
+    def test_config_naming_another_step_size_refused(self, tmp_path, trained):
         """A resume would run at one of the two step sizes, so a checkpoint
         whose Adam alpha and config alpha disagree is refused."""
         path = tmp_path / "run.ckpt"
-        train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
-        data = path.read_bytes()
+        data = trained.read_bytes()
         head = len(CHECKPOINT_MAGIC) + 4
         n = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))[0]
         manifest = json.loads(data[head : head + n])
@@ -712,13 +693,12 @@ class TestCheckpointManifest:
                     "rng_state": None, "adam": None, "tensors": tensors}
         path = tmp_path / "overlap.ckpt"
         self._write(path, manifest, bytes(4 * n))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(CheckpointFormatError, match="offset"):
                 load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak <= 4 * n, f"peak {peak} bytes"
 
     @pytest.mark.parametrize("manifest", [b"\xff\xfe{}", b"{\"version\": 1,"],
