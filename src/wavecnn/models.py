@@ -38,6 +38,15 @@ reference: the input sits in a one-item list that the call pops. A conv
 unit hands it on to its op the same way (_ConvUnit._conv), and the op
 frees it once its padded copy exists. The residual block keeps its input
 for the shortcut.
+
+In train mode a batch norm's output after its ReLU, a conv unit's or the
+maxpool unit's after a pooled BN conv, is left on the graph with the batch
+norm's input, scale and shift (_leave_bn_relu). The conv that takes that
+output next records those in place of its padded input, which dies when
+its op returns and which its backward rebuilds (ops.py). So only the stem,
+the first conv of each residual block that a shortcut sum feeds and the
+-no-bn convs keep a padded input until their backward. ModelGraph.forward
+clears the slot when it returns.
 """
 
 from __future__ import annotations
@@ -155,12 +164,21 @@ def _bn_state(graph, k) -> ops.BatchNormState:
 
 
 def _bn(y, k, graph, mode, tape):
-    """Batch norm over the `{k}.bn.*` params and state. y is a fresh conv or
-    affine output that only the BN cache keeps, so the backward may build
-    grad_x in its buffer."""
+    """Batch norm over the `{k}.bn.*` params and state: (output, cache). y
+    is a fresh conv or affine output that only the BN cache keeps, so the
+    backward may build grad_x in its buffer."""
     y, cache = ops.batchnorm_forward(y, _bn_state(graph, k), mode)
     _record(tape, ops.batchnorm_backward, cache, f"{k}.bn.gamma", f"{k}.bn.beta")
-    return y
+    return y, cache
+
+
+def _leave_bn_relu(graph, y, bn_cache, tape) -> None:
+    """In train mode, leave on the graph y, a batch norm's output after its
+    ReLU, with what a conv's backward rebuilds y from: the batch norm's
+    input and its float64 scale and shift (_ConvUnit._conv takes them)."""
+    if tape is not None:
+        _, _, xs, _, _, _, scale, shift = bn_cache
+        graph._bn_relu = (y, xs, scale, shift)
 
 
 def _relu(y, mode, tape):
@@ -231,16 +249,28 @@ class _ConvUnit(_Unit):
         conv1d_forward. Returns the output, the conv cache and the batch
         norm cache (None unless pooled), and records the conv's backward,
         which builds no grad_x (None) for the waveform that
-        ModelGraph.forward passes in: nothing reads it."""
+        ModelGraph.forward passes in: nothing reads it.
+
+        An input that a batch norm and its ReLU made (_leave_bn_relu) is
+        not kept padded: the slot is emptied before the op runs, and the
+        recorded cache holds the tuple (x, scale, shift) in place of the
+        padded input, which dies when the op returns. The conv's backward
+        rebuilds it, and runs before the batch norm's backward, which
+        later builds its grad_x in that x."""
         k = self.label
         back = ops.conv1d_backward
         if x[0] is getattr(graph, "_waveform", None):
             back = partial(ops.conv1d_backward, input_grad=False)
+        slot, graph._bn_relu = getattr(graph, "_bn_relu", None), None
+        rebuild = slot[1:] if slot is not None and slot[0] is x[0] else None
+        slot = None  # so the op is handed the input's only reference
         p = self._params(graph)
         if pooled:
             y, cache, bn_cache = ops.conv1d_bn_pool_forward(x.pop(), p, _bn_state(graph, k), mode)
         else:
             (y, cache), bn_cache = ops.conv1d_forward(x.pop(), p), None
+        if rebuild is not None:
+            cache = (rebuild, *cache[1:])
         # Without a bias the bias gradient is None, which is not stored.
         _record(tape, back, cache, f"{k}.kernel", f"{k}.bias")
         return y, cache, bn_cache
@@ -250,9 +280,14 @@ class _ConvUnit(_Unit):
         ReLU, in that order, also for a pooled unit. x is a one-item list
         that hands the input over (_conv)."""
         y, _, _ = self._conv(x, graph, mode, tape, pooled=False)
-        if self.with_bn:
-            y = _bn(y, self.label, graph, mode, tape)
-        return _relu(y, mode, tape) if relu else y
+        if not self.with_bn:
+            return _relu(y, mode, tape) if relu else y
+        y, bn_cache = _bn(y, self.label, graph, mode, tape)
+        if not relu:
+            return y
+        y = _relu(y, mode, tape)
+        _leave_bn_relu(graph, y, bn_cache, tape)
+        return y
 
     def forward(self, x, graph, mode, tape, rng):
         x = [x]  # the conv op takes this frame's reference over (_conv)
@@ -265,7 +300,7 @@ class _ConvUnit(_Unit):
         y, cache, bn_cache = self._conv(x, graph, mode, tape, pooled=True)
         _record(tape, ops.batchnorm_backward, bn_cache, f"{k}.bn.gamma", f"{k}.bn.beta")
         shape = (len(y), cache[3], self.out_ch)  # cache[3]: the conv's out_T
-        return SimpleNamespace(pooled=y, shape=shape, ndim=3)
+        return SimpleNamespace(pooled=y, bn_cache=bn_cache, shape=shape, ndim=3)
 
     pooled = False  # a BN conv before a maxpool (_units): it runs the BN and the pool
 
@@ -323,7 +358,9 @@ class _MaxPoolUnit(_Unit):
 
     def forward(self, x, graph, mode, tape, rng):
         if isinstance(x, SimpleNamespace):  # pooled by a BN conv (_ConvUnit.forward)
-            return _relu(x.pooled, mode, tape)
+            y = _relu(x.pooled, mode, tape)
+            _leave_bn_relu(graph, y, x.bn_cache, tape)
+            return y
         y, cache = ops.maxpool1d_forward(x, mode)
         _record(tape, ops.maxpool1d_backward, cache)
         return y
@@ -354,7 +391,7 @@ class _FCUnit(_Unit):
         k = self.label
         y, cache = ops.affine_forward(x, graph.params[f"{k}.w"])
         _record(tape, ops.affine_backward, cache, f"{k}.w")
-        y = _relu(_bn(y, k, graph, mode, tape), mode, tape)
+        y = _relu(_bn(y, k, graph, mode, tape)[0], mode, tape)
         y, cache = ops.dropout(y, mode, rng)
         _record(tape, ops.dropout_backward, cache)
         return y
@@ -384,6 +421,7 @@ class ModelGraph:
     parameter map and per-layer BN running statistics."""
 
     _waveform = None  # the input, while forward runs
+    _bn_relu = None  # a batch norm's output after its ReLU, for the next conv (_leave_bn_relu)
 
     def __init__(self, units: list, rng: RandomSource | None = None, dtype=TRAIN_DTYPE):
         self.units = units
@@ -412,7 +450,7 @@ class ModelGraph:
             for u in self.units:  # each unit gets its input as the only reference
                 h.append(u.forward(h.pop(), self, mode, tape, rng))
         finally:
-            self._waveform = None
+            self._waveform = self._bn_relu = None
         logits, = h
         return ForwardResult(probs=ops.softmax_probs(logits), logits=logits, tape=tape)
 

@@ -4,10 +4,11 @@ Ops are functions over [batch, time, channels] arrays that leave their
 inputs unchanged, with two exceptions that take x over: train-mode
 batchnorm_forward, whose backward builds grad_x in x's buffer, and
 relu_forward, which writes its output into x. (The conv backward builds
-grad_x in the padded copy of x that its forward made, never in x.) Each
-forward returns (output, cache); the matching backward consumes the cache
-and the output gradient and returns exact adjoints. relu_backward builds
-its grad_x in grad_out's buffer, and its cache is the mask as bits.
+grad_x in the padded copy of x that its forward made or that it rebuilt,
+never in x.) Each forward returns (output, cache); the matching backward
+consumes the cache and the output gradient and returns exact adjoints.
+relu_backward builds its grad_x in grad_out's buffer, and its cache is the
+mask as bits.
 
 Each array dies at its last reader. The conv forwards drop their reference
 to x once its padded copy exists, so a caller that hands over the only
@@ -67,8 +68,27 @@ grad_kernel GEMMs, then that tap's share of grad_x. The thin backward goes
 clip by clip through the im2col buffer: one GEMM for grad_kernel and one
 for the im2col gradient, into the same buffer, which an rf-step strided
 col2im adds back onto grad_x. On both paths the backward builds grad_x in
-the padded input the forward made and cached, once the grad_kernel GEMMs
-have read it, so it allocates no input-sized array of its own.
+the padded input the forward made and cached (or that it rebuilt, below),
+once the grad_kernel GEMMs have read it, so it allocates no input-sized
+array of its own.
+
+A conv whose input is a batch norm's output after its ReLU keeps no padded
+input (models.py: every conv but the stem, a residual block's first conv
+fed by a shortcut sum and the -no-bn convs). Its cache holds, in place of
+the padded input, the tuple (x, scale, shift): the batch norm's input (the
+pooled values, for a pooled batch norm) and its float64 per-channel scale
+and shift, all of which the batch norm caches anyway. conv1d_backward
+rebuilds the padded input from them just before its grad_kernel GEMMs
+(_bn_relu_padded): zero-padded as _padded_input pads, scaled and shifted
+by _bn_affine, which made the batch norm's output, and put through
+relu_forward, so the rebuilt bytes are the forward's. That costs one pass
+of x * scale + shift and the ReLU per backward, and saves keeping the
+padded copy, 4 bytes per element, from the forward until the conv's
+backward (Chen et al. 2016, "Training Deep Nets with Sublinear Memory
+Cost": recompute instead of store). It needs one ordering: the conv's
+record runs before the record of the batch norm that later builds grad_x
+in that same x. The conv's forward runs after the batch norm's, so its
+record is later on the tape and runs first in the backward.
 
 A conv with batch norm before a maxpool runs as one op in both modes,
 conv1d_bn_pool_forward, one clip at a time: each clip's output (_conv_clip)
@@ -85,8 +105,7 @@ the statistics, and its backward returns the compact _SlotGrad (per-channel
 scale and shift, the pooled slot values and the slot index) in place of
 grad_x. The thin conv's backward rebuilds each clip's output, turns it
 into that clip's gradient and goes on. The rebuild costs one more per-clip
-GEMM on the thin input (Chen et al. 2016, "Training Deep Nets with
-Sublinear Memory Cost", recompute instead of store). Nothing reads
+GEMM on the thin input (Chen et al. 2016 again). Nothing reads
 the waveform's gradient, so in a ModelGraph's forward the stem conv's
 backward builds none (input_grad=False) and the graph's tape.backward
 returns None; a unit driven on its own builds its input's gradient.
@@ -195,6 +214,17 @@ def _conv_clip(xp_b, k, stride: int, out: np.ndarray, buf=None):
     return buf
 
 
+def _time_padded(shape, left: int, right: int, dtype):
+    """(xp, inner): a [B, left + T + right, C] buffer for an input of shape
+    [B, T, C], its pads zeroed, and inner, its view of the T rows between
+    them, for the caller to fill."""
+    B, T, C = shape
+    xp = np.empty((B, left + T + right, C), dtype=dtype)
+    xp[:, :left] = 0
+    xp[:, left + T :] = 0
+    return xp, xp[:, left : left + T]
+
+
 def _padded_input(x: np.ndarray, p: ConvParams):
     """Check x [B,T,Cin] against p; return (x zero-padded in time, out_T, left pad)."""
     _, T, Cin = x.shape
@@ -204,7 +234,21 @@ def _padded_input(x: np.ndarray, p: ConvParams):
     if Cin != k_in:
         raise ValueError(f"conv1d: input has {Cin} channels, kernel expects {k_in}")
     out_T, left, right = _same_pad_1d(T, rf, p.stride)
-    return np.pad(x, ((0, 0), (left, right), (0, 0))), out_T, left
+    xp, inner = _time_padded(x.shape, left, right, x.dtype)
+    inner[...] = x
+    return xp, out_T, left
+
+
+def _bn_relu_padded(x: np.ndarray, scale, shift, p: ConvParams) -> np.ndarray:
+    """The padded input that _padded_input made of relu(x * scale + shift),
+    rebuilt from a batch norm's input x and its float64 scale and shift by
+    the forward's own arithmetic (_bn_affine, then relu_forward), so with
+    the same bits."""
+    _, left, right = _same_pad_1d(x.shape[1], p.kernel.shape[0], p.stride)
+    xp, inner = _time_padded(x.shape, left, right, x.dtype)
+    _bn_affine(x, scale, shift, out=inner)
+    relu_forward(xp, "infer")
+    return xp
 
 
 def conv1d_forward(x: np.ndarray, p: ConvParams):
@@ -228,11 +272,13 @@ def conv1d_backward(grad_out, cache, input_grad: bool = True):
     """Adjoints of conv1d_forward: (grad_x, grad_kernel, grad_bias).
 
     grad_x is built in the padded input xp that the forward made and
-    cached: each input row is zeroed once the grad_kernel GEMMs have read
-    it, then every tap's share of grad_x is added in tap order. So the
-    backward allocates no input-sized array of its own, and a cache serves
-    one backward. grad_out must have the input's dtype. Without input_grad
-    no grad_x is built, and None stands in its place.
+    cached, or that this backward rebuilt where the cache holds a batch
+    norm's (x, scale, shift) instead (_bn_relu_padded): each input row
+    is zeroed once the grad_kernel GEMMs have read it, then every tap's
+    share of grad_x is added in tap order. So the backward allocates no
+    input-sized array of its own, and a cache serves one backward.
+    grad_out must have the input's dtype. Without input_grad no grad_x is
+    built, and None stands in its place.
 
     A thin conv without bias also takes a pooled batch norm's compact
     gradient (_SlotGrad) for grad_out. Each clip then rebuilds its output
@@ -247,6 +293,8 @@ def conv1d_backward(grad_out, cache, input_grad: bool = True):
         raise ValueError(
             f"conv1d backward: grad shape {grad_out.shape} != {(B, out_T, Cout)}"
         )
+    if isinstance(xp, tuple):  # (x, scale, shift) of the batch norm before the ReLU
+        xp = _bn_relu_padded(*xp, p)
     if grad_out.dtype != xp.dtype:
         raise ValueError(f"conv1d backward: grad dtype {grad_out.dtype} != input dtype {xp.dtype}")
     thin = Cin < _IM2COL_MAX_CIN
@@ -424,13 +472,21 @@ def _bn_moments(s: BatchNormState, mode: str, sums=None, n: int = 0):
     return mu, 1.0 / np.sqrt(var + _BN_EPS)
 
 
-def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv) -> np.ndarray:
-    """xs * scale + shift in xs's dtype, two passes, from the float64
-    scale = gamma * inv and shift = beta - mu * scale; checked."""
+def _bn_affine(xs: np.ndarray, scale, shift, out=None) -> np.ndarray:
+    """xs * scale + shift in xs's dtype, two passes, into out if given, from
+    the float64 per-channel scale and shift: the batch norm's output, and
+    the conv backward's rebuild of it (_bn_relu_padded)."""
+    y = np.multiply(xs, scale.astype(xs.dtype), out=out)
+    y += shift.astype(xs.dtype)
+    return y
+
+
+def _bn_normalize(xs: np.ndarray, s: BatchNormState, mu, inv):
+    """(xs * scale + shift, checked, and the float64 scale = gamma * inv
+    and shift = beta - mu * scale), which batch norm caches."""
     scale = s.gamma * inv
-    y = xs * scale.astype(xs.dtype)
-    y += (s.beta - mu * scale).astype(xs.dtype)
-    return check_finite("batchnorm", y)
+    shift = s.beta - mu * scale
+    return check_finite("batchnorm", _bn_affine(xs, scale, shift)), scale, shift
 
 
 def _bn_sums(rows: np.ndarray, sums: np.ndarray, wide=None):
@@ -469,10 +525,10 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, mode: str):
     C = x.shape[-1]
     sums = _bn_sums(x.reshape(-1, C), np.zeros((2, C)))[0] if mode == "train" else None
     mu, inv = _bn_moments(s, mode, sums, math.prod(x.shape[:-1]))
-    y = _bn_normalize(x, s, mu, inv)
+    y, scale, shift = _bn_normalize(x, s, mu, inv)
     if mode == "infer":
         return y, None
-    return y, (x, x.shape, x, None, mu, inv, s.gamma)
+    return y, (x, x.shape, x, None, mu, inv, scale, shift)
 
 
 def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode: str):
@@ -515,11 +571,11 @@ def conv1d_bn_pool_forward(x: np.ndarray, p: ConvParams, s: BatchNormState, mode
     # Free the clip buffers and the sums' block before normalizing.
     y, clip, buf, wide = (y if keep else None), None, None, None
     mu, inv = _bn_moments(s, mode, sums, B * out_T)
-    out = _bn_normalize(xs, s, mu, inv)
+    out, scale, shift = _bn_normalize(xs, s, mu, inv)
     conv_cache = (xp, x_shape, p, out_T, left)
     if idx is None:
         return out, conv_cache, None
-    return out, conv_cache, (y, (B, out_T, C), xs, (idx, out_T), mu, inv, s.gamma)
+    return out, conv_cache, (y, (B, out_T, C), xs, (idx, out_T), mu, inv, scale, shift)
 
 
 def batchnorm_backward(grad_out: np.ndarray, cache):
@@ -539,7 +595,7 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
       _SlotGrad that does so, and the thin conv before the batch norm
       applies it to each clip of the output it rebuilds.
     """
-    x, shape, xs, slots, mu, inv, gamma = cache
+    x, shape, xs, slots, mu, inv, a, _ = cache  # a: the float64 scale, gamma * inv
     C = shape[-1]
     n = math.prod(shape) // C
     dt = grad_out.dtype
@@ -548,7 +604,6 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
     sum_gx = np.einsum("ij,ij->j", g2, xs.reshape(g2.shape), dtype=np.float64)
     grad_gamma = inv * (sum_gx - mu * sum_g)
     # Batch statistics depend on x, so their adjoints fold back in.
-    a = gamma * inv
     b = -a * inv * grad_gamma / n
     c = (-a * sum_g / n - b * mu).astype(dt)
     a, b = a.astype(dt), b.astype(dt)

@@ -20,9 +20,10 @@ extract's package and this copy on the work tree's, each in a fresh
 process, prints both totals and exits 1 if they differ. Each tree hashes
 with its own script because the step is the package's own.
 
-With --cases it first prints one hash per case, named, so a mismatch
-shows which (arch, dtype, length) case differs; its last line is the
-total, as printed without the flag.
+Its first line is the thread count that numpy's BLAS reports, since the
+-fc architectures' bits depend on it (README, "Determinism and threads").
+With --cases it then prints one hash per case, named, so a mismatch shows
+which (arch, dtype, length) case differs. The last line is the total.
 
 pytest does not collect this file (its name does not start with test_);
 tests/test_step_digest.py runs it on a few small cases.
@@ -31,6 +32,7 @@ tests/test_step_digest.py runs it on a few small cases.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import subprocess
@@ -101,6 +103,19 @@ def case_digests(archs=ARCHITECTURES, dtypes=DTYPES, lengths=LENGTHS):
     yield "total", total.hexdigest()
 
 
+def blas_threads():
+    """The thread count that the OpenBLAS numpy loaded reports, or None
+    where numpy's wheel bundles no OpenBLAS (another BLAS, or a build
+    against the system's)."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*")):
+        blas = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(blas, name):
+                return getattr(blas, name)()
+    return None
+
+
 def _total_in(root: Path, cases: dict) -> str:
     """The total digest of the tree at root, from its own copy of this
     script on its own package, in a fresh process."""
@@ -113,17 +128,18 @@ def _total_in(root: Path, cases: dict) -> str:
 
 
 def main(argv=None, **cases) -> int:
-    """Print the total digest; with --cases, first one line per case,
-    `<digest> <arch>/<dtype>/<T>`, so a mismatch names its case. With
-    --parent REV, print `<digest> <REV>` and `<digest> work tree` and
-    return 1 if they differ. cases narrows the case lists (case_digests'
-    arguments)."""
+    """Print `BLAS threads <n>`, then the total digest; with --cases, one
+    line per case before it, `<digest> <arch>/<dtype>/<T>`, so a mismatch
+    names its case. With --parent REV, print `<digest> <REV>` and `<digest>
+    work tree` after the thread line and return 1 if they differ. cases
+    narrows the case lists (case_digests' arguments)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--cases", action="store_true",
                         help="print each case's digest before the total")
     parser.add_argument("--parent", metavar="REV",
                         help="compare the totals of REV and of the work tree")
     args = parser.parse_args(argv)
+    print("BLAS threads", blas_threads())
     if args.parent:
         with tempfile.TemporaryDirectory() as tmp:
             bench_pairs._extract(args.parent, Path(tmp))

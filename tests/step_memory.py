@@ -3,24 +3,27 @@ in one warm train step.
 
 The script builds one architecture at a given width (channel scale), draws
 a batch of clips and runs one float32 train step as training.train runs it
-(training.gradients, then Adam), untraced. It then runs the same step again
-on the same graph and batch, phase by phase: ModelGraph.forward in train
-mode, the loss, the op tape's backward, the L2 gradients and Adam. It
-prints one row per unit forward, per tape record backward and per remaining
-stage of that second step: the phase, the unit, the op (a record's backward
-function), the milliseconds it took, the traced peak while it ran and the
-memory still traced when it returned. The last line names the row at which
-the step peaked. The first step is not shown: a cold step pays first-touch
+(training.gradients, then Adam), untraced. It then runs the same step
+--steps times (5 by default) on the same graph and batch, phase by
+phase: ModelGraph.forward in train mode, the loss, the op tape's backward,
+the L2 gradients and Adam. It prints one row per unit forward, per tape
+record backward and per remaining stage of a step: the phase, the unit,
+the op (a record's backward function), the median of the milliseconds it
+took over those steps, the traced peak while it ran and the memory still
+traced when it returned. The two memory columns are those of the first of
+those steps, the only one traced. The last line names the row at which the
+step peaked. The first step is not shown: a cold step pays first-touch
 page faults and one-time setup, so its times read higher and vary more
-than the steady state that training runs in.
+than the steady state that training runs in, and one warm step's times
+are still noise-bound on a busy host.
 
-    PYTHONPATH=src python tests/step_memory.py --arch m18 --width 1 --batch 8
+    PYTHONPATH=src python tests/step_memory.py --arch m18 --width 1 --batch 8 --steps 5
 
 Memory is what tracemalloc sees above the built network, its Adam moments
 and the input batch, which are allocated before tracing starts. numpy
 reports its array buffers to tracemalloc, so the peaks are array bytes.
-Times are taken under tracemalloc, which costs little here (few, large
-allocations), but compare them only with each other.
+The first timed step runs under tracemalloc, which costs little here
+(few, large allocations); compare the times only with each other.
 
 Each unit forward is timed through an instance attribute that hands the
 unit its input as ModelGraph.forward does, as the only reference; each
@@ -32,6 +35,7 @@ name does not start with test_); tests/test_step_memory.py runs it small.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 import tracemalloc
@@ -58,9 +62,12 @@ class Row(NamedTuple):
     live: int  # traced bytes when it returned
 
 
-def step_rows(arch: str, width: float = 1.0, batch: int = 8, length: int = CLIP_SAMPLES) -> list:
+def step_rows(arch: str, width: float = 1.0, batch: int = 8, length: int = CLIP_SAMPLES,
+              steps: int = 1) -> list:
     """The rows of a warm train step of `arch` at channel scale `width`, on
-    `batch` clips of `length` samples, in the order they ran."""
+    `batch` clips of `length` samples, in the order they ran: each row's
+    seconds the median over `steps` warm steps, its memory that of the
+    first, traced one."""
     graph = models.build(arch, rng=RandomSource(0), channel_scale=width)
     adam = AdamState(graph.params)
     x = RandomSource(1).normal((batch, length, 1)).astype(graph.dtype)
@@ -96,11 +103,7 @@ def step_rows(arch: str, width: float = 1.0, batch: int = 8, length: int = CLIP_
             return out
         record(tape, timed, cache, *names)
 
-    for u in graph.units:
-        u.forward = timed_forward(u)
-    models._record = timed_record
-    tracemalloc.start()
-    try:
+    def step():
         res = graph.forward(x, mode="train", rng=RandomSource(2))
         t0 = time.perf_counter()
         _, _, grad_logits = softmax_xent(res.logits, labels)
@@ -113,12 +116,24 @@ def step_rows(arch: str, width: float = 1.0, batch: int = 8, length: int = CLIP_
         t0 = time.perf_counter()
         adam_step(graph.params, grads, adam)
         measure("adam", "-", "adam_step", t0)
+
+    for u in graph.units:
+        u.forward = timed_forward(u)
+    models._record = timed_record
+    tracemalloc.start()
+    try:
+        step()
+        tracemalloc.stop()  # untraced, measure reads 0 bytes
+        for _ in range(steps - 1):
+            step()
     finally:
         tracemalloc.stop()
         models._record = record
         for u in graph.units:
             del u.forward
-    return rows
+    n = len(rows) // steps  # every step runs the same rows
+    return [r._replace(seconds=statistics.median(s.seconds for s in rows[i::n]))
+            for i, r in enumerate(rows[:n])]
 
 
 def main(argv=None) -> int:
@@ -127,8 +142,12 @@ def main(argv=None) -> int:
     parser.add_argument("--width", type=float, default=1.0, help="channel scale in (0, 1]")
     parser.add_argument("--batch", type=int, default=8)
     parser.add_argument("--length", type=int, default=CLIP_SAMPLES, help="samples per clip")
+    parser.add_argument("--steps", type=int, default=5,
+                        help="warm steps whose median time each row reports")
     args = parser.parse_args(argv)
-    rows = step_rows(args.arch, args.width, args.batch, args.length)
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
+    rows = step_rows(args.arch, args.width, args.batch, args.length, args.steps)
     print(f"{'phase':<9} {'unit':<26} {'op':<22} {'ms':>8} {'peak MiB':>9} {'live MiB':>9}")
     for r in rows:
         print(f"{r.phase:<9} {r.unit:<26} {r.op:<22} {r.seconds * 1e3:8.1f} "

@@ -21,12 +21,10 @@ from wavecnn.training import (
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
-    train,
 )
 from wavecnn.tensor import RandomSource
 
 from test_audio import extensible, wav_bytes
-from test_train import mini_config, mini_dataset
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -174,7 +172,7 @@ def test_load_checkpoint_loads_or_raises_a_checkpoint_error(tmp_path_factory):
     property_()
 
 
-def test_accepted_checkpoint_restores_and_trains(tmp_path_factory):
+def test_accepted_checkpoint_restores_and_trains(tmp_path, trained):
     """Accepted means runnable. Each mutant of a real m3 checkpoint (1/16
     width, one epoch) is refused with a CheckpointError by load_checkpoint
     or model_from_checkpoint, or it restores and runs one train step
@@ -184,9 +182,8 @@ def test_accepted_checkpoint_restores_and_trains(tmp_path_factory):
     or a finite value in [-4, 4]. A finite weight large enough to overflow
     the float32 forward belongs to a diverged run, not a malformed file;
     the loader does not judge magnitudes."""
-    path = tmp_path_factory.mktemp("fuzz") / "m3.ckpt"
-    train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
-    base = path.read_bytes()
+    path = tmp_path / "m3.ckpt"
+    base = trained.read_bytes()
     x, labels = RandomSource(1).normal((2, 400, 1)), np.array([0, 1])
     mutations = ["set", "drop", "rename", "payload-float", "payload-float", "payload-cut",
                  "payload-grow"]

@@ -522,13 +522,89 @@ def test_train_step_peak_memory():
 
 def test_stride1_stem_train_step_peak_memory():
     """m11-stride1's stride-1 stem output is 4x longer than m3's. Its
-    stem streams as m3's does, so the step peaks near the end of the
-    forward, where every later layer's cache is live, and at the start of
-    the backward: 2.562x measured, pinned at 2.75x (2.788x while each conv
-    input lived through its conv, the masks took a byte an element and the
-    batch-norm sums made a block per clip)."""
+    stem streams as m3's does, and every conv after it rebuilds its padded
+    input in its backward, so the step peaks in the stem conv's backward:
+    2.191x measured, pinned at 2.35x. It read 2.562x, near the end of the
+    forward, while those convs kept their padded inputs, and 2.788x while
+    each conv input lived through its conv, the masks took a byte an
+    element and the batch-norm sums made a block per clip."""
     ratio = _step_peak_over_stem("m11-stride1")
-    assert ratio <= 2.75, f"peak {ratio:.2f}x the stem output"
+    assert ratio <= 2.35, f"peak {ratio:.2f}x the stem output"
+
+
+def test_deep_stack_train_step_peak_memory():
+    """Every conv whose input a batch norm and its ReLU made keeps that
+    batch norm's (x, scale, shift) instead of its padded input, which its
+    backward rebuilds, so a plain BN conv layer keeps about 4.1 bytes per
+    output element, not 8.1. m34-res's step then peaks at 6.038x its stem
+    output, in the backward of the block of conv26 and conv27 (7.888x
+    while those convs kept their padded inputs). Pinned at 6.35x, 5% of
+    headroom."""
+    ratio = _step_peak_over_stem("m34-res")
+    assert ratio <= 6.35, f"peak {ratio:.2f}x the stem output"
+
+
+def _bn_relu_fed_convs(graph) -> set:
+    """Labels of the convs whose input is a batch norm's output after its
+    ReLU: a conv unit or a block's first conv after a BN conv unit,
+    directly or through the maxpool that applies its ReLU, and a BN
+    block's second conv."""
+    fed, bn_relu_out = set(), False
+    for u in graph.units:
+        if isinstance(u, models._ConvUnit):
+            fed |= {u.label} if bn_relu_out else set()
+            bn_relu_out = u.with_bn
+        elif isinstance(u, models._ResBlockUnit):
+            c1, c2 = u._convs
+            fed |= ({c1.label} if bn_relu_out else set()) | ({c2.label} if c1.with_bn else set())
+            bn_relu_out = False  # a block ends in the ReLU of its shortcut sum
+        elif not isinstance(u, models._MaxPoolUnit):
+            bn_relu_out = False
+    return fed
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", valid_architectures())
+def test_conv_backward_rebuilds_its_bn_relu_input_bitwise(name, dtype, monkeypatch):
+    """A conv whose input a batch norm and its ReLU made keeps no padded
+    input: its backward rebuilds it with the bytes its forward padded, for
+    thin and deep convs alike (at 1/16 width m34-res's convs are thin up
+    to 8 channels). Only the stem, the -no-bn convs and the first conv of
+    each residual block that a shortcut sum feeds keep their padded input.
+    Gammas take both signs, so some channels pool the min."""
+    graph = build(name, rng=RandomSource(0), dtype=dtype, channel_scale=1 / 16)
+    draw = np.random.default_rng(3)
+    for k, v in graph.params.items():
+        if k.endswith(".bn.gamma"):
+            v[...] = draw.uniform(-2.0, 2.0, v.shape)
+    convs = {id(v): k[: -len(".kernel")] for k, v in graph.params.items()
+             if k.endswith(".kernel") and k.startswith("conv")}
+    made, rebuilt = {}, {}
+    pad, rebuild = ops._padded_input, ops._bn_relu_padded
+
+    def padded_input(x, p):
+        xp, out_T, left = pad(x, p)
+        made[convs[id(p.kernel)]] = xp.copy()
+        return xp, out_T, left
+
+    def bn_relu_padded(x, scale, shift, p):
+        xp = rebuild(x, scale, shift, p)
+        rebuilt[convs[id(p.kernel)]] = xp.copy()
+        return xp
+
+    monkeypatch.setattr(ops, "_padded_input", padded_input)
+    monkeypatch.setattr(ops, "_bn_relu_padded", bn_relu_padded)
+    x = RandomSource(1).normal((2, 2000, 1)).astype(dtype)
+    gradients(graph, x, np.array([0, 1]), RandomSource(2), 0.0)
+    assert set(made) == set(convs.values())
+    assert set(rebuilt) == _bn_relu_fed_convs(graph)
+    for k, xp in rebuilt.items():
+        assert (xp.dtype, xp.shape, xp.tobytes()) == (made[k].dtype, made[k].shape, made[k].tobytes()), k
+    firsts = {u._convs[0].label for u in graph.units if isinstance(u, models._ResBlockUnit)}
+    kept = set(made) - set(rebuilt)
+    assert "conv1" in kept
+    if "no-bn" not in name:
+        assert kept - {"conv1"} <= firsts
 
 
 def test_evaluate_peak_memory():

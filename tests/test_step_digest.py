@@ -1,6 +1,7 @@
 """The step digest script (tests/step_digest.py) covers every architecture,
-hashes the same within one process, and with --cases names each case's
-hash before the same total; --parent compares two packages."""
+hashes the same within one process, names the BLAS thread count first,
+and with --cases names each case's hash before the same total; --parent
+compares two packages."""
 
 import shutil
 import subprocess
@@ -37,8 +38,9 @@ def test_cases_option_prints_each_case_then_the_default_total(capsys):
     default = capsys.readouterr().out.splitlines()
     step_digest.main(["--cases"], **SMALL)
     lines = capsys.readouterr().out.splitlines()
-    assert len(default) == 1 and lines[-1] == default[0]
-    cases = dict(reversed(line.split()) for line in lines[:-1])
+    assert len(default) == 2 and lines[-1] == default[-1]
+    assert lines[0] == default[0] == f"BLAS threads {step_digest.blas_threads()}"
+    cases = dict(reversed(line.split()) for line in lines[1:-1])
     assert list(cases) == [f"{a}/{d}/400" for a in SMALL["archs"] for d in ("float32", "float64")]
     # A case's hash does not depend on the cases run before it.
     alone = dict(step_digest.case_digests(archs=("m34-res",), lengths=(400,)))
@@ -65,7 +67,9 @@ def test_parent_option_compares_two_packages(eps, differ, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "_extract", _extract_work_tree_package(eps))
     cases = dict(archs=("m3",), lengths=(400,))
     assert step_digest.main(["--parent", "REV"], **cases) == int(differ)
-    (parent, rev), (work, tree) = (line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    threads, *totals = capsys.readouterr().out.splitlines()
+    assert threads.startswith("BLAS threads ")
+    (parent, rev), (work, tree) = (line.split(" ", 1) for line in totals)
     assert (rev, tree) == ("REV", "work tree")
     assert work == _total(**cases)
     assert (parent != work) == differ
@@ -73,10 +77,13 @@ def test_parent_option_compares_two_packages(eps, differ, monkeypatch, capsys):
 
 def test_import_applies_wavecnn_threads():
     """The script imports wavecnn before numpy, so WAVECNN_THREADS sets
-    the BLAS thread count and no RuntimeWarning says it is ignored."""
+    the BLAS thread count, which it reports, and no RuntimeWarning says it
+    is ignored."""
     env = python_env(drop=("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
                      WAVECNN_THREADS="1")
-    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", "import step_digest"],
+    code = "import step_digest; print(step_digest.blas_threads())"
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() in ("1", "None")  # None: numpy bundles no OpenBLAS

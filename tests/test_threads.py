@@ -2,7 +2,13 @@
 WAVECNN_THREADS 1 and 2, and the variable overrides the BLAS thread
 variables or, once numpy is loaded, warns that it cannot. The thread count
 is fixed when numpy is first imported, so each case runs in its own
-subprocess."""
+subprocess.
+
+The contract covers the 17 architectures without fully connected layers;
+the step here checks m3, m18 and m34-res, and tests/step_digest.py
+--cases at both counts shows the other 14 (README, "Determinism and
+threads"). The four -fc architectures, m3-fc, m5-fc, m11-fc and m18-fc,
+are outside it: their steps give other bits at 1 and 2 threads."""
 
 import subprocess
 import sys

@@ -54,16 +54,6 @@ def mini_dataset(n=8, seed=3, length=4000, num_classes=2):
     return SyntheticDataset(n_clips=n, seed=seed, length=length, num_classes=num_classes)
 
 
-@pytest.fixture(scope="module")
-def trained(tmp_path_factory):
-    """The checkpoint file of one mini_config epoch, shared by the tests
-    that only need a trained checkpoint. A test that changes the file works
-    on a copy; load_checkpoint gives each test an object of its own."""
-    path = tmp_path_factory.mktemp("trained") / "run.ckpt"
-    train(mini_config(epochs=1, checkpoint_path=str(path)), mini_dataset())
-    return path
-
-
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
